@@ -353,7 +353,8 @@ void RenderTopFlows(pfkern::Machine& machine, size_t k, double now_ms) {
 
 // The conndb panel (--conn): live connections with their verdicts, the
 // transition counters and their partition identity, watermark/emergency
-// state, verdict-cache residency (the pf.demux.cache.* gauges), and the
+// state, verdict-cache residency (the pf.demux.cache.live/.capacity
+// gauges, as the table last stood in its cache configuration), and the
 // per-port extension veto counts.
 void RenderConnPanel(pfkern::Machine& machine, double now_ms) {
   const pf::ConnDB* db = machine.pf().ConnDb();
@@ -384,7 +385,7 @@ void RenderConnPanel(pfkern::Machine& machine, double now_ms) {
               (unsigned long long)s.emergency_engaged,
               (unsigned long long)s.emergency_disengaged, (unsigned long long)s.gc_sweeps,
               (unsigned long long)s.gc_scanned, (unsigned long long)s.expired_gc);
-  const pfobs::Gauge* cache_size = machine.metrics().FindGauge("pf.demux.cache.size");
+  const pfobs::Gauge* cache_size = machine.metrics().FindGauge("pf.demux.cache.live");
   const pfobs::Gauge* cache_cap = machine.metrics().FindGauge("pf.demux.cache.capacity");
   if (cache_size != nullptr && cache_cap != nullptr) {
     std::printf(" verdict cache residency: %lld/%lld entries\n",

@@ -5,62 +5,66 @@
 
 namespace pf {
 
-ConnDB::ConnDB(Config config) : config_(config) {
-  if (config_.capacity == 0) {
-    config_.capacity = 1;
-  }
+void ConnDB::Reconfigure(Config config) {
+  config_ = config;
   if (config_.emergency_evict_batch == 0) {
     config_.emergency_evict_batch = 1;
   }
   if (config_.gc_batch == 0) {
     config_.gc_batch = 1;
   }
-  config_.high_water_pct = std::min<uint32_t>(config_.high_water_pct, 100);
   if (config_.low_water_pct >= config_.high_water_pct) {
     config_.low_water_pct =
         config_.high_water_pct == 0 ? 0 : config_.high_water_pct - 1;
   }
   // Integer thresholds: live >= high_count_ engages, live <= low_count_
   // disengages. high_count_ is at least 1 so a zero-percent config still
-  // means "any state at all is overload" rather than dividing by zero.
-  high_count_ = std::max<size_t>(
-      1, config_.capacity * config_.high_water_pct / 100);
+  // means "any state at all is overload" rather than dividing by zero; a
+  // high mark above 100 is unreachable (live never exceeds capacity).
+  high_count_ = config_.high_water_pct > 100
+                    ? SIZE_MAX
+                    : std::max<size_t>(1, config_.capacity * config_.high_water_pct / 100);
   low_count_ = config_.capacity * config_.low_water_pct / 100;
+  while (live_ > config_.capacity) {
+    Remove(lru_tail_, RemoveCause::kEvictedCapacity);
+  }
+  UpdateWatermark();
+  UpdateGauges();
 }
 
-void ConnDB::AttachMetrics(pfobs::MetricsRegistry* registry) {
+void ConnDB::AttachMetrics(pfobs::MetricsRegistry* registry, const std::string& prefix) {
   if (registry == nullptr) {
     metrics_ = Metrics{};
     return;
   }
-  metrics_.lookups = registry->counter("pf.conn.lookups");
-  metrics_.hits = registry->counter("pf.conn.hits");
-  metrics_.misses = registry->counter("pf.conn.misses");
-  metrics_.stale_epoch = registry->counter("pf.conn.stale_epoch");
-  metrics_.created = registry->counter("pf.conn.created");
-  metrics_.updated = registry->counter("pf.conn.updated");
-  metrics_.refused = registry->counter("pf.conn.refused");
-  metrics_.expired_lazy = registry->counter("pf.conn.expired.lazy");
-  metrics_.expired_gc = registry->counter("pf.conn.expired.gc");
-  metrics_.evicted_capacity = registry->counter("pf.conn.evicted.capacity");
-  metrics_.evicted_emergency = registry->counter("pf.conn.evicted.emergency");
-  metrics_.evicted_stale = registry->counter("pf.conn.evicted.stale");
-  metrics_.emergency_engaged = registry->counter("pf.conn.emergency.engaged");
-  metrics_.emergency_disengaged =
-      registry->counter("pf.conn.emergency.disengaged");
-  metrics_.gc_sweeps = registry->counter("pf.conn.gc.sweeps");
-  metrics_.gc_scanned = registry->counter("pf.conn.gc.scanned");
-  metrics_.gc_reclaimed = registry->counter("pf.conn.gc.reclaimed");
-  metrics_.live = registry->gauge("pf.conn.live");
-  metrics_.capacity = registry->gauge("pf.conn.capacity");
-  metrics_.emergency = registry->gauge("pf.conn.emergency");
-  metrics_.capacity->Set(static_cast<int64_t>(config_.capacity));
+  const auto counter = [&](const char* name) { return registry->counter(prefix + name); };
+  metrics_.lookups = counter(".lookups");
+  metrics_.hits = counter(".hits");
+  metrics_.misses = counter(".misses");
+  metrics_.stale_epoch = counter(".stale_epoch");
+  metrics_.created = counter(".created");
+  metrics_.updated = counter(".updated");
+  metrics_.refused = counter(".refused");
+  metrics_.expired_lazy = counter(".expired.lazy");
+  metrics_.expired_gc = counter(".expired.gc");
+  metrics_.evicted_capacity = counter(".evicted.capacity");
+  metrics_.evicted_emergency = counter(".evicted.emergency");
+  metrics_.evicted_stale = counter(".evicted.stale");
+  metrics_.emergency_engaged = counter(".emergency.engaged");
+  metrics_.emergency_disengaged = counter(".emergency.disengaged");
+  metrics_.gc_sweeps = counter(".gc.sweeps");
+  metrics_.gc_scanned = counter(".gc.scanned");
+  metrics_.gc_reclaimed = counter(".gc.reclaimed");
+  metrics_.live = registry->gauge(prefix + ".live");
+  metrics_.capacity = registry->gauge(prefix + ".capacity");
+  metrics_.emergency = registry->gauge(prefix + ".emergency");
   UpdateGauges();
 }
 
 void ConnDB::UpdateGauges() {
   if (metrics_.live != nullptr) {
     metrics_.live->Set(static_cast<int64_t>(live_));
+    metrics_.capacity->Set(static_cast<int64_t>(config_.capacity));
     metrics_.emergency->Set(emergency_ ? 1 : 0);
   }
 }
@@ -224,12 +228,12 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
       Remove(lru_tail_, RemoveCause::kEvictedEmergency);
     }
     UpdateWatermark();  // the shed may drain below low water
-    if (emergency_ && config_.refuse_new_in_emergency) {
-      ++stats_.refused;
-      if (metrics_.refused != nullptr) metrics_.refused->Add();
-      UpdateGauges();
-      return EstablishOutcome::kRefused;
-    }
+  }
+  if (config_.capacity == 0 || (emergency_ && config_.refuse_new_in_emergency)) {
+    ++stats_.refused;
+    if (metrics_.refused != nullptr) metrics_.refused->Add();
+    UpdateGauges();
+    return EstablishOutcome::kRefused;
   }
   if (live_ >= config_.capacity) {
     Remove(lru_tail_, RemoveCause::kEvictedCapacity);
@@ -312,20 +316,6 @@ std::vector<ConnDB::Entry> ConnDB::Snapshot() const {
     out.push_back(slots_[i].entry);
   }
   return out;
-}
-
-void ConnDB::Clear() {
-  slots_.clear();
-  free_.clear();
-  index_.clear();
-  lru_head_ = kNil;
-  lru_tail_ = kNil;
-  live_ = 0;
-  gc_cursor_ = 0;
-  emergency_ = false;
-  generation_ = 0;
-  stats_ = Stats{};
-  UpdateGauges();
 }
 
 }  // namespace pf

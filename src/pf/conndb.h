@@ -38,16 +38,21 @@
 // cursor walks slab slots in index order; freed slots are reused LIFO.
 //
 // Soundness of serving verdicts from state is the *caller's* contract, not
-// the DB's: PacketFilter only consults the DB when every bound filter's
-// verdict is determined by the hashed prefix (validate.h metadata), it
-// re-confirms every hit against the claimed port's own filter, and it bumps
-// `epoch` on any filter/port/priority/strategy change — an entry stamped
-// with an older epoch is never served (the full walk restamps it).
+// the DB's: PacketFilter only consults the DB when the key determines every
+// bound filter's verdict, it re-confirms every hit against the claimed
+// port's own filter, and it bumps `epoch` on any change that can alter the
+// walk's outcome — an entry stamped with an older epoch is never served
+// (the full walk restamps it).
+//
+// The same table is PacketFilter's flow verdict cache (DESIGN.md §10): with
+// no TTL and no watermarks (ttl_ns = UINT64_MAX, high_water_pct > 100) it
+// is a plain LRU table that evicts at capacity and never refuses.
 #ifndef SRC_PF_CONNDB_H_
 #define SRC_PF_CONNDB_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,11 +63,14 @@ namespace pf {
 class ConnDB {
  public:
   struct Config {
-    size_t capacity = 4096;            // hard bound on live entries
+    // Hard bound on live entries; 0 holds nothing (every instantiation
+    // attempt is refused).
+    size_t capacity = 4096;
     uint64_t ttl_ns = 30'000'000'000;  // idle lifetime (simulated ns)
     // Watermarks as integer percent of capacity (integers keep threshold
     // arithmetic bit-exact). Emergency engages at live >= high, disengages
-    // at live <= low; low < high gives the hysteresis band.
+    // at live <= low; low < high gives the hysteresis band. A high mark
+    // above 100 is never reached, which disables emergency mode.
     uint32_t high_water_pct = 90;
     uint32_t low_water_pct = 70;
     // LRU-tail entries shed per Establish() attempt while in emergency
@@ -119,7 +127,12 @@ class ConnDB {
   };
 
   ConnDB() : ConnDB(Config{}) {}
-  explicit ConnDB(Config config);
+  explicit ConnDB(Config config) { Reconfigure(config); }
+
+  // Applies `config` in place. Entries and counters carry over; entries
+  // beyond the new capacity are shed from the LRU tail (evicted_capacity),
+  // so the partition identity holds across reconfiguration.
+  void Reconfigure(Config config);
 
   // Fast-path lookup. A hit accounts the packet into the entry, moves it to
   // the LRU front, and restamps clock + generation. An entry idle past
@@ -163,11 +176,9 @@ class ConnDB {
   // Live entries, most-recently-touched first (pfstat --conn).
   std::vector<Entry> Snapshot() const;
 
-  void Clear();
-
-  // Registers "pf.conn.*" counters/gauges; null detaches. Pointers are
-  // cached — detached, every hook is a null check.
-  void AttachMetrics(pfobs::MetricsRegistry* registry);
+  // Registers "<prefix>.*" counters/gauges ("pf.conn.lookups", ...); null
+  // detaches. Pointers are cached — detached, every hook is a null check.
+  void AttachMetrics(pfobs::MetricsRegistry* registry, const std::string& prefix = "pf.conn");
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;

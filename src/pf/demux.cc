@@ -5,7 +5,22 @@
 
 namespace pf {
 
-PacketFilter::PacketFilter(DeviceInfo info) : info_(info) {}
+namespace {
+
+// The fast-path table's verdict-cache configuration: a plain LRU table — no
+// TTL, no watermarks, no refusal (DESIGN.md §10).
+ConnDB::Config CacheConfig(size_t capacity) {
+  ConnDB::Config config;
+  config.capacity = capacity;
+  config.ttl_ns = UINT64_MAX;
+  config.high_water_pct = UINT32_MAX;  // above 100: never engages
+  return config;
+}
+
+}  // namespace
+
+PacketFilter::PacketFilter(DeviceInfo info)
+    : info_(info), flows_(CacheConfig(kDefaultFlowCacheCapacity)) {}
 
 PacketFilter::PortState* PacketFilter::Find(PortId id) {
   const auto it = ports_.find(id);
@@ -67,10 +82,10 @@ void PacketFilter::ClearFilter(PortId id) {
 void PacketFilter::SetDeliverToLower(PortId id, bool enabled) {
   if (PortState* port = Find(id)) {
     port->deliver_to_lower = enabled;
-    // Copy-all semantics change who receives an already-cached flow (a
-    // newly copy-all high-priority port must see its copies), and this
-    // does not dirty the priority order — wipe the cache directly.
-    InvalidateFlowCache();
+    // Copy-all semantics change who receives an already-established flow (a
+    // newly copy-all high-priority port must see its copies), and this does
+    // not dirty the priority order — stale the stored verdicts directly.
+    ++conn_epoch_;
   }
 }
 
@@ -106,13 +121,15 @@ void PacketFilter::SetStrategy(Strategy strategy) {
   engine_.set_strategy(strategy);
   // Strategy changes rebuild the engine's index, so cached signatures no
   // longer mean anything.
-  InvalidateFlowCache();
+  ++conn_epoch_;
+  AttachFlowMetrics();
 }
 
 void PacketFilter::SetFlowCacheCapacity(size_t capacity) {
   flow_cache_capacity_ = capacity;
-  InvalidateFlowCache();
-  UpdateCacheGauges();
+  if (!tracking_) {
+    flows_.Reconfigure(CacheConfig(capacity));
+  }
 }
 
 void PacketFilter::SetProfiling(bool enabled) { engine_.SetProfiling(enabled); }
@@ -140,38 +157,28 @@ std::vector<PortId> PacketFilter::Ports() const {
   return ids;
 }
 
-void PacketFilter::InvalidateFlowCache() {
-  // Everything that stales the verdict cache equally stales conndb-served
-  // verdicts: bump the epoch so stamped entries stop being served (they
-  // survive, and the next full walk restamps them).
+void PacketFilter::EnableConnTracking(ConnDB::Config config) { ConfigureFlows(true, config); }
+
+void PacketFilter::DisableConnTracking() {
+  ConfigureFlows(false, CacheConfig(flow_cache_capacity_));
+}
+
+void PacketFilter::ConfigureFlows(bool tracking, const ConnDB::Config& config) {
+  tracking_ = tracking;
+  flows_.Reconfigure(config);
+  AttachFlowMetrics();
+  // Entries keyed under the other configuration must not be served. (No
+  // order rebuild: conn_servable_ is kept current in both configurations,
+  // and a rebuild would re-sort busy ports when the walk alone would not.)
   ++conn_epoch_;
-  if (flow_cache_.empty()) {
-    return;
-  }
-  flow_cache_.clear();
-  ++flow_cache_stats_.invalidations;
-  if (metrics_.cache_invalidations != nullptr) {
-    metrics_.cache_invalidations->Add();
-  }
-  UpdateCacheGauges();
 }
 
-void PacketFilter::UpdateCacheGauges() {
-  if (metrics_.cache_size != nullptr) {
-    metrics_.cache_size->Set(static_cast<int64_t>(flow_cache_.size()));
-    metrics_.cache_capacity->Set(static_cast<int64_t>(flow_cache_capacity_));
-  }
+void PacketFilter::AttachFlowMetrics() {
+  // The cache configuration only runs under kIndexed; registering its
+  // metrics for every other demux would add to each machine's set-up cost.
+  const bool active = tracking_ || engine_.strategy() == Strategy::kIndexed;
+  flows_.AttachMetrics(active ? registry_ : nullptr, tracking_ ? "pf.conn" : "pf.demux.cache");
 }
-
-void PacketFilter::EnableConnTracking(ConnDB::Config config) {
-  conndb_ = std::make_unique<ConnDB>(config);
-  if (registry_ != nullptr) {
-    conndb_->AttachMetrics(registry_);
-  }
-  order_dirty_ = true;  // recompute conn_servable_ on the next demux
-}
-
-void PacketFilter::DisableConnTracking() { conndb_.reset(); }
 
 void PacketFilter::AttachExtension(PortId id, std::unique_ptr<PortExtension> extension) {
   if (PortState* port = Find(id)) {
@@ -198,21 +205,12 @@ void PacketFilter::AttachMetrics(pfobs::MetricsRegistry* registry) {
     metrics_.deliveries = registry->counter("pf.demux.deliveries");
     metrics_.drops = registry->counter("pf.demux.drops");
     metrics_.filter_errors = registry->counter("pf.demux.filter_errors");
-    metrics_.cache_lookups = registry->counter("pf.demux.cache.lookups");
-    metrics_.cache_hits = registry->counter("pf.demux.cache.hits");
-    metrics_.cache_insertions = registry->counter("pf.demux.cache.insertions");
-    metrics_.cache_invalidations = registry->counter("pf.demux.cache.invalidations");
-    metrics_.cache_size = registry->gauge("pf.demux.cache.size");
-    metrics_.cache_capacity = registry->gauge("pf.demux.cache.capacity");
-    UpdateCacheGauges();
     for (size_t i = 0; i < kDropReasonCount; ++i) {
       metrics_.drop_reasons[i] =
           registry->counter("pf.drop." + ToSlug(static_cast<DropReason>(i)));
     }
   }
-  if (conndb_ != nullptr) {
-    conndb_->AttachMetrics(registry);
-  }
+  AttachFlowMetrics();
   engine_.AttachMetrics(registry);
 }
 
@@ -373,15 +371,16 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   if (order_dirty_ || (busy_reordering_ && demux_count_ % kReorderInterval == 0)) {
     // Any change that dirtied the order (SetFilter / ClearFilter /
     // ClosePort / a priority change) — and any busy-reordering shuffle that
-    // actually moved a port — makes cached flow verdicts stale.
+    // actually moved a port while the table holds entries — makes stored
+    // flow verdicts stale.
     const bool was_dirty = order_dirty_;
     std::vector<PortState*> previous;
-    if (!was_dirty && !flow_cache_.empty()) {
+    if (!was_dirty && flows_.live() > 0) {
       previous = ordered_;
     }
     RebuildOrder();
     if (was_dirty || (!previous.empty() && previous != ordered_)) {
-      InvalidateFlowCache();
+      ++conn_epoch_;
     }
   }
 
@@ -391,96 +390,58 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   bool saw_short = false;
   bool saw_other_error = false;
   int32_t error_pc = -1;
+  const auto note_status = [&](PortState* port, const Verdict& verdict) {
+    if (verdict.status == ExecStatus::kOk) {
+      return;
+    }
+    ++port->stats.filter_errors;
+    ++filter_errors;
+    (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
+    if (error_pc < 0 && verdict.insns_executed > 0) {
+      error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
+    }
+  };
 
-  // Conndb fast path (when tracking is enabled it replaces the verdict
-  // cache below): if every bound filter's verdict is determined by the
-  // hashed prefix and this flow has established state, re-confirm with the
-  // stored port's own filter and skip the priority walk.
-  bool served_from_conn = false;
-  if (conndb_ != nullptr && conn_servable_ && !ordered_.empty()) {
-    const uint64_t conn_sig = SigOf(packet);
-    result.conn_lookup = true;
-    const ConnDB::Entry* entry =
-        conndb_->Lookup(conn_sig, timestamp_ns, conn_epoch_, packet.size());
+  // Flow-state fast path: if the table's key determines every bound
+  // filter's verdict and this flow has an epoch-current entry, re-confirm
+  // with the stored port's own filter and skip the priority walk. The key
+  // is the FlowSignature under tracking, the index signature otherwise.
+  std::optional<uint64_t> key;
+  if (tracking_) {
+    if (conn_servable_ && !ordered_.empty()) {
+      key = SigOf(packet);
+    }
+  } else if (flow_cache_capacity_ > 0 && engine_.index_covers_all()) {
+    key = engine_.IndexSignature(packet);
+  }
+  bool served = false;
+  if (key.has_value()) {
+    (tracking_ ? result.conn_lookup : result.cache_lookup) = true;
+    const ConnDB::Entry* entry = flows_.Lookup(*key, timestamp_ns, conn_epoch_, packet.size());
     if (entry != nullptr) {
       PortState* port = Find(entry->port);
       if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
         Engine::MatchPass pass = engine_.Match(packet);
         const Verdict verdict = pass.Test(port->id, port->binding);
         result.exec += pass.telemetry();
-        if (verdict.status != ExecStatus::kOk) {
-          ++port->stats.filter_errors;
-          ++filter_errors;
-          (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-          if (error_pc < 0 && verdict.insns_executed > 0) {
-            error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-          }
-        }
+        note_status(port, verdict);
         if (verdict.accept) {
           DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
           result.accepted = true;
-          result.conn_hit = true;
-          served_from_conn = true;
+          (tracking_ ? result.conn_hit : result.cache_hit) = true;
+          served = true;
         }
       }
-      if (!served_from_conn) {
-        // Signature collision (the stored port's filter rejected the actual
-        // bytes): the state is wrong for this flow — drop it and take the
+      if (!served) {
+        // Key collision (the stored port's filter rejected the actual
+        // bytes): the entry is wrong for this flow — drop it and take the
         // full walk.
-        conndb_->Invalidate(conn_sig);
+        flows_.Invalidate(*key);
       }
     }
   }
 
-  // Flow-cache fast path: if the engine's discriminating-word signature
-  // fully determines every filter's verdict and we have seen this flow
-  // claim a port before, re-confirm with that port's own filter and skip
-  // the priority walk entirely.
-  std::optional<uint64_t> signature;
-  if (conndb_ == nullptr && flow_cache_capacity_ > 0) {
-    signature = engine_.IndexSignature(packet);
-    if (signature.has_value() && !engine_.index_covers_all()) {
-      signature.reset();
-    }
-  }
-  bool served_from_cache = false;
-  if (signature.has_value()) {
-    result.cache_lookup = true;
-    ++flow_cache_stats_.lookups;
-    const auto it = flow_cache_.find(*signature);
-    if (it != flow_cache_.end()) {
-      PortState* port = Find(it->second);
-      if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
-        Engine::MatchPass pass = engine_.Match(packet);
-        const Verdict verdict = pass.Test(port->id, port->binding);
-        result.exec += pass.telemetry();
-        if (verdict.status != ExecStatus::kOk) {
-          ++port->stats.filter_errors;
-          ++filter_errors;
-          (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-          if (error_pc < 0 && verdict.insns_executed > 0) {
-            error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-          }
-        }
-        if (verdict.accept) {
-          DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
-          result.accepted = true;
-          result.cache_hit = true;
-          ++flow_cache_stats_.hits;
-          served_from_cache = true;
-        }
-      }
-      if (!served_from_cache) {
-        // Hash collision or a port reconfiguration we could not attribute:
-        // drop the entry and take the full walk below.
-        flow_cache_.erase(it);
-        ++flow_cache_stats_.stale;
-        UpdateCacheGauges();
-      }
-    }
-  }
-
-  if (!served_from_cache && !served_from_conn) {
+  if (!served) {
     // One engine pass per packet: under kTree its construction walks the
     // tree once for every conjunction filter; under kIndexed it probes the
     // hash index once; the sequential strategies evaluate lazily, so
@@ -490,14 +451,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     PortState* claimer = nullptr;
     for (PortState* port : ordered_) {
       const Verdict verdict = pass.Test(port->id, port->binding);
-      if (verdict.status != ExecStatus::kOk) {
-        ++port->stats.filter_errors;
-        ++filter_errors;
-        (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
-        if (error_pc < 0 && verdict.insns_executed > 0) {
-          error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
-        }
-      }
+      note_status(port, verdict);
       if (!verdict.accept) {
         continue;
       }
@@ -513,27 +467,10 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
 
     // Record the flow only when exactly one port took the packet and it
     // claimed exclusively — copy-all (deliver_to_lower) deliveries must
-    // keep taking the full walk.
-    if (signature.has_value() && accepts == 1 && claimer != nullptr &&
-        !claimer->deliver_to_lower) {
-      if (flow_cache_.size() >= flow_cache_capacity_ && !flow_cache_.contains(*signature)) {
-        flow_cache_.clear();  // coarse wipe; live flows re-enter immediately
-      }
-      flow_cache_[*signature] = claimer->id;
-      ++flow_cache_stats_.insertions;
-      if (metrics_.cache_insertions != nullptr) {
-        metrics_.cache_insertions->Add();
-      }
-      UpdateCacheGauges();
-    }
-
-    // Establish connection state under the same exclusivity rule the cache
-    // uses. The DB may refuse (emergency mode) — then this flow simply
-    // keeps taking the stateless walk.
-    if (conndb_ != nullptr && conn_servable_ && accepts == 1 &&
-        claimer != nullptr && !claimer->deliver_to_lower) {
-      conndb_->Establish(SigOf(packet), claimer->id, timestamp_ns, conn_epoch_,
-                         packet.size());
+    // keep taking the full walk. The table may refuse (emergency mode) —
+    // then this flow simply keeps taking the stateless walk.
+    if (key.has_value() && accepts == 1 && !claimer->deliver_to_lower) {
+      flows_.Establish(*key, claimer->id, timestamp_ns, conn_epoch_, packet.size());
     }
   }
 
@@ -570,12 +507,6 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     metrics_.deliveries->Add(result.deliveries);
     metrics_.drops->Add(result.drops);
     metrics_.filter_errors->Add(filter_errors);
-    if (result.cache_lookup) {
-      metrics_.cache_lookups->Add();
-    }
-    if (result.cache_hit) {
-      metrics_.cache_hits->Add();
-    }
   }
   // Per-flow accounting: exactly one Record per demuxed packet, so
   // pf.flow.packets == pf.demux.packets_in and pf.flow.deliveries ==

@@ -86,6 +86,10 @@ struct DemuxResult {
   bool accepted = false;       // at least one port took the packet
   uint32_t deliveries = 0;     // copies enqueued
   uint32_t drops = 0;          // copies lost to full queues
+  // The flow-state fast path (PacketFilter, "The flow-state fast path")
+  // sets the cache_* pair in its verdict-cache configuration and the
+  // conn_* pair under connection tracking; the host charges them to
+  // different ledger categories (kFlowCache / kConnDb).
   bool cache_lookup = false;   // the flow verdict cache was consulted
   bool cache_hit = false;      // delivery served from the cache (re-confirmed)
   bool conn_lookup = false;    // the connection database was consulted
@@ -95,15 +99,6 @@ struct DemuxResult {
                                // (0 = never computed); the kernel device
                                // keys per-flow latency on this
   ExecTelemetry exec;          // what the engine did for this packet
-};
-
-// Per-flow verdict cache counters (see PacketFilter::Demux).
-struct FlowCacheStats {
-  uint64_t lookups = 0;        // packets for which the cache was consulted
-  uint64_t hits = 0;           // deliveries served from the cache
-  uint64_t stale = 0;          // entries evicted after failing re-confirmation
-  uint64_t insertions = 0;     // new flow entries recorded
-  uint64_t invalidations = 0;  // full wipes (filter/port/priority changes)
 };
 
 struct FilterGlobalStats {
@@ -192,20 +187,26 @@ class PacketFilter {
   void SetStrategy(Strategy strategy);
   Strategy strategy() const { return engine_.strategy(); }
 
-  // --- Flow verdict cache (active under Strategy::kIndexed) ---
-  // Demux() caches "this flow signature was claimed by this port" keyed by
-  // the engine's discriminating-word signature, so repeated packets of an
-  // established flow skip the priority walk. Soundness: entries are only
-  // consulted when the signature determines every filter's verdict
-  // (Engine::index_covers_all), the cached port's own filter re-confirms
-  // every hit, deliver_to_lower ports are never served from (or entered
-  // into) the cache, and any SetFilter/ClearFilter/ClosePort/priority or
-  // strategy change wipes it. `capacity` 0 disables the cache; when full it
-  // is wiped wholesale (coarse, but an established flow re-enters on its
-  // next packet).
+  // --- The flow-state fast path (DESIGN.md §10, §17) ---
+  // Demux() remembers "this flow was claimed by this port" in one ConnDB
+  // table, so repeated packets of an established flow skip the priority
+  // walk. The table runs in one of two configurations:
+  //   * verdict cache (the default): active under Strategy::kIndexed when
+  //     Engine::index_covers_all(); keyed by the engine's index signature; a
+  //     plain LRU table of `capacity` entries (0 disables it) with no TTL
+  //     and no watermarks; lookups charged to Cost::kFlowCache;
+  //   * connection tracking (EnableConnTracking below).
+  // Soundness is the same in both: the table is only consulted when its key
+  // determines every filter's verdict, the stored port's own filter
+  // re-confirms every hit, deliver_to_lower ports are never served from
+  // (or entered into) the table, and every filter/port/priority/strategy/
+  // copy-all change — and every busy reorder that moves a port — bumps
+  // conn_epoch(), so older entries are never served.
   void SetFlowCacheCapacity(size_t capacity);
-  size_t flow_cache_size() const { return flow_cache_.size(); }
-  const FlowCacheStats& flow_cache_stats() const { return flow_cache_stats_; }
+  size_t flow_cache_size() const { return flows_.live(); }
+  // The table's counters; they span the filter's lifetime (both
+  // configurations), so they never decrease.
+  const ConnDB::Stats& flow_cache_stats() const { return flows_.stats(); }
   // The engine executing this demultiplexer's filters (tree introspection,
   // bound-program lookup).
   const Engine& engine() const { return engine_; }
@@ -231,28 +232,22 @@ class PacketFilter {
   const pfobs::FlowTable* flow_stats() const { return flow_table_.get(); }
 
   // --- Stateful connection tracking (conndb.h, DESIGN.md §17) ---
-  // Opt-in: promotes the flow verdict cache into a full connection database
-  // (verdict + accounting + TTL expiry + overload watermarks). While
-  // enabled it *replaces* the verdict cache as the fast path; disabled (the
-  // default) the demux is byte-identical to the pre-conndb behavior, which
-  // is what keeps the clean-path observatory baselines stable.
-  //
-  // Soundness mirrors the verdict cache, with one difference: the key is
-  // the strategy-independent pfobs::FlowSignature (FNV over the first 64
-  // bytes), so state is only consulted when every bound filter's verdict is
-  // determined by that prefix — `conn_servable()`: every filter has
-  // uses_indirect == false and max_word_index within the prefix. Every hit
-  // is re-confirmed by the claimed port's own filter; entries are stamped
-  // with `conn_epoch()`, which bumps on any filter/port/priority/strategy
-  // change, so reconfiguration never serves a stale verdict (the entry
-  // survives and is restamped by the next full walk). deliver_to_lower
-  // ports are never served from (or entered into) the database. When the
-  // DB refuses state (emergency mode), the flow simply stays on the
-  // stateless priority-walk path — graceful degradation, never blocking.
+  // Opt-in: reconfigures the fast-path table with `config` (verdict +
+  // accounting + TTL expiry + overload watermarks), keyed by the
+  // strategy-independent pfobs::FlowSignature (FNV over the first 64
+  // bytes) and charged to Cost::kConnDb. State is only consulted when every
+  // bound filter's verdict is determined by that prefix — `conn_servable()`:
+  // every filter has uses_indirect == false and max_word_index within the
+  // prefix. When the DB refuses state (emergency mode), the flow simply
+  // stays on the stateless priority-walk path — graceful degradation, never
+  // blocking. Disabling returns the table to the verdict-cache
+  // configuration. Disabled (the default), the demux is byte-identical to
+  // the pre-conndb behavior, which keeps the observatory baselines stable.
   void EnableConnTracking(ConnDB::Config config = {});
   void DisableConnTracking();
-  ConnDB* conndb() { return conndb_.get(); }
-  const ConnDB* conndb() const { return conndb_.get(); }
+  // The table, only while tracking (the kernel's GC worker keys on this).
+  ConnDB* conndb() { return tracking_ ? &flows_ : nullptr; }
+  const ConnDB* conndb() const { return tracking_ ? &flows_ : nullptr; }
   uint64_t conn_epoch() const { return conn_epoch_; }
   // True when the current filter set's verdicts are all determined by the
   // hashed prefix (recomputed by RebuildOrder; meaningless until the first
@@ -303,7 +298,12 @@ class PacketFilter {
   PortState* Find(PortId id);
   const PortState* Find(PortId id) const;
   void RebuildOrder();
-  void InvalidateFlowCache();
+  // Switches the fast-path table between its two configurations.
+  void ConfigureFlows(bool tracking, const ConnDB::Config& config);
+  // Re-registers the fast-path table's metrics under its configuration's
+  // prefix: "pf.conn" while tracking, "pf.demux.cache" while the strategy
+  // is kIndexed, none otherwise.
+  void AttachFlowMetrics();
   // The current packet's flow signature, computed on first use per Demux
   // pass (cur_sig_ is reset at DemuxImpl entry; 0 = not yet computed).
   uint64_t SigOf(std::span<const uint8_t> packet) {
@@ -331,15 +331,9 @@ class PacketFilter {
   uint64_t demux_count_ = 0;
   FilterGlobalStats global_stats_;
 
-  // Flow verdict cache: discriminating-word signature -> claiming port.
-  std::unordered_map<uint64_t, PortId> flow_cache_;
+  // The flow-state fast path's configuration (the table, flows_, is below).
+  bool tracking_ = false;
   size_t flow_cache_capacity_ = kDefaultFlowCacheCapacity;
-  FlowCacheStats flow_cache_stats_;
-  void UpdateCacheGauges();
-
-  // Connection database (null = disabled, the default — see
-  // EnableConnTracking above).
-  std::unique_ptr<ConnDB> conndb_;
   uint64_t conn_epoch_ = 1;
   bool conn_servable_ = false;
 
@@ -362,18 +356,15 @@ class PacketFilter {
     pfobs::Counter* deliveries = nullptr;
     pfobs::Counter* drops = nullptr;
     pfobs::Counter* filter_errors = nullptr;
-    pfobs::Counter* cache_lookups = nullptr;
-    pfobs::Counter* cache_hits = nullptr;
-    pfobs::Counter* cache_insertions = nullptr;
-    pfobs::Counter* cache_invalidations = nullptr;
-    // Residency gauges next to the counters above, so pfstat can show
-    // cache pressure without diffing counters across samples.
-    pfobs::Gauge* cache_size = nullptr;
-    pfobs::Gauge* cache_capacity = nullptr;
     // "pf.drop.<reason>", indexed by DropReason.
     pfobs::Counter* drop_reasons[kDropReasonCount] = {};
   };
   DemuxMetrics metrics_;
+
+  // The flow-state fast path: one table, in the verdict-cache
+  // configuration unless tracking_. Last, so that the per-packet fields
+  // above share as few cache lines as they did without it.
+  ConnDB flows_;
 };
 
 }  // namespace pf

@@ -397,16 +397,19 @@ void Engine::RebuildIndex() {
   }
 }
 
-std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) {
+bool Engine::RefreshIndex() {
   if (strategy_ != Strategy::kIndexed) {
-    return std::nullopt;
+    return false;
   }
   if (index_dirty_) {
     RebuildIndex();
   }
-  if (index_pairs_.empty()) {
-    return std::nullopt;
-  }
+  return true;
+}
+
+bool Engine::index_covers_all() { return RefreshIndex() && index_covers_all_; }
+
+std::optional<uint64_t> Engine::HashIndexWords(std::span<const uint8_t> packet) const {
   uint64_t signature = kFnvOffset;
   for (const FieldTestKey& pair : index_pairs_) {
     uint16_t word = 0;
@@ -416,6 +419,13 @@ std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) 
     signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
   }
   return signature;
+}
+
+std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) {
+  if (!RefreshIndex() || index_pairs_.empty()) {
+    return std::nullopt;
+  }
+  return HashIndexWords(packet);
 }
 
 void Engine::RebuildCompiledPrefixes() {
@@ -506,9 +516,7 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
   if (strategy_ == Strategy::kTree && tree_dirty_) {
     RebuildTree();
   }
-  if (strategy_ == Strategy::kIndexed && index_dirty_) {
-    RebuildIndex();
-  }
+  RefreshIndex();
   if (strategy_ == Strategy::kCompiled) {
     if (compiled_dirty_) {
       RebuildCompiledPrefixes();
@@ -532,15 +540,9 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
       // run everything sequentially so statuses stay exact.
       pass.index_seq_fallback_ = true;
     } else {
-      uint64_t signature = kFnvOffset;
-      for (const FieldTestKey& pair : index_pairs_) {
-        uint16_t word = 0;
-        // Cannot fail: every indexed word fits in index_min_packet_bytes_.
-        pfutil::LoadPacketWord(packet, pair.word, &word);
-        signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
-        ++pass.telemetry_.index_probes;
-      }
-      const auto it = index_buckets_.find(signature);
+      // Cannot fail: every indexed word fits in index_min_packet_bytes_.
+      const auto it = index_buckets_.find(*HashIndexWords(packet));
+      pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
       pass.index_candidates_ = it == index_buckets_.end() ? nullptr : &it->second;
       if (profiling_) {
         profiled_index_probes_ += pass.telemetry_.index_probes;

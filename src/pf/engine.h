@@ -215,11 +215,12 @@ class Engine {
   size_t index_width() const { return index_pairs_.size(); }
   // Filters dispatched through the index (the rest run sequentially).
   size_t index_entries() const { return index_entries_; }
-  // True when *every* bound filter is a conjunction over the discriminating
-  // pairs, i.e. the index signature fully determines every filter's
-  // verdict. This is the soundness precondition for hosts that cache
-  // verdicts keyed by IndexSignature() (PacketFilter's flow cache).
-  bool index_covers_all() const { return index_covers_all_; }
+  // True when the strategy is kIndexed and *every* bound filter is a
+  // conjunction over the discriminating pairs, i.e. the index signature
+  // fully determines every filter's verdict. This is the soundness
+  // precondition for hosts that cache verdicts keyed by IndexSignature()
+  // (PacketFilter's flow cache). Rebuilds the index if stale.
+  bool index_covers_all();
   // The hash of the discriminating words' masked values for `packet` —
   // the flow-cache key. Rebuilds the index if stale. nullopt when the
   // strategy is not kIndexed, no index exists, or the packet is too short
@@ -295,6 +296,11 @@ class Engine {
 
   void RebuildTree();
   void RebuildIndex();
+  // True under kIndexed, with the index rebuilt if stale.
+  bool RefreshIndex();
+  // FNV-1a over the discriminating words' masked values (the index bucket
+  // key); nullopt when the packet is too short to load every word.
+  std::optional<uint64_t> HashIndexWords(std::span<const uint8_t> packet) const;
   void RebuildCompiledPrefixes();
 
   // Per-pass memo for one shared compiled-op prefix: either the prefix

@@ -3,6 +3,7 @@
 // busy-reordering, and the strategy knobs.
 #include <gtest/gtest.h>
 
+#include "src/net/pup_endpoint.h"
 #include "src/pf/builder.h"
 #include "src/pf/demux.h"
 #include "tests/test_packets.h"
@@ -270,6 +271,40 @@ TEST(DemuxTest, BusyReorderingMovesBusyFilterForward) {
   EXPECT_EQ(r2.exec.filters_run, 2u);
 }
 
+// A busy reorder that moves a port must stale every stored flow verdict,
+// under connection tracking too: once B (any Pup) becomes busier than A
+// (socket 5) at the same priority, the walk hands the next socket-5 frame to
+// B, and the fast path must not keep serving A's older claim.
+TEST(DemuxTest, BusyReorderStalesConnTrackedVerdicts) {
+  for (const pf::Strategy strategy : {pf::Strategy::kFast, pf::Strategy::kIndexed}) {
+    PacketFilter tracked;
+    PacketFilter walk;  // the plain fig. 4-1 walk: no fast path at all
+    walk.SetFlowCacheCapacity(0);
+    tracked.EnableConnTracking();
+    for (PacketFilter* filter : {&tracked, &walk}) {
+      filter->SetStrategy(strategy);
+      const PortId a = filter->OpenPort();
+      const PortId b = filter->OpenPort();
+      ASSERT_TRUE(filter->SetFilter(a, pfnet::MakePupSocketFilter(5, 10)).ok);
+      FilterBuilder any_pup;
+      any_pup.WordEquals(pfproto::kWordEtherType, pfproto::kEtherTypePup);
+      ASSERT_TRUE(filter->SetFilter(b, any_pup.Build(10)).ok);
+      filter->SetBusyReordering(true);
+
+      filter->Demux(pftest::MakePupFrame(8, 5));  // A opened first: A claims
+      for (int i = 0; i < 600; ++i) {
+        filter->Demux(pftest::MakePupFrame(8, 6));  // only B accepts
+      }
+      filter->Demux(pftest::MakePupFrame(8, 5));
+      EXPECT_EQ(filter->Stats(a)->accepts, 1u)
+          << (filter == &tracked ? "tracked" : "walk") << " strategy=" << pf::ToString(strategy);
+      EXPECT_EQ(filter->Stats(b)->accepts, 601u)
+          << (filter == &tracked ? "tracked" : "walk") << " strategy=" << pf::ToString(strategy);
+    }
+    EXPECT_TRUE(tracked.conndb()->IdentityHolds());
+  }
+}
+
 TEST(DemuxTest, AllStrategiesAgreeOnDelivery) {
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     PacketFilter filter;
@@ -358,10 +393,10 @@ TEST(DemuxFlowCacheTest, ServesRepeatedFlowFromCache) {
   }
   EXPECT_EQ(filter.QueueLength(p35), 3u);
   EXPECT_EQ(filter.QueueLength(p36), 0u);
-  const pf::FlowCacheStats& stats = filter.flow_cache_stats();
+  const pf::ConnDB::Stats& stats = filter.flow_cache_stats();
   EXPECT_EQ(stats.lookups, 3u);
   EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.created, 1u);
   EXPECT_EQ(filter.flow_cache_size(), 1u);
 }
 
@@ -395,7 +430,9 @@ TEST(DemuxFlowCacheTest, RebindInvalidatesAndRedirectsTheFlow) {
   filter.Demux(pftest::MakePupFrame(8, 35));
   EXPECT_EQ(filter.QueueLength(a), 2u);  // no stale delivery
   EXPECT_EQ(filter.QueueLength(b), 1u);
-  EXPECT_GT(filter.flow_cache_stats().invalidations, 0u);
+  // The epoch bump stale-missed the old entry; the walk restamped it.
+  EXPECT_EQ(filter.flow_cache_stats().stale_epoch, 1u);
+  EXPECT_EQ(filter.flow_cache_stats().updated, 1u);
 }
 
 TEST(DemuxFlowCacheTest, ClosePortInvalidates) {
@@ -451,7 +488,7 @@ TEST(DemuxFlowCacheTest, DeliverToLowerPortsBypassTheCache) {
   // must not be recorded either.
   filter.Demux(pftest::MakePupFrame(8, 99));
   EXPECT_EQ(filter.flow_cache_stats().hits, 0u);
-  EXPECT_EQ(filter.flow_cache_stats().insertions, 0u);
+  EXPECT_EQ(filter.flow_cache_stats().created, 0u);
   EXPECT_EQ(filter.flow_cache_size(), 0u);
   EXPECT_EQ(filter.QueueLength(monitor), 5u);
   EXPECT_EQ(filter.QueueLength(app), 4u);

@@ -3,6 +3,8 @@
 // checked-vs-fast agreement property.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/pf/builder.h"
 #include "src/pf/interpreter.h"
 #include "src/util/rng.h"
@@ -138,8 +140,16 @@ struct ShortCircuitCase {
   bool equal;            // whether T1 == T2
   bool exits;            // returns immediately?
   bool verdict_if_exit;  // value returned on exit
-  uint16_t pushed;       // value pushed when continuing
+  // gtest names each case after the parameter's raw bytes, so this slot is a
+  // member rather than padding: uninitialised padding gave the cases
+  // different names from one build or run to the next. The values keep the
+  // names the cases are listed under; the test never reads them.
+  uint8_t name_byte;
+  uint16_t pushed;  // value pushed when continuing
 };
+static_assert(sizeof(ShortCircuitCase) == 8 &&
+                  std::has_unique_object_representations_v<ShortCircuitCase>,
+              "every byte of a case's name must be a member");
 
 class ShortCircuitTest : public ::testing::TestWithParam<ShortCircuitCase> {};
 
@@ -169,17 +179,17 @@ INSTANTIATE_TEST_SUITE_P(
     Fig36, ShortCircuitTest,
     ::testing::Values(
         // COR: returns TRUE immediately if equal, else pushes FALSE.
-        ShortCircuitCase{BinaryOp::kCor, true, true, true, 0},
-        ShortCircuitCase{BinaryOp::kCor, false, false, false, 0},
+        ShortCircuitCase{BinaryOp::kCor, true, true, true, 0x00, 0},
+        ShortCircuitCase{BinaryOp::kCor, false, false, false, 0x55, 0},
         // CAND: returns FALSE immediately if unequal, else pushes TRUE.
-        ShortCircuitCase{BinaryOp::kCand, false, true, false, 0},
-        ShortCircuitCase{BinaryOp::kCand, true, false, false, 1},
+        ShortCircuitCase{BinaryOp::kCand, false, true, false, 0x55, 0},
+        ShortCircuitCase{BinaryOp::kCand, true, false, false, 0x7F, 1},
         // CNOR: returns FALSE immediately if equal, else pushes FALSE.
-        ShortCircuitCase{BinaryOp::kCnor, true, true, false, 0},
-        ShortCircuitCase{BinaryOp::kCnor, false, false, false, 0},
+        ShortCircuitCase{BinaryOp::kCnor, true, true, false, 0x7F, 0},
+        ShortCircuitCase{BinaryOp::kCnor, false, false, false, 0x55, 0},
         // CNAND: returns TRUE immediately if unequal, else pushes TRUE.
-        ShortCircuitCase{BinaryOp::kCnand, false, true, true, 0},
-        ShortCircuitCase{BinaryOp::kCnand, true, false, false, 1}));
+        ShortCircuitCase{BinaryOp::kCnand, false, true, true, 0x7F, 0},
+        ShortCircuitCase{BinaryOp::kCnand, true, false, false, 0x55, 1}));
 
 // --- Errors ---
 
