@@ -11,11 +11,17 @@
 // set runs per packet on average), kTree grows with tree depth, and
 // kIndexed stays flat: a constant number of hash probes plus one
 // re-confirmed filter, independent of port count. With the flow cache on,
-// repeated flows skip even the index probes' bucket scan.
+// repeated flows skip even the index probes' bucket scan. On the host clock
+// kTree and kIndexed stay nearly flat too: the demux walk visits only the
+// candidates the tree or index hands back (DESIGN.md §4).
 //
 // `--check` exits non-zero unless kIndexed at 256 ports is at least 5x
 // cheaper than kFast at 256 ports — the CI regression gate for this
-// optimization.
+// optimization — and, on sanitizer-free Release-family builds, unless
+// kIndexed's wall ns/packet at 1024 ports (flow cache off) is within 2x of
+// its 1-port value (informational elsewhere, where wall ratios measure the
+// sanitizer or -O0 rather than the walk).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -39,63 +45,95 @@ struct WorkSample {
   double cache_hit_rate = 0;
 };
 
-// Demux `packets` frames (target socket rotating over every port) and
-// report the structural work per packet.
-WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
-  pf::PacketFilter filter;
-  filter.SetStrategy(strategy);
-  if (!flow_cache) {
-    filter.SetFlowCacheCapacity(0);
-  }
-  for (int socket = 1; socket <= ports; ++socket) {
-    const pf::PortId port = filter.OpenPort();
-    filter.SetFilter(port, pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), 10));
-    filter.SetQueueLimit(port, 1);
-  }
-
-  // Pre-build the rotating packet set once so packet construction stays out
-  // of the timed loop.
-  const int distinct = ports < 64 ? ports : 64;
-  std::vector<std::vector<uint8_t>> packets;
-  packets.reserve(static_cast<size_t>(distinct));
-  for (int i = 0; i < distinct; ++i) {
-    // Spread targets across the whole port range.
-    const uint32_t socket = static_cast<uint32_t>(((i * ports) / distinct) + 1);
-    packets.push_back(pftest::MakePupFrame(8, socket));
-  }
-
-  // One warm-up round: builds the tree/index and (with the cache on) seeds
-  // every distinct flow.
-  for (const auto& packet : packets) {
-    filter.Demux(packet);
-  }
-
-  const pf::ExecTelemetry before = filter.global_stats().exec;
-  const uint64_t hits_before = filter.flow_cache_stats().hits;
-  const int rounds = 512 / distinct + 1;
-  const int total = rounds * distinct;
-  const auto start = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) {
+// `ports` open ports, one Pup-socket filter each (1-deep queues, no
+// reader), and the rotating packet set, warmed up.
+struct Rig {
+  Rig(pf::Strategy strategy, int ports, bool flow_cache) {
+    filter.SetStrategy(strategy);
+    if (!flow_cache) {
+      filter.SetFlowCacheCapacity(0);
+    }
+    for (int socket = 1; socket <= ports; ++socket) {
+      const pf::PortId port = filter.OpenPort();
+      filter.SetFilter(port, pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), 10));
+      filter.SetQueueLimit(port, 1);
+    }
+    // Pre-build the rotating packet set once so packet construction stays
+    // out of the timed loop.
+    const int distinct = ports < 64 ? ports : 64;
+    packets.reserve(static_cast<size_t>(distinct));
+    for (int i = 0; i < distinct; ++i) {
+      // Spread targets across the whole port range.
+      const uint32_t socket = static_cast<uint32_t>(((i * ports) / distinct) + 1);
+      packets.push_back(pftest::MakePupFrame(8, socket));
+    }
+    // One warm-up round: builds the tree/index and (with the cache on)
+    // seeds every distinct flow.
     for (const auto& packet : packets) {
       filter.Demux(packet);
     }
   }
-  const auto end = std::chrono::steady_clock::now();
-  const pf::ExecTelemetry& after = filter.global_stats().exec;
 
+  // Demuxes `rounds` passes over the packet set; returns wall ns/packet.
+  double Run(int rounds) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r) {
+      for (const auto& packet : packets) {
+        filter.Demux(packet);
+      }
+    }
+    const auto end = std::chrono::steady_clock::now();
+    return static_cast<double>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
+           (static_cast<double>(rounds) * static_cast<double>(packets.size()));
+  }
+
+  pf::PacketFilter filter;
+  std::vector<std::vector<uint8_t>> packets;
+};
+
+// Demux ~512 frames (target socket rotating over every port) and report the
+// structural work per packet.
+WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
+  Rig rig(strategy, ports, flow_cache);
+  const pf::ExecTelemetry before = rig.filter.global_stats().exec;
+  const uint64_t hits_before = rig.filter.flow_cache_stats().hits;
+  const int distinct = static_cast<int>(rig.packets.size());
+  const int rounds = 512 / distinct + 1;
+  const int total = rounds * distinct;
   WorkSample sample;
+  sample.wall_ns_per_packet = rig.Run(rounds);
+  const pf::ExecTelemetry& after = rig.filter.global_stats().exec;
   const double delta_work =
       static_cast<double>(after.insns_executed - before.insns_executed) +
       static_cast<double>(after.tree_probes - before.tree_probes) +
       static_cast<double>(after.index_probes - before.index_probes);
   sample.work_per_packet = delta_work / total;
-  sample.wall_ns_per_packet =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
-      total;
   sample.cache_hit_rate =
-      static_cast<double>(filter.flow_cache_stats().hits - hits_before) / total;
+      static_cast<double>(rig.filter.flow_cache_stats().hits - hits_before) / total;
   return sample;
+}
+
+struct Slope {
+  double one_port_ns = 0;
+  double many_ports_ns = 0;
+};
+
+// kIndexed's host-clock slope, flow cache off: the fastest of interleaved
+// ~8k-packet runs at 1 and at 1024 ports, so host noise hits both sides.
+Slope IndexedHostSlope() {
+  constexpr int kReps = 21;
+  constexpr int kPacketsPerRun = 8192;
+  Rig one(pf::Strategy::kIndexed, 1, /*flow_cache=*/false);
+  Rig many(pf::Strategy::kIndexed, 1024, /*flow_cache=*/false);
+  Slope slope{1e300, 1e300};
+  for (int rep = 0; rep < kReps; ++rep) {
+    slope.one_port_ns = std::min(
+        slope.one_port_ns, one.Run(kPacketsPerRun / static_cast<int>(one.packets.size())));
+    slope.many_ports_ns = std::min(
+        slope.many_ports_ns, many.Run(kPacketsPerRun / static_cast<int>(many.packets.size())));
+  }
+  return slope;
 }
 
 // Drop accounting (PR 4): over a full run that loses packets every way the
@@ -229,6 +267,25 @@ static int BenchMain(int argc, char** argv) {
     if (ratio < 5.0) {
       std::printf("check FAILED\n");
       return 1;
+    }
+    // Wall-clock ratios only mean something on an optimized, sanitizer-free
+    // build (the micro_interpreter gate's rule).
+    const std::string build = pfbench::BuildTypeName();
+    const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
+                                build == "MinSizeRel";
+    const bool enforce = release_family && pfbench::SanitizerFlags().empty();
+    const Slope slope = IndexedHostSlope();
+    const double growth = slope.many_ports_ns / slope.one_port_ns;
+    std::printf("check: kIndexed wall, flow cache off: 1 port = %.1f ns, 1024 ports = %.1f ns, "
+                "growth = %.2fx (need <= 2x)%s\n",
+                slope.one_port_ns, slope.many_ports_ns, growth,
+                enforce ? "" : " [informational: non-Release or sanitized build]");
+    if (enforce) {
+      pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0);
+      if (growth > 2.0) {
+        std::printf("check FAILED\n");
+        return 1;
+      }
     }
     const bool drops_ok = VerifyDropAccounting();
     pfbench::ReportCheck("micro_scaling.drop_accounting", drops_ok);

@@ -218,7 +218,7 @@ void PacketFilter::RebuildOrder() {
   ordered_.clear();
   ordered_.reserve(ports_.size());
   for (auto& [id, port] : ports_) {
-    port->binding = port->has_filter ? engine_.FindBinding(port->id) : nullptr;
+    port->binding = nullptr;
     if (port->has_filter) {
       ordered_.push_back(port.get());
     }
@@ -234,6 +234,17 @@ void PacketFilter::RebuildOrder() {
     }
     return a->open_seq < b->open_seq;
   });
+  // The engine ranks its candidates in this order, so the walk can map a
+  // rank straight back to ordered_[rank].
+  std::vector<Engine::Key> keys;
+  keys.reserve(ordered_.size());
+  for (const PortState* port : ordered_) {
+    keys.push_back(port->id);
+  }
+  engine_.SetOrder(keys);
+  for (uint32_t rank = 0; rank < ordered_.size(); ++rank) {
+    ordered_[rank]->binding = engine_.BindingAt(rank);
+  }
   // Conndb serve-soundness: the FlowSignature hashes the first
   // kFlowSignaturePrefix bytes, so stored verdicts are only trustworthy
   // when every bound filter's verdict is a function of that prefix — no
@@ -444,13 +455,16 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   if (!served) {
     // One engine pass per packet: under kTree its construction walks the
     // tree once for every conjunction filter; under kIndexed it probes the
-    // hash index once; the sequential strategies evaluate lazily, so
-    // breaking out early skips the remaining filters' work.
+    // hash index once. Either way the walk visits only the candidates —
+    // ports in priority order whose filter could accept — and the
+    // strategies evaluate lazily, so breaking out early skips the
+    // remaining filters' work.
     Engine::MatchPass pass = engine_.Match(packet);
     uint32_t accepts = 0;
     PortState* claimer = nullptr;
-    for (PortState* port : ordered_) {
-      const Verdict verdict = pass.Test(port->id, port->binding);
+    for (const uint32_t rank : pass.candidates()) {
+      PortState* port = ordered_[rank];
+      const Verdict verdict = pass.TestRank(rank);
       note_status(port, verdict);
       if (!verdict.accept) {
         continue;

@@ -286,7 +286,7 @@ class PacketFilter {
     std::unique_ptr<PortExtension> extension;
     PortStats stats;
     // Cached engine binding handle (refreshed by RebuildOrder), so the
-    // demux walk does no per-(packet, port) hash lookup. nullptr when no
+    // fast path's re-confirmation does no hash lookup. nullptr when no
     // filter is bound.
     const Engine::Binding* binding = nullptr;
   };
@@ -323,7 +323,8 @@ class PacketFilter {
   DeviceInfo info_;
   Engine engine_;
   std::unordered_map<PortId, std::unique_ptr<PortState>> ports_;
-  std::vector<PortState*> ordered_;  // by (priority desc, open_seq asc)
+  // By (priority desc, open_seq asc); index = the engine's rank.
+  std::vector<PortState*> ordered_;
   bool order_dirty_ = false;
   bool busy_reordering_ = false;
   PortId next_port_id_ = 1;

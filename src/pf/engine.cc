@@ -1,6 +1,8 @@
 #include "src/pf/engine.h"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
 #include <map>
 
 #include "src/util/byte_order.h"
@@ -37,6 +39,15 @@ uint64_t MixIndexHash(uint64_t hash, uint16_t value) {
   hash = (hash ^ static_cast<uint64_t>(value & 0xff)) * kFnvPrime;
   hash = (hash ^ static_cast<uint64_t>(value >> 8)) * kFnvPrime;
   return hash;
+}
+
+// The shortest packet that holds every word `tests` reads.
+size_t WordReach(const std::vector<FieldTest>& tests) {
+  size_t bytes = 0;
+  for (const FieldTest& test : tests) {
+    bytes = std::max<size_t>(bytes, 2 * (static_cast<size_t>(test.word) + 1));
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -202,13 +213,11 @@ void Engine::set_strategy(Strategy strategy) {
     return;
   }
   strategy_ = strategy;
-  tree_dirty_ = true;
-  index_dirty_ = true;
-  compiled_dirty_ = true;
+  dirty_ = true;
 }
 
 void Engine::Bind(Key key, ValidatedProgram program) {
-  Binding binding{std::move(program), {}, std::nullopt, false, {}, -1, 0, nullptr};
+  Binding binding{std::move(program), {}, std::nullopt, 0, {}, -1, 0, nullptr};
   binding.decoded = Predecode(binding.program);
   binding.conjunction = ExtractConjunction(binding.program.program());
   binding.compiled = CompileProgram(binding.program);
@@ -217,34 +226,67 @@ void Engine::Bind(Key key, ValidatedProgram program) {
     binding.profile->pc.resize(binding.decoded.size());
   }
   filters_.insert_or_assign(key, std::move(binding));
-  tree_dirty_ = true;
-  index_dirty_ = true;
-  compiled_dirty_ = true;
+  dirty_ = true;
+  ranks_dirty_ = true;
 }
 
 bool Engine::Unbind(Key key) {
   if (filters_.erase(key) == 0) {
     return false;
   }
-  tree_dirty_ = true;
-  index_dirty_ = true;
-  compiled_dirty_ = true;
+  dirty_ = true;
+  ranks_dirty_ = true;
   return true;
 }
 
 void Engine::Clear() {
   filters_.clear();
-  tree_.Build({});
-  tree_dirty_ = false;
-  index_pairs_.clear();
-  index_buckets_.clear();
-  index_entries_ = 0;
-  index_covers_all_ = false;
-  index_min_packet_bytes_ = 0;
-  index_dirty_ = false;
-  compiled_prefix_groups_ = 0;
-  prefix_cache_.clear();
-  compiled_dirty_ = false;
+  dirty_ = true;
+  ranks_dirty_ = true;
+  Refresh();
+}
+
+void Engine::SetOrder(std::span<const Key> order) {
+  if (!ranks_dirty_ && std::equal(order.begin(), order.end(), order_.begin(), order_.end())) {
+    return;
+  }
+  order_.assign(order.begin(), order.end());
+  AssignRanks();
+}
+
+void Engine::AssignRanks() {
+  assert(order_.size() == filters_.size());
+  ranked_.clear();
+  all_ranks_.clear();
+  for (uint32_t rank = 0; rank < order_.size(); ++rank) {
+    Binding& binding = filters_.at(order_[rank]);
+    binding.rank = rank;
+    ranked_.push_back(&binding);
+    all_ranks_.push_back(rank);
+  }
+  ranks_dirty_ = false;
+  dirty_ = true;  // the tree and index hold ranks
+}
+
+void Engine::Rebuild() {
+  if (ranks_dirty_) {
+    // No SetOrder() since the last Bind/Unbind: rank by key.
+    order_.clear();
+    for (const auto& [key, binding] : filters_) {
+      order_.push_back(key);
+    }
+    std::sort(order_.begin(), order_.end());
+    AssignRanks();
+  }
+  dirty_ = false;
+  uncovered_ranks_.clear();
+  prune_min_packet_bytes_ = 0;
+  RebuildTree();
+  RebuildIndex();
+  RebuildCompiledPrefixes();
+  std::sort(uncovered_ranks_.begin(), uncovered_ranks_.end());
+  tree_hits_.reserve(filters_.size());
+  merged_.reserve(filters_.size());
 }
 
 const ValidatedProgram* Engine::Find(Key key) const {
@@ -303,14 +345,9 @@ void Engine::ResetProfiles() {
 
 void Engine::RebuildIndex() {
   index_pairs_.clear();
-  index_buckets_.clear();
-  index_entries_ = 0;
+  index_hashes_.clear();
+  index_ranks_.clear();
   index_covers_all_ = false;
-  index_min_packet_bytes_ = 0;
-  index_dirty_ = false;
-  for (auto& [key, binding] : filters_) {
-    binding.indexed = false;
-  }
   if (strategy_ != Strategy::kIndexed || filters_.empty()) {
     return;
   }
@@ -345,6 +382,7 @@ void Engine::RebuildIndex() {
   if (counts.empty()) {
     return;  // only accept-alls / non-conjunctions bound: nothing to probe
   }
+  // From here on every binding is either indexed or uncovered.
   size_t max_count = 0;
   for (const auto& [pair, n] : counts) {
     max_count = std::max(max_count, n);
@@ -367,9 +405,11 @@ void Engine::RebuildIndex() {
 
   // A filter joins the index iff it tests every discriminating pair: its
   // bucket key is the hash of its expected masked values in pair order.
-  // Empty conjunctions (accept-all) match every packet and stay sequential.
-  for (auto& [key, binding] : filters_) {
+  // Empty conjunctions (accept-all) match every packet and stay uncovered.
+  std::vector<std::pair<uint64_t, uint32_t>> entries;  // (bucket, rank)
+  for (const auto& [key, binding] : filters_) {
     if (!binding.conjunction.has_value() || binding.conjunction->empty()) {
+      uncovered_ranks_.push_back(binding.rank);
       continue;
     }
     const std::vector<FieldTest>& tests = *binding.conjunction;
@@ -385,29 +425,23 @@ void Engine::RebuildIndex() {
       bucket = MixIndexHash(bucket, static_cast<uint16_t>(it->value & it->mask));
     }
     if (!indexable) {
+      uncovered_ranks_.push_back(binding.rank);
       continue;
     }
-    binding.indexed = true;
-    ++index_entries_;
-    index_buckets_[bucket].push_back(key);
-    for (const FieldTest& test : tests) {
-      index_min_packet_bytes_ =
-          std::max<size_t>(index_min_packet_bytes_, 2 * (static_cast<size_t>(test.word) + 1));
-    }
+    entries.emplace_back(bucket, binding.rank);
+    prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(tests));
+  }
+  std::sort(entries.begin(), entries.end());
+  for (const auto& [bucket, rank] : entries) {
+    index_hashes_.push_back(bucket);
+    index_ranks_.push_back(rank);
   }
 }
 
-bool Engine::RefreshIndex() {
-  if (strategy_ != Strategy::kIndexed) {
-    return false;
-  }
-  if (index_dirty_) {
-    RebuildIndex();
-  }
-  return true;
+bool Engine::index_covers_all() {
+  Refresh();
+  return strategy_ == Strategy::kIndexed && index_covers_all_;
 }
-
-bool Engine::index_covers_all() { return RefreshIndex() && index_covers_all_; }
 
 std::optional<uint64_t> Engine::HashIndexWords(std::span<const uint8_t> packet) const {
   uint64_t signature = kFnvOffset;
@@ -422,21 +456,24 @@ std::optional<uint64_t> Engine::HashIndexWords(std::span<const uint8_t> packet) 
 }
 
 std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) {
-  if (!RefreshIndex() || index_pairs_.empty()) {
+  Refresh();
+  if (strategy_ != Strategy::kIndexed || index_pairs_.empty()) {
     return std::nullopt;
   }
   return HashIndexWords(packet);
 }
 
 void Engine::RebuildCompiledPrefixes() {
-  compiled_dirty_ = false;
   compiled_prefix_groups_ = 0;
   prefix_cache_.clear();
+  if (strategy_ != Strategy::kCompiled) {
+    return;  // the prefix fields are only read under kCompiled
+  }
   for (auto& [key, binding] : filters_) {
     binding.prefix_group = -1;
     binding.prefix_len = 0;
   }
-  if (strategy_ != Strategy::kCompiled || filters_.size() < 2) {
+  if (filters_.size() < 2) {
     return;
   }
 
@@ -503,123 +540,133 @@ void Engine::RebuildTree() {
   std::vector<std::pair<uint32_t, std::vector<FieldTest>>> compiled;
   if (strategy_ == Strategy::kTree) {
     for (const auto& [key, binding] : filters_) {
-      if (binding.conjunction.has_value()) {
-        compiled.emplace_back(key, *binding.conjunction);
+      if (!binding.conjunction.has_value()) {
+        uncovered_ranks_.push_back(binding.rank);
+        continue;
       }
+      compiled.emplace_back(binding.rank, *binding.conjunction);
+      prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(*binding.conjunction));
     }
   }
   tree_.Build(std::move(compiled));
-  tree_dirty_ = false;
 }
 
 Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
-  if (strategy_ == Strategy::kTree && tree_dirty_) {
-    RebuildTree();
-  }
-  RefreshIndex();
+  Refresh();
   if (strategy_ == Strategy::kCompiled) {
-    if (compiled_dirty_) {
-      RebuildCompiledPrefixes();
-    }
     // New pass: every prefix-cache entry with an older generation is stale.
     ++compiled_pass_gen_;
   }
   MatchPass pass(this, packet);
+  pass.walk_ = all_ranks_;
+  if (!(tree_in_use() || index_in_use()) || packet.size() < prune_min_packet_bytes_) {
+    // Nothing prunes, or a pruned filter could have reported kOutOfPacket
+    // on this packet: every filter runs, so statuses stay exact.
+    return pass;
+  }
+  std::span<const uint32_t> hits;
   if (tree_in_use()) {
-    match_buffer_.clear();
-    tree_.Match(packet, &match_buffer_, &pass.telemetry_.tree_probes);
-    pass.tree_matches_ = &match_buffer_;
+    tree_hits_.clear();
+    tree_.Match(packet, &tree_hits_, &pass.telemetry_.tree_probes);
+    std::sort(tree_hits_.begin(), tree_hits_.end());
+    hits = tree_hits_;
+    pass.tree_answers_ = true;
     if (profiling_) {
       profiled_tree_probes_ += pass.telemetry_.tree_probes;
     }
-  }
-  if (index_in_use()) {
-    pass.index_active_ = true;
-    if (packet.size() < index_min_packet_bytes_) {
-      // A pruned filter could have reported kOutOfPacket on this packet;
-      // run everything sequentially so statuses stay exact.
-      pass.index_seq_fallback_ = true;
-    } else {
-      // Cannot fail: every indexed word fits in index_min_packet_bytes_.
-      const auto it = index_buckets_.find(*HashIndexWords(packet));
-      pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
-      pass.index_candidates_ = it == index_buckets_.end() ? nullptr : &it->second;
-      if (profiling_) {
-        profiled_index_probes_ += pass.telemetry_.index_probes;
-      }
+  } else {
+    // Cannot fail: every indexed word fits in prune_min_packet_bytes_.
+    const auto [first, last] =
+        std::equal_range(index_hashes_.begin(), index_hashes_.end(), *HashIndexWords(packet));
+    pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
+    hits = std::span<const uint32_t>(index_ranks_)
+               .subspan(static_cast<size_t>(first - index_hashes_.begin()),
+                        static_cast<size_t>(last - first));
+    if (profiling_) {
+      profiled_index_probes_ += pass.telemetry_.index_probes;
     }
+  }
+  if (uncovered_ranks_.empty() || hits.empty()) {
+    pass.live_ = hits.empty() ? std::span<const uint32_t>(uncovered_ranks_) : hits;
+  } else {
+    merged_.clear();
+    std::merge(hits.begin(), hits.end(), uncovered_ranks_.begin(), uncovered_ranks_.end(),
+               std::back_inserter(merged_));
+    pass.live_ = merged_;
+  }
+  pass.pruning_ = true;
+  if (!profiling_) {
+    pass.walk_ = pass.live_;
   }
   return pass;
 }
 
+bool Engine::MatchPass::Live(uint32_t rank) const {
+  return !pruning_ || std::binary_search(live_.begin(), live_.end(), rank);
+}
+
+Verdict Engine::MatchPass::TestRank(uint32_t rank) {
+  // Outside profiling the walk only visits live ranks.
+  return Evaluate(*engine_->ranked_[rank], !engine_->profiling_ || Live(rank));
+}
+
 Verdict Engine::MatchPass::Test(Key key) { return Test(key, engine_->FindBinding(key)); }
 
-Verdict Engine::MatchPass::Test(Key key, const Binding* binding) {
+Verdict Engine::MatchPass::Test(Key /*key*/, const Binding* binding) {
   if (binding == nullptr) {
     return Verdict{};  // nothing bound: never accepts
   }
-  if (tree_matches_ != nullptr && binding->conjunction.has_value()) {
-    // The walk already answered every conjunction filter at once.
-    Verdict verdict;
-    verdict.accept = std::find(tree_matches_->begin(), tree_matches_->end(), key) !=
-                     tree_matches_->end();
-    if (engine_->profiling_ && binding->profile != nullptr) {
+  return Evaluate(*binding, Live(binding->rank));
+}
+
+Verdict Engine::MatchPass::Evaluate(const Binding& binding, bool live) {
+  if (!live || (tree_answers_ && binding.conjunction.has_value())) {
+    // Pruned — some discriminating test mismatched on a packet long enough
+    // that the program itself would have rejected cleanly — or answered by
+    // the tree walk. Either way the filter does no work and has no status.
+    if (engine_->profiling_ && binding.profile != nullptr) {
       // Replay (uncharged) so per-pc hit counts match a sequential run.
-      binding->profile->RecordExec(InterpretPredecoded(binding->decoded, packet_),
-                                   /*charged=*/false);
+      binding.profile->RecordExec(InterpretPredecoded(binding.decoded, packet_),
+                                  /*charged=*/false);
     }
+    Verdict verdict;
+    verdict.accept = live;
     return verdict;
-  }
-  if (index_active_ && binding->indexed && !index_seq_fallback_) {
-    const bool candidate =
-        index_candidates_ != nullptr &&
-        std::find(index_candidates_->begin(), index_candidates_->end(), key) !=
-            index_candidates_->end();
-    if (!candidate) {
-      // Some discriminating test mismatched, and the packet is long enough
-      // that the program itself would have rejected cleanly: exact prune.
-      if (engine_->profiling_ && binding->profile != nullptr) {
-        binding->profile->RecordExec(InterpretPredecoded(binding->decoded, packet_),
-                                     /*charged=*/false);
-      }
-      return Verdict{};
-    }
-    // Bucket hit: fall through and re-confirm with the filter itself.
   }
   ++telemetry_.filters_run;
   ExecResult exec;
   switch (engine_->strategy_) {
     case Strategy::kChecked:
-      exec = InterpretChecked(binding->program.program(), packet_);
+      exec = InterpretChecked(binding.program.program(), packet_);
       break;
     case Strategy::kPredecoded:
     case Strategy::kIndexed:  // re-confirmation / sequential fallback
-      exec = InterpretPredecoded(binding->decoded, packet_);
+      exec = InterpretPredecoded(binding.decoded, packet_);
       ++telemetry_.decode_cache_hits;
       break;
     case Strategy::kFast:
     case Strategy::kTree:  // non-conjunction fallback within a tree pass
-      exec = InterpretFast(binding->program, packet_);
+      exec = InterpretFast(binding.program, packet_);
       break;
     case Strategy::kCompiled: {
-      const CompiledProgram& compiled = binding->compiled;
+      const CompiledProgram& compiled = binding.compiled;
       if (packet_.size() < compiled.min_packet_bytes) {
         // Below the hoisted guard the fused path would skip the bounds
         // checks a sequential run performs; the pre-decoded interpreter
         // keeps kOutOfPacket statuses (and their pcs) exact.
-        exec = InterpretPredecoded(binding->decoded, packet_);
+        exec = InterpretPredecoded(binding.decoded, packet_);
         ++telemetry_.decode_cache_hits;
         break;
       }
       uint32_t fused = 0;
-      if (binding->prefix_group >= 0) {
+      if (binding.prefix_group >= 0) {
         PrefixCacheEntry& entry =
-            engine_->prefix_cache_[static_cast<size_t>(binding->prefix_group)];
+            engine_->prefix_cache_[static_cast<size_t>(binding.prefix_group)];
         if (entry.gen != engine_->compiled_pass_gen_) {
           entry.gen = engine_->compiled_pass_gen_;
           entry.cursor = CompiledCursor{};
           const std::optional<ExecResult> exit = ExecCompiledPrefix(
-              compiled, packet_, binding->prefix_len, &entry.cursor, &fused);
+              compiled, packet_, binding.prefix_len, &entry.cursor, &fused);
           entry.exited = exit.has_value();
           if (entry.exited) {
             entry.exit = *exit;
@@ -631,7 +678,7 @@ Verdict Engine::MatchPass::Test(Key key, const Binding* binding) {
           // exact even though only the first member executed it.
           exec = entry.exit;
         } else {
-          exec = ExecCompiledFrom(compiled, packet_, binding->prefix_len, entry.cursor,
+          exec = ExecCompiledFrom(compiled, packet_, binding.prefix_len, entry.cursor,
                                   &fused);
         }
       } else {
@@ -642,8 +689,8 @@ Verdict Engine::MatchPass::Test(Key key, const Binding* binding) {
     }
   }
   telemetry_.insns_executed += exec.insns_executed;
-  if (engine_->profiling_ && binding->profile != nullptr) {
-    binding->profile->RecordExec(exec, /*charged=*/true);
+  if (engine_->profiling_ && binding.profile != nullptr) {
+    binding.profile->RecordExec(exec, /*charged=*/true);
   }
   return Verdict{exec.accept, exec.status, exec.short_circuited, exec.insns_executed};
 }

@@ -13,7 +13,9 @@
 //   * kTree       — the active conjunction-shaped filters are compiled into
 //                   one decision tree; one walk yields every verdict (§7's
 //                   "decision table"). Non-conjunction filters fall back to
-//                   kFast within the same pass.
+//                   kFast within the same pass; packets too short to load
+//                   every tree word take a sequential kFast pass, as under
+//                   kIndexed.
 //   * kPredecoded — at Bind() time each program is pre-decoded into a flat
 //                   array of {op, fetch kind, operand} structs, so the hot
 //                   loop does no per-instruction word splitting, literal
@@ -47,12 +49,17 @@
 //                   pre-decoded interpreter.
 //
 // An Engine owns the bound filter set (keyed by an opaque uint32_t — the
-// demultiplexer uses its PortId). Match(packet) starts one evaluation pass;
-// the returned MatchPass answers per-filter verdicts lazily, so a caller
-// that stops after the first accepting filter (fig. 4-1's claim rule) pays
-// nothing for the filters it never asks about. Each pass accumulates an
-// ExecTelemetry — the single struct the kernel Ledger and the §6 benchmarks
-// charge costs from.
+// demultiplexer uses its PortId) and its priority order: SetOrder() ranks
+// the bound keys, rank 0 first. Match(packet) starts one evaluation pass;
+// the returned MatchPass hands back the pass's *candidates* — the ascending
+// ranks that can possibly accept — and answers per-filter verdicts lazily,
+// so a caller that stops after the first accepting filter (fig. 4-1's claim
+// rule) pays nothing for the filters it never asks about. Sequential
+// strategies make every rank a candidate; kTree and kIndexed hand back only
+// the filters their walk or bucket let through, merged with the filters
+// they cannot prune (DESIGN.md §4). Each pass accumulates an ExecTelemetry
+// — the single struct the kernel Ledger and the §6 benchmarks charge costs
+// from.
 #ifndef SRC_PF_ENGINE_H_
 #define SRC_PF_ENGINE_H_
 
@@ -152,14 +159,14 @@ class Engine {
   // One bound filter and everything Bind() precomputed for it. Exposed so
   // hosts can cache a `const Binding*` handle (PacketFilter keeps one per
   // port, refreshed when it rebuilds its priority order) and hand it back
-  // to MatchPass::Test(), skipping the per-(packet, key) hash lookup on the
-  // demux hot path. A handle stays valid until its key is Unbind()ed or
-  // Clear() runs; re-Bind()ing the same key updates it in place.
+  // to MatchPass::Test(), skipping the per-(packet, key) hash lookup. A
+  // handle stays valid until its key is Unbind()ed or Clear() runs;
+  // re-Bind()ing the same key updates it in place.
   struct Binding {
     ValidatedProgram program;
     std::vector<PredecodedInsn> decoded;
     std::optional<std::vector<FieldTest>> conjunction;
-    bool indexed = false;  // dispatched through the hash index (kIndexed)
+    uint32_t rank = 0;     // position in the priority order (SetOrder)
     // Bind-time compilation output (kCompiled). `prefix_group` >= 0 names
     // the engine prefix-cache slot shared with every binding whose first
     // `prefix_len` compiled ops are identical; -1 = no shared prefix.
@@ -196,6 +203,15 @@ class Engine {
   bool Unbind(Key key);
   void Clear();
   size_t bound_count() const { return filters_.size(); }
+  // Ranks the bound set for the candidate walk: `order[r]` is the key tested
+  // r-th. `order` must name every bound key exactly once. Until a SetOrder()
+  // follows the latest Bind/Unbind, keys rank in ascending key order. An
+  // unchanged order keeps the tree and index; a changed one rebuilds them at
+  // the next Match().
+  void SetOrder(std::span<const Key> order);
+  // The binding at `rank` in the order last set (valid until the next
+  // Bind/Unbind/Clear).
+  const Binding* BindingAt(uint32_t rank) const { return ranked_[rank]; }
   // The bound program, or nullptr. Pointer invalidated by Bind/Unbind/Clear.
   const ValidatedProgram* Find(Key key) const;
   // The full binding (see struct Binding above), or nullptr. The pointer
@@ -210,11 +226,11 @@ class Engine {
   // --- Index introspection (meaningful under kIndexed) ---
   // These reflect the most recently built index; Match() and
   // IndexSignature() rebuild it lazily after Bind/Unbind/set_strategy.
-  bool index_in_use() const { return strategy_ == Strategy::kIndexed && index_entries_ > 0; }
+  bool index_in_use() const { return strategy_ == Strategy::kIndexed && !index_ranks_.empty(); }
   // Number of discriminating (word, mask) pairs probed per packet.
   size_t index_width() const { return index_pairs_.size(); }
   // Filters dispatched through the index (the rest run sequentially).
-  size_t index_entries() const { return index_entries_; }
+  size_t index_entries() const { return index_ranks_.size(); }
   // True when the strategy is kIndexed and *every* bound filter is a
   // conjunction over the discriminating pairs, i.e. the index signature
   // fully determines every filter's verdict. This is the soundness
@@ -250,15 +266,26 @@ class Engine {
   // Zeroes every profile and the probe totals; keeps profiling enabled.
   void ResetProfiles();
 
-  // One packet's evaluation pass over the bound set. Test() is lazy for the
-  // sequential strategies; the kTree constructor front-loads the single
-  // walk that yields every conjunction filter's verdict. At most one pass
-  // per Engine may be live at a time (it borrows the engine's match
-  // buffer), Bind/Unbind/Clear invalidate it, and the packet bytes must
-  // outlive the pass (it holds a span, not a copy).
+  // One packet's evaluation pass over the bound set. Match() front-loads
+  // the kTree walk or the kIndexed probe; Test() is lazy. At most one pass
+  // per Engine may be live at a time (it borrows the engine's candidate
+  // buffers), Bind/Unbind/Clear/SetOrder invalidate it, and the packet
+  // bytes must outlive the pass (it holds a span, not a copy).
   class MatchPass {
    public:
-    // Verdict for the filter bound at `key` (reject if none is bound).
+    // The ranks a first-accept walk must test, ascending. Every rank is a
+    // candidate under the sequential strategies, on packets shorter than
+    // the tree's or index's words (kOutOfPacket statuses stay exact), and
+    // while profiling (pruned filters are replayed, uncharged). Otherwise
+    // only the tree's matches or the index bucket, merged with the filters
+    // the tree or index does not cover: a filter left out would have
+    // returned Verdict{} with no work and no status, so skipping it changes
+    // nothing observable.
+    std::span<const uint32_t> candidates() const { return walk_; }
+    // Verdict for the filter at `rank` (a member of candidates()).
+    Verdict TestRank(uint32_t rank);
+    // Verdict for the filter bound at `key` (reject if none is bound), in
+    // any order — a pruned filter rejects.
     Verdict Test(Key key);
     // Same, with the binding handle supplied by the caller (must be the
     // engine's binding for `key`, or nullptr) — skips the map lookup.
@@ -269,17 +296,19 @@ class Engine {
     friend class Engine;
     MatchPass(const Engine* engine, std::span<const uint8_t> packet)
         : engine_(engine), packet_(packet) {}
+    bool Live(uint32_t rank) const;
+    // `live` = the tree or index let this filter through (or nothing prunes).
+    Verdict Evaluate(const Binding& binding, bool live);
 
     const Engine* engine_;
     std::span<const uint8_t> packet_;
     ExecTelemetry telemetry_;
-    const std::vector<Key>* tree_matches_ = nullptr;  // kTree: the walk's output
-    // kIndexed: candidates in the packet's hash bucket (nullptr = empty
-    // bucket, prune everything indexed), unless the whole pass fell back
-    // to sequential execution (short packet).
-    const std::vector<Key>* index_candidates_ = nullptr;
-    bool index_active_ = false;
-    bool index_seq_fallback_ = false;
+    std::span<const uint32_t> walk_;  // what candidates() hands back
+    // When pruning_: the ranks the tree or index let through, merged with
+    // the ones it does not cover (ascending); every other rank rejects.
+    std::span<const uint32_t> live_;
+    bool pruning_ = false;
+    bool tree_answers_ = false;  // kTree walk: a live conjunction accepts
   };
 
   MatchPass Match(std::span<const uint8_t> packet);
@@ -294,10 +323,18 @@ class Engine {
   // packet — the constant bounding kIndexed's common-case cost.
   static constexpr size_t kMaxIndexWords = 4;
 
+  void AssignRanks();
+  // Rebuilds the rank-dependent structures (tree, index, compiled prefix
+  // groups) for the current strategy if a Bind/Unbind/SetOrder/strategy
+  // change made them stale.
+  void Refresh() {
+    if (dirty_) {
+      Rebuild();
+    }
+  }
+  void Rebuild();
   void RebuildTree();
   void RebuildIndex();
-  // True under kIndexed, with the index rebuilt if stale.
-  bool RefreshIndex();
   // FNV-1a over the discriminating words' masked values (the index bucket
   // key); nullopt when the packet is too short to load every word.
   std::optional<uint64_t> HashIndexWords(std::span<const uint8_t> packet) const;
@@ -331,23 +368,37 @@ class Engine {
   pfobs::MetricsRegistry* metrics_registry_ = nullptr;
   StrategyMetrics strategy_metrics_[kStrategyCount];
   std::unordered_map<Key, Binding> filters_;
-  DecisionTree tree_;
-  bool tree_dirty_ = false;
-  std::vector<Key> match_buffer_;  // reused across passes (kTree walk output)
+  bool dirty_ = false;        // Refresh() pending
+  bool ranks_dirty_ = false;  // Bind/Unbind since the last SetOrder
 
-  // --- Hash dispatch index (kIndexed) ---
-  bool index_dirty_ = false;
-  std::vector<FieldTestKey> index_pairs_;  // the discriminating words, sorted
-  std::unordered_map<uint64_t, std::vector<Key>> index_buckets_;
-  size_t index_entries_ = 0;
-  bool index_covers_all_ = false;
-  // Every indexed filter's word references fit in a packet of at least this
+  // --- Priority order ---
+  std::vector<Key> order_;               // rank -> key
+  std::vector<const Binding*> ranked_;   // rank -> binding
+  std::vector<uint32_t> all_ranks_;      // 0 .. bound_count()-1
+
+  // --- Candidate pruning (kTree and kIndexed) ---
+  // Ranks of the bindings the tree or index does not cover, ascending: they
+  // are candidates on every packet.
+  std::vector<uint32_t> uncovered_ranks_;
+  // Every covered filter's word references fit in a packet of at least this
   // many bytes; shorter packets take the sequential fallback so pruning
   // can never hide a kOutOfPacket status a sequential run would report.
-  size_t index_min_packet_bytes_ = 0;
+  size_t prune_min_packet_bytes_ = 0;
+  // Per-pass scratch, reserved at rebuild so passes never allocate.
+  std::vector<uint32_t> tree_hits_;   // the tree walk's ranks, then sorted
+  std::vector<uint32_t> merged_;      // hits merged with uncovered_ranks_
+
+  DecisionTree tree_;  // over ranks
+
+  // --- Hash dispatch index (kIndexed) ---
+  std::vector<FieldTestKey> index_pairs_;  // the discriminating words, sorted
+  // One entry per indexed filter, sorted by (bucket hash, rank): a bucket is
+  // a run of equal hashes, its ranks ascending.
+  std::vector<uint64_t> index_hashes_;
+  std::vector<uint32_t> index_ranks_;
+  bool index_covers_all_ = false;
 
   // --- Compiled prefix hoisting (kCompiled) ---
-  bool compiled_dirty_ = false;
   size_t compiled_prefix_groups_ = 0;
   // One entry per prefix group, written by the (const) MatchPass on the
   // first member tested each pass, hence mutable. Entries invalidate by

@@ -269,4 +269,39 @@ TEST(DecisionTreeDemuxTest, RebuildsAfterFilterChange) {
   EXPECT_EQ(filter.QueueLength(port), 1u);  // unchanged
 }
 
+// A frame too short to load the tree's words takes the sequential pass, as
+// under kIndexed: fig. 3-9 reads word 8 first, so on a 10-byte Pup frame it
+// stops with kOutOfPacket and the unclaimed frame is a short_packet drop —
+// exactly what kChecked reports — not a clean no_match from the tree.
+TEST(DecisionTreeDemuxTest, ShortFrameTakesTheSequentialPassLikeChecked) {
+  PacketFilter checked;
+  PacketFilter tree;
+  checked.SetStrategy(pf::Strategy::kChecked);
+  tree.SetStrategy(pf::Strategy::kTree);
+  const pf::PortId checked_port = checked.OpenPort();
+  const pf::PortId tree_port = tree.OpenPort();
+  ASSERT_TRUE(checked.SetFilter(checked_port, pf::PaperFig39Filter()).ok);
+  ASSERT_TRUE(tree.SetFilter(tree_port, pf::PaperFig39Filter()).ok);
+
+  std::vector<uint8_t> runt = pftest::MakePupFrame(8, 35);
+  runt.resize(10);
+  const pf::DemuxResult want = checked.Demux(runt);
+  const pf::DemuxResult got = tree.Demux(runt);
+  EXPECT_FALSE(got.accepted);
+  EXPECT_EQ(got.exec.tree_probes, 0u);  // no walk: the filter ran
+  EXPECT_EQ(got.exec.filters_run, 1u);
+  EXPECT_EQ(tree.Stats(tree_port)->filter_errors, checked.Stats(checked_port)->filter_errors);
+  EXPECT_EQ(tree.Stats(tree_port)->filter_errors, 1u);
+  const auto short_packet = static_cast<size_t>(pf::DropReason::kShortPacket);
+  EXPECT_EQ(tree.global_stats().drops_by_reason, checked.global_stats().drops_by_reason);
+  EXPECT_EQ(tree.global_stats().drops_by_reason[short_packet], 1u);
+  EXPECT_EQ(want.exec.filters_run, 1u);
+
+  // A full frame is still answered by the walk alone.
+  const pf::DemuxResult full = tree.Demux(pftest::MakePupFrame(8, 35));
+  EXPECT_TRUE(full.accepted);
+  EXPECT_GT(full.exec.tree_probes, 0u);
+  EXPECT_EQ(full.exec.filters_run, 0u);
+}
+
 }  // namespace

@@ -317,6 +317,26 @@ TEST(DemuxTest, AllStrategiesAgreeOnDelivery) {
   }
 }
 
+// The walk maps the engine's candidate ranks back to ports, so ranks must
+// follow the priority order — not the port ids — through a rebind that
+// leaves that order unchanged.
+TEST(DemuxTest, RebindKeepingTheOrderKeepsCandidatesOnTheirPorts) {
+  for (const pf::Strategy strategy : pf::kAllStrategies) {
+    PacketFilter filter;
+    filter.SetStrategy(strategy);
+    const PortId low = filter.OpenPort();   // first by id ...
+    const PortId high = filter.OpenPort();  // ... second by priority
+    ASSERT_TRUE(filter.SetFilter(low, pfnet::MakePupSocketFilter(1, 5)).ok);
+    ASSERT_TRUE(filter.SetFilter(high, pfnet::MakePupSocketFilter(2, 9)).ok);
+    filter.Demux(pftest::MakePupFrame(8, 1));
+    ASSERT_TRUE(filter.SetFilter(low, pfnet::MakePupSocketFilter(1, 5)).ok);
+    filter.Demux(pftest::MakePupFrame(8, 1));
+    filter.Demux(pftest::MakePupFrame(8, 2));
+    EXPECT_EQ(filter.QueueLength(low), 2u) << "strategy=" << pf::ToString(strategy);
+    EXPECT_EQ(filter.QueueLength(high), 1u) << "strategy=" << pf::ToString(strategy);
+  }
+}
+
 TEST(DemuxTest, StrategySwitchableAtRuntime) {
   PacketFilter filter;
   const PortId port = filter.OpenPort();

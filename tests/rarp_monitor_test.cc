@@ -40,27 +40,28 @@ class RarpTest : public ::testing::Test {
 
 TEST_F(RarpTest, DisklessClientLearnsItsAddress) {
   const uint32_t kAssigned = pfproto::MakeIpv4(10, 1, 2, 3);
-  pfnet::RarpServer* server_raw = nullptr;
   std::optional<uint32_t> resolved;
+  // Read while the scenario still owns the server; it is gone afterwards.
+  std::optional<uint64_t> requests_seen;
+  std::optional<uint64_t> replies_sent;
   auto scenario = [&]() -> Task {
     pfnet::RarpServer::AddressTable table;
     table[diskless_.link_addr().bytes] = kAssigned;
     auto server = co_await pfnet::RarpServer::Create(&server_machine_,
                                                      server_machine_.NewPid(), table);
     server->Start();
-    server_raw = server.get();
     resolved = co_await pfnet::RarpClient::Resolve(&diskless_, diskless_.NewPid(),
                                                    Milliseconds(500));
     co_await sim_.Delay(Seconds(1));
-    (void)server;
+    requests_seen = server->requests_seen();
+    replies_sent = server->replies_sent();
   };
   sim_.Spawn(scenario());
   sim_.RunUntil(pfsim::TimePoint{} + Seconds(30));
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(*resolved, kAssigned);
-  ASSERT_NE(server_raw, nullptr);
-  EXPECT_EQ(server_raw->requests_seen(), 1u);
-  EXPECT_EQ(server_raw->replies_sent(), 1u);
+  EXPECT_EQ(requests_seen, 1u);
+  EXPECT_EQ(replies_sent, 1u);
 }
 
 TEST_F(RarpTest, UnknownClientGetsNoReply) {

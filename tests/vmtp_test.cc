@@ -4,6 +4,8 @@
 // measures (§6.3).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/kernel/kernel_vmtp.h"
 #include "src/kernel/machine.h"
 #include "src/net/vmtp.h"
@@ -143,10 +145,11 @@ TEST_F(VmtpTest, KernelRetransmitsOnLossAndSuppressesDuplicates) {
 // User-level VMTP echo server task. Serves until the network goes quiet —
 // a single-threaded user-level server must keep reading its port to answer
 // duplicate requests whose responses were lost (the kernel implementation
-// gets this for free because its input path is always active).
-pfsim::Task UserEchoServer(Machine* machine, pfnet::UserVmtpServer* server, int transactions) {
+// gets this for free because its input path is always active). The task
+// owns the server: its last read waits out the quiet period, so the
+// endpoint must live as long as this loop, not as long as the scenario.
+pfsim::Task UserEchoServer(Machine* machine, std::unique_ptr<pfnet::UserVmtpServer> server) {
   const int pid = machine->NewPid();
-  (void)transactions;
   for (;;) {
     auto request = co_await server->ReceiveRequest(pid, pfsim::Seconds(5));
     if (!request.has_value()) {
@@ -167,14 +170,13 @@ TEST_F(VmtpTest, UserLevelTransactionRoundTrip) {
     auto client = co_await pfnet::UserVmtpClient::Create(&client_machine_,
                                                          client_machine_.NewPid(), kClientId,
                                                          /*batching=*/true);
-    sim_.Spawn(UserEchoServer(&server_machine_, server.get(), 1));
+    sim_.Spawn(UserEchoServer(&server_machine_, std::move(server)));
     std::vector<uint8_t> request = {'h', 'e', 'y'};
     response = co_await client->Transact(client_machine_.NewPid(),
                                          server_machine_.link_addr(), kServerId,
                                          std::move(request), Seconds(10));
-    // Keep the endpoints alive until the simulation drains.
+    // Keep the client alive until the simulation drains.
     co_await sim_.Delay(Seconds(1));
-    (void)server;
     (void)client;
   };
   sim_.Spawn(scenario());
@@ -196,7 +198,7 @@ TEST_F(VmtpTest, UserLevelSurvivesLoss) {
     auto client = co_await pfnet::UserVmtpClient::Create(&client_machine_,
                                                          client_machine_.NewPid(), kClientId,
                                                          true);
-    sim_.Spawn(UserEchoServer(&server_machine_, server.get(), 5));
+    sim_.Spawn(UserEchoServer(&server_machine_, std::move(server)));
     const int pid = client_machine_.NewPid();
     for (int i = 0; i < 5; ++i) {
       std::vector<uint8_t> request = {static_cast<uint8_t>(i)};
@@ -208,7 +210,6 @@ TEST_F(VmtpTest, UserLevelSurvivesLoss) {
       }
     }
     co_await sim_.Delay(Seconds(1));
-    (void)server;
     (void)client;
   };
   sim_.Spawn(scenario());
