@@ -18,14 +18,26 @@
 //      mapped), and the pf.ring.post / pf.ring.reap histogram sums
 //      reconcile exactly with the ledger's kRingPost / kRingReap totals;
 //   4. the clean path takes no copy-on-write clones (PacketBuf stats): COW
-//      exists for impaired duplicates, not for normal traffic.
+//      exists for impaired duplicates, not for normal traffic;
+//   5. the frame check sequence every bulk frame pays twice (stamped at
+//      transmit, verified at receive): pfutil::Crc32 on a 1514-byte frame
+//      must agree with a bytewise table CRC written here and cost at most
+//      1/3 of its ns/byte, fastest of 21 interleaved runs per side. The
+//      ratio is enforced on sanitizer-free Release-family builds only
+//      (informational elsewhere, where it measures the sanitizer or -O0).
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/vmtp_common.h"
 #include "src/pf/packet_buf.h"
+#include "src/util/checksum.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -81,6 +93,62 @@ ModeSnapshot RunBulk(size_t ring_slots) {
   snap.bulk_kbps = pfbench::MeasureVmtp(config, /*rtt_transactions=*/2,
                                         /*bulk_segments=*/64).bulk_kbps;
   return snap;
+}
+
+// The one-byte-per-step table CRC-32 the FCS used before slicing: the
+// reference check 5 measures pfutil::Crc32 against.
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  static const auto kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = 0xffffffffu;
+  for (const uint8_t byte : data) {
+    crc = kTable[(crc ^ byte) & 0xff] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+struct FcsCost {
+  double sliced_ns_per_byte = 1e300;
+  double bytewise_ns_per_byte = 1e300;
+  bool agree = true;
+};
+
+// Host ns/byte of both CRCs over a full Ethernet frame: the fastest of
+// interleaved runs, so host noise hits both sides alike. Each CRC is fed
+// back into the frame, so no call can be hoisted out of the loop.
+FcsCost MeasureFcs() {
+  constexpr int kReps = 21;
+  constexpr int kFramesPerRun = 64;
+  std::vector<uint8_t> frame(1514);
+  pfutil::Rng rng(1514);
+  for (uint8_t& byte : frame) {
+    byte = rng.NextU8();
+  }
+  FcsCost cost;
+  const auto run = [&](uint32_t (*crc32)(std::span<const uint8_t>)) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kFramesPerRun; ++i) {
+      frame[0] = static_cast<uint8_t>(crc32(frame));
+    }
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    cost.agree = cost.agree && pfutil::Crc32(frame) == BytewiseCrc32(frame);
+    return elapsed.count() / (kFramesPerRun * static_cast<double>(frame.size()));
+  };
+  for (int rep = 0; rep < kReps; ++rep) {
+    cost.sliced_ns_per_byte = std::min(cost.sliced_ns_per_byte, run(pfutil::Crc32));
+    cost.bytewise_ns_per_byte = std::min(cost.bytewise_ns_per_byte, run(BytewiseCrc32));
+  }
+  return cost;
 }
 
 }  // namespace
@@ -146,8 +214,33 @@ static int BenchMain(int argc, char** argv) {
     std::fprintf(stderr, "micro_zerocopy --check FAILED: %s\n", failure.c_str());
   }
   pfbench::ReportCheck("micro_zerocopy.zero_copy_gates", failures.empty());
-  if (failures.empty()) {
-    std::printf("    --check: all zero-copy and reconciliation gates hold\n");
+
+  // Check 5. Wall-clock ratios only mean something on an optimized,
+  // sanitizer-free build (the micro_interpreter gate's rule).
+  const std::string build = pfbench::BuildTypeName();
+  const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
+                              build == "MinSizeRel";
+  const bool enforce = release_family && pfbench::SanitizerFlags().empty();
+  const FcsCost fcs = MeasureFcs();
+  const double ratio = fcs.sliced_ns_per_byte / fcs.bytewise_ns_per_byte;
+  std::printf("    FCS on a 1514-byte frame: Crc32 %.3f ns/byte, bytewise reference %.3f "
+              "ns/byte, ratio %.2f (need <= 1/3)%s\n",
+              fcs.sliced_ns_per_byte, fcs.bytewise_ns_per_byte, ratio,
+              enforce ? "" : " [informational: non-Release or sanitized build]");
+  bool fcs_ok = fcs.agree;
+  if (!fcs.agree) {
+    std::fprintf(stderr, "micro_zerocopy --check FAILED: Crc32 disagrees with the bytewise "
+                         "reference\n");
+  }
+  if (enforce && !(ratio <= 1.0 / 3.0)) {
+    std::fprintf(stderr, "micro_zerocopy --check FAILED: Crc32 costs more than 1/3 of the "
+                         "bytewise reference per byte\n");
+    fcs_ok = false;
+  }
+  pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok);
+
+  if (failures.empty() && fcs_ok) {
+    std::printf("    --check: all zero-copy, reconciliation and FCS gates hold\n");
     return 0;
   }
   return 1;

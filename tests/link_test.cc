@@ -7,6 +7,8 @@
 #include "src/link/impair.h"
 #include "src/link/segment.h"
 #include "src/sim/simulator.h"
+#include "src/util/byte_order.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -231,6 +233,71 @@ TEST(FrameTest, FcsDetectsCorruptionAndTruncation) {
   Frame cut = frame;
   cut.bytes.Truncate(cut.bytes.size() - 7);
   EXPECT_TRUE(cut.Truncated());
+}
+
+// A DIX frame of `len` bytes with seeded random contents.
+Frame RandomFrame(pfutil::Rng& rng, size_t len) {
+  std::vector<uint8_t> bytes(len);
+  for (uint8_t& byte : bytes) {
+    byte = rng.NextU8();
+  }
+  Frame frame;
+  frame.bytes = pf::PacketBuf(std::move(bytes));
+  return frame;
+}
+
+TEST(FrameTest, FcsDetectsEverySingleBitError) {
+  // A CRC-32 catches every single-bit error, so any flip the check misses
+  // is a bug in the 16-byte blocks or the bytewise tail.
+  pfutil::Rng rng(1514);
+  for (const size_t len : {size_t{60}, size_t{1514}}) {
+    Frame frame = RandomFrame(rng, len);
+    frame.StampFcs();
+    ASSERT_TRUE(frame.FcsIntact());
+    const std::span<uint8_t> bytes = frame.bytes.MutableSpan();
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      if (frame.FcsIntact()) {
+        ADD_FAILURE() << len << "-byte frame: flipping bit " << bit << " went undetected";
+        return;
+      }
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_TRUE(frame.FcsIntact());
+    for (size_t cut = 1; cut <= 17; ++cut) {
+      Frame shortened = frame;
+      shortened.bytes.Truncate(len - cut);
+      EXPECT_TRUE(shortened.Truncated()) << len << "-byte frame cut by " << cut;
+    }
+  }
+}
+
+TEST(FrameTest, GeneratedFramesParseAndVerify) {
+  // Seeded random frames from empty to just past the header: the parser
+  // must reject exactly the runts, the payload must be the bytes after the
+  // header, and every stamped frame must verify.
+  pfutil::Rng rng(14);
+  for (const LinkType type : {LinkType::kEthernet10Mb, LinkType::kExperimental3Mb}) {
+    const size_t header_len = pflink::PropertiesFor(type).header_len;
+    for (int iter = 0; iter < 2000; ++iter) {
+      Frame frame = RandomFrame(rng, rng.Below(header_len + 3));
+      const std::span<const uint8_t> bytes = frame.AsSpan();
+      const std::optional<LinkHeader> header = pflink::ParseHeader(type, bytes);
+      const std::span<const uint8_t> payload = pflink::FramePayload(type, bytes);
+      if (bytes.size() < header_len) {
+        EXPECT_FALSE(header.has_value()) << bytes.size() << "-byte frame";
+        EXPECT_TRUE(payload.empty());
+      } else {
+        ASSERT_TRUE(header.has_value()) << bytes.size() << "-byte frame";
+        EXPECT_EQ(header->ether_type, pfutil::LoadBe16(bytes.data() + header_len - 2));
+        EXPECT_EQ(payload.data(), bytes.data() + header_len);
+        EXPECT_EQ(payload.size(), bytes.size() - header_len);
+      }
+      frame.StampFcs();
+      EXPECT_TRUE(frame.FcsIntact()) << bytes.size() << "-byte frame";
+      EXPECT_FALSE(frame.Truncated());
+    }
+  }
 }
 
 TEST(SegmentTest, ConcurrentTransmittersSerializeOnMedium) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "src/util/byte_order.h"
 #include "src/util/checksum.h"
@@ -88,6 +91,58 @@ TEST(ChecksumTest, PupChecksumOrderSensitive) {
   const std::vector<uint8_t> ab = {0x01, 0x00, 0x02, 0x00};
   const std::vector<uint8_t> ba = {0x02, 0x00, 0x01, 0x00};
   EXPECT_NE(pfutil::PupChecksum(ab), pfutil::PupChecksum(ba));
+}
+
+uint32_t Crc32Of(std::string_view text) {
+  return pfutil::Crc32(
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()), text.size()));
+}
+
+TEST(ChecksumTest, Crc32KnownAnswers) {
+  EXPECT_EQ(pfutil::Crc32({}), 0x00000000u);
+  EXPECT_EQ(Crc32Of("123456789"), 0xcbf43926u);  // the CRC-32 check value
+  EXPECT_EQ(pfutil::Crc32(std::vector<uint8_t>{0x00}), 0xd202ef8du);
+  EXPECT_EQ(Crc32Of("a"), 0xe8b7be43u);
+  EXPECT_EQ(pfutil::Crc32(std::vector<uint8_t>(32, 0x00)), 0x190a55adu);
+  EXPECT_EQ(pfutil::Crc32(std::vector<uint8_t>(32, 0xff)), 0xff6cab0bu);
+  EXPECT_EQ(Crc32Of("The quick brown fox jumps over the lazy dog"), 0x414fa339u);
+}
+
+// One byte of the IEEE 802.3 CRC register, a bit at a time, straight from
+// the definition (reflected polynomial 0xEDB88320).
+uint32_t BitwiseCrc32Step(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg >> 1) ^ ((reg & 1) != 0 ? 0xedb88320u : 0u);
+  }
+  return reg;
+}
+
+TEST(ChecksumTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Past two Ethernet frames, so every count of 16-byte blocks a frame can
+  // hold is covered, each with every tail length (0..15) and start offset.
+  constexpr size_t kMaxLen = 3100;
+  constexpr size_t kOffsets = 16;
+  pfutil::Rng rng(0xc4c32);
+  std::vector<uint8_t> buf(kOffsets + kMaxLen);
+  for (uint8_t& byte : buf) {
+    byte = rng.NextU8();
+  }
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    const std::span<const uint8_t> data = std::span<const uint8_t>(buf).subspan(offset);
+    uint32_t reg = 0xffffffffu;  // the reference register after `len` bytes
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t got = pfutil::Crc32(data.first(len));
+      if (got != (reg ^ 0xffffffffu)) {
+        ADD_FAILURE() << "offset " << offset << " length " << len << ": got " << std::hex << got
+                      << ", want " << (reg ^ 0xffffffffu);
+        return;
+      }
+      if (len < kMaxLen) {
+        reg = BitwiseCrc32Step(reg, data[len]);
+      }
+    }
+  }
 }
 
 TEST(HexdumpTest, FormatsCanonically) {
