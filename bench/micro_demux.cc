@@ -1,5 +1,5 @@
-// Wall-clock microbenchmarks of the demultiplexer: the engine's five
-// execution strategies on a growing filter set, priority ordering, and
+// Wall-clock microbenchmarks of the demultiplexer: the engine's four
+// strategies on a growing filter set, priority ordering, and
 // busy-reordering — the ablations DESIGN.md §6 calls out.
 #include <benchmark/benchmark.h>
 
@@ -39,9 +39,6 @@ BENCHMARK(BM_DemuxChecked)->Arg(1)->Arg(16)->Arg(64);
 
 void BM_DemuxFast(benchmark::State& state) { RunDemux(state, pf::Strategy::kFast); }
 BENCHMARK(BM_DemuxFast)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_DemuxPredecoded(benchmark::State& state) { RunDemux(state, pf::Strategy::kPredecoded); }
-BENCHMARK(BM_DemuxPredecoded)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_DemuxDecisionTree(benchmark::State& state) { RunDemux(state, pf::Strategy::kTree); }
 BENCHMARK(BM_DemuxDecisionTree)->Arg(1)->Arg(4)->Arg(16)->Arg(64);

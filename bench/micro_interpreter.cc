@@ -1,23 +1,21 @@
 // Wall-clock ns/packet for filter execution, all routed through pf::Engine —
 // the §4 "inner loop is quite busy" code, plus the §7 improvements this
 // repository implements as Engine strategies:
-//   * kChecked vs kFast: run-time checking vs ahead-of-time validation,
-//   * kFast vs kPredecoded: bind-time pre-decode removes the remaining
-//     per-instruction word splitting and literal fetches,
+//   * kChecked vs kFast: run-time checking vs ahead-of-time validation and
+//     bind-time pre-decode (no per-instruction word splitting, literal
+//     fetches or stack checks),
 //   * kTree / kIndexed: one decision-tree walk / hash probe where eligible,
-//   * kCompiled: bind-time compilation to fused ops (DESIGN.md §15) —
-//     constant folding, push+compare fusion, mask folding, dead-code
-//     elimination, and a hoisted short-packet guard,
 //   * short-circuit operators (fig. 3-8 vs fig. 3-9 on hit/miss traffic),
 //   * filter length sweep (the table 6-10 shape in nanoseconds).
 //
 // Rows land in the observatory's `wall` tolerance class ("ns"-leading unit),
 // so the baseline gate only enforces them on Release, sanitizer-free hosts.
 //
-// `--check` (and any pfbench sweep) evaluates the kCompiled regression gate:
-// on the long-filter shapes, kCompiled must stay at least 2x faster than
-// kFast. The gate is enforced only on a sanitizer-free Release-family build;
-// elsewhere the ratios print as informational.
+// `--check` (and any pfbench sweep) evaluates the ahead-of-time regression
+// gate: on the long-filter shapes, kFast must stay at least 1.5x faster than
+// kChecked. The gate is enforced only on a sanitizer-free Release-family
+// build; elsewhere the ratios print as informational.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -44,8 +42,8 @@ const std::vector<uint8_t>& NonMatchingPacket() {
   return packet;
 }
 
-// The table 6-10 shape: a constant chain of n instructions. Entirely
-// compile-time-constant, so kCompiled folds it to a single verdict op.
+// The table 6-10 shape: a constant chain of n instructions — pure
+// per-instruction dispatch, no packet loads.
 pf::Program LengthN(int n) {
   pf::FilterBuilder b;
   if (n > 0) {
@@ -58,9 +56,8 @@ pf::Program LengthN(int n) {
 }
 
 // A long short-circuit conjunction over live packet words (terms cycle
-// through the three fig. 3-9 tests, all true on MatchingPacket). Every load
-// is dynamic, so nothing folds — this measures push+compare fusion and the
-// hoisted guard, not constant folding.
+// through the three fig. 3-9 tests, all true on MatchingPacket): a packet
+// load and a literal compare per term.
 pf::Program ConjunctionN(int terms) {
   static const uint8_t kWords[] = {8, 7, 1};
   static const uint16_t kValues[] = {35, 0, 2};
@@ -92,37 +89,47 @@ pf::Program IndirectPush() {
   return b.Build(10);
 }
 
-// One bound filter, one packet, one strategy: warm up, then time the
-// Match+Test hot loop with the steady clock. Reported as the minimum over
-// several repetitions — the noise-robust estimator, since scheduler and
-// cache interference only ever add time.
-double MeasureNsPerPacket(pf::Strategy strategy, const pf::Program& program,
-                          const std::vector<uint8_t>& packet) {
-  pf::Engine engine(strategy);
-  engine.Bind(kKey, *pf::ValidatedProgram::Create(program));
-
-  uint64_t accepted = 0;
-  constexpr int kWarmup = 2048;
-  for (int i = 0; i < kWarmup; ++i) {
-    pf::Engine::MatchPass pass = engine.Match(packet);
-    accepted += pass.Test(kKey).accept ? 1 : 0;
+// One bound filter and one packet under every strategy: warm up, then time
+// the Match+Test hot loop with the steady clock. Strategies are timed in
+// interleaved rounds, so a shift in host load lands on all of them alike
+// and the kChecked/kFast ratio the gate reads stays paired. Each strategy
+// reports its fastest round — the noise-robust estimator, since scheduler
+// and cache interference only ever add time. Indexed like kAllStrategies.
+std::vector<double> MeasureNsPerPacket(const pf::Program& program,
+                                       const std::vector<uint8_t>& packet) {
+  std::vector<pf::Engine> engines;
+  engines.reserve(pf::kStrategyCount);
+  for (const pf::Strategy strategy : pf::kAllStrategies) {
+    engines.emplace_back(strategy);
+    engines.back().Bind(kKey, *pf::ValidatedProgram::Create(program));
   }
 
-  constexpr int kReps = 5;
-  constexpr int kIters = 16384;
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) {
+  uint64_t accepted = 0;
+  const auto run = [&](pf::Engine& engine, int iterations) {
+    for (int i = 0; i < iterations; ++i) {
       pf::Engine::MatchPass pass = engine.Match(packet);
       accepted += pass.Test(kKey).accept ? 1 : 0;
     }
-    const auto end = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
-        kIters;
-    best = ns < best ? ns : best;
+  };
+  constexpr int kWarmup = 2048;
+  for (pf::Engine& engine : engines) {
+    run(engine, kWarmup);
+  }
+
+  constexpr int kRounds = 7;
+  constexpr int kIters = 16384;
+  std::vector<double> best(engines.size(), std::numeric_limits<double>::infinity());
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t s = 0; s < engines.size(); ++s) {
+      const auto start = std::chrono::steady_clock::now();
+      run(engines[s], kIters);
+      const auto end = std::chrono::steady_clock::now();
+      const double ns =
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
+          kIters;
+      best[s] = std::min(best[s], ns);
+    }
   }
   // Keep the verdicts observable so the loop cannot be elided.
   if (accepted == static_cast<uint64_t>(-1)) {
@@ -135,7 +142,7 @@ struct Shape {
   std::string name;
   pf::Program program;
   const std::vector<uint8_t>* packet;
-  bool long_shape;  // participates in the kCompiled >= 2x gate
+  bool long_shape;  // participates in the kFast >= 1.5x gate
 };
 
 }  // namespace
@@ -163,25 +170,27 @@ static int BenchMain(int argc, char** argv) {
   std::vector<pfbench::Row> rows;
   struct Ratio {
     std::string shape;
+    double checked_ns = 0;
     double fast_ns = 0;
-    double compiled_ns = 0;
   };
   std::vector<Ratio> gate;
 
   for (const Shape& shape : shapes) {
     Ratio ratio;
     ratio.shape = shape.name;
-    for (const pf::Strategy strategy : pf::kAllStrategies) {
-      const double ns = MeasureNsPerPacket(strategy, shape.program, *shape.packet);
+    const std::vector<double> ns_per_strategy = MeasureNsPerPacket(shape.program, *shape.packet);
+    for (size_t s = 0; s < pf::kStrategyCount; ++s) {
+      const pf::Strategy strategy = pf::kAllStrategies[s];
+      const double ns = ns_per_strategy[s];
       char label[64];
       std::snprintf(label, sizeof(label), "%-14s %s", shape.name.c_str(),
                     pf::ToString(strategy).c_str());
       rows.push_back({label, nan, ns});
+      if (strategy == pf::Strategy::kChecked) {
+        ratio.checked_ns = ns;
+      }
       if (strategy == pf::Strategy::kFast) {
         ratio.fast_ns = ns;
-      }
-      if (strategy == pf::Strategy::kCompiled) {
-        ratio.compiled_ns = ns;
       }
     }
     if (shape.long_shape) {
@@ -193,8 +202,8 @@ static int BenchMain(int argc, char** argv) {
                       "§4 inner loop; §7 improvements as Engine strategies", "ns/packet",
                       rows);
   pfbench::PrintNote(
-      "Long shapes are the kCompiled showcase: 'len 101 const' folds to one "
-      "verdict op, 'conj 21 hit' fuses every push+compare pair.");
+      "Long shapes gate kFast against kChecked: 'len 101 const' is pure "
+      "instruction dispatch, 'conj 21 hit' a packet load and compare per term.");
 
   if (check) {
     // Wall-clock ratios are only meaningful on an optimized, sanitizer-free
@@ -206,18 +215,18 @@ static int BenchMain(int argc, char** argv) {
     const bool enforce = release_family && pfbench::SanitizerFlags().empty();
     bool ok = true;
     for (const Ratio& r : gate) {
-      const double speedup = r.compiled_ns > 0 ? r.fast_ns / r.compiled_ns : 0;
-      std::printf("check: %-14s kFast = %.1f ns, kCompiled = %.1f ns, speedup = %.2fx "
-                  "(need >= 2x)%s\n",
-                  r.shape.c_str(), r.fast_ns, r.compiled_ns, speedup,
+      const double speedup = r.fast_ns > 0 ? r.checked_ns / r.fast_ns : 0;
+      std::printf("check: %-14s kChecked = %.1f ns, kFast = %.1f ns, speedup = %.2fx "
+                  "(need >= 1.5x)%s\n",
+                  r.shape.c_str(), r.checked_ns, r.fast_ns, speedup,
                   enforce ? "" : " [informational: non-Release or sanitized build]");
       if (enforce) {
         std::string slug = r.shape;
         for (char& c : slug) {
           if (c == ' ') c = '_';
         }
-        pfbench::ReportCheck("micro_interpreter.compiled_2x." + slug, speedup >= 2.0);
-        ok = ok && speedup >= 2.0;
+        pfbench::ReportCheck("micro_interpreter.fast_1_5x." + slug, speedup >= 1.5);
+        ok = ok && speedup >= 1.5;
       }
     }
     if (!ok) {

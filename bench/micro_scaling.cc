@@ -7,7 +7,7 @@
 // instructions + decision-tree probes + index probes, the structural count
 // the kernel cost model charges from — for every engine strategy.
 //
-// Expected shape: kChecked/kFast/kPredecoded grow linearly (half the bound
+// Expected shape: kChecked/kFast grow linearly (half the bound
 // set runs per packet on average), kTree grows with tree depth, and
 // kIndexed stays flat: a constant number of hash probes plus one
 // re-confirmed filter, independent of port count. With the flow cache on,

@@ -125,13 +125,11 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   std::printf("    per-instruction slope: paper ~28.6 us, ours %.1f us\n", slope_us);
 
   // The cost model charges the engine's structural counts (ExecTelemetry),
-  // so the simulated cost must be identical whichever sequential backend
+  // so the simulated cost must be identical whichever execution path
   // interprets the filter — only wall-clock differs (see micro_interpreter).
   const double t21_checked = Measure(21, pf::Strategy::kChecked);
-  const double t21_predecoded = Measure(21, pf::Strategy::kPredecoded);
-  std::printf(
-      "    backend invariance (21 insns): fast %.2f ms, checked %.2f ms, predecoded %.2f ms\n",
-      t21, t21_checked, t21_predecoded);
+  std::printf("    backend invariance (21 insns): fast %.2f ms, checked %.2f ms\n", t21,
+              t21_checked);
 
   // Per-strategy filter-evaluation histograms vs. the Ledger: the registry's
   // "pf.filter_eval.<strategy>" histogram samples the same simulated cost the

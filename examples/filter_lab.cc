@@ -9,7 +9,6 @@
 #include "src/net/pup_endpoint.h"
 #include "src/pf/bpf.h"
 #include "src/pf/builder.h"
-#include "src/pf/compile.h"
 #include "src/pf/demux.h"
 #include "src/pf/disasm.h"
 #include "src/pf/engine.h"
@@ -98,16 +97,8 @@ int main() {
   std::printf("  tree:       %u node probes (%zu nodes total), same delivery\n",
               tree_result.exec.tree_probes, tree.engine().tree_nodes());
 
-  std::printf("\n=== Bind-time compilation (kCompiled, DESIGN.md sec. 15) ===\n\n");
-  // The fig. 3-9 conjunction lowers to fused compare ops: the six-insn
-  // interpreted program becomes a three-compare kernel plus a verdict pop.
-  const auto fig39 = pf::ValidatedProgram::Create(pf::PaperFig39Filter());
-  if (fig39.has_value()) {
-    const pf::CompiledProgram compiled = pf::CompileProgram(*fig39);
-    std::printf("fig. 3-9 compiled form:\n%s\n",
-                pf::DisassembleCompiled(compiled).c_str());
-  }
-  // The same subset cross-compiles to classic BPF — the lineage this
+  std::printf("\n=== Cross-compilation to classic BPF (DESIGN.md sec. 15) ===\n\n");
+  // The conjunction subset cross-compiles to classic BPF — the lineage this
   // paper's interpreter seeded. tcpdump -d style listing:
   const std::optional<pf::BpfProgram> bpf = pf::CompileToBpf(pf::PaperFig39Filter());
   if (bpf.has_value() && pf::BpfValidate(*bpf)) {
@@ -141,27 +132,6 @@ int main() {
       std::printf("  op %-12s hits=%llu charged=%llu\n", op.opcode.c_str(),
                   (unsigned long long)op.hits, (unsigned long long)op.charged);
     }
-  }
-
-  // The compiled backend keeps the exactness contract: the same stream
-  // under kCompiled yields the identical annotated listing, even though
-  // the fused kernel never steps those pcs at runtime.
-  pf::PacketFilter profiled_compiled;
-  profiled_compiled.SetStrategy(pf::Strategy::kCompiled);
-  profiled_compiled.SetProfiling(true);
-  const pf::PortId cport = profiled_compiled.OpenPort();
-  profiled_compiled.SetFilter(cport, pf::PaperFig39Filter());
-  for (int i = 0; i < 6; ++i) {
-    profiled_compiled.Demux(pup35);
-  }
-  for (int i = 0; i < 4; ++i) {
-    profiled_compiled.Demux(pup36);
-  }
-  const pf::ProgramProfile* cprofile = profiled_compiled.Profile(cport);
-  const pf::ValidatedProgram* cbound = profiled_compiled.engine().Find(cport);
-  if (cprofile != nullptr && cbound != nullptr) {
-    std::printf("\nsame stream under kCompiled (per-pc accounting unchanged):\n%s",
-                pf::DisassembleAnnotated(*cbound, *cprofile).c_str());
   }
   return 0;
 }

@@ -54,72 +54,6 @@ std::string Disassemble(const Program& program) {
 
 namespace {
 
-// Operand rendering for compiled ops: `#0x0017` / `word[3]` /
-// `word[3]&0x00ff` / `pop`.
-std::string OperandString(const Operand& operand) {
-  char buf[32];
-  switch (operand.src) {
-    case Operand::Src::kImm:
-      std::snprintf(buf, sizeof(buf), "#0x%04x", operand.imm);
-      return buf;
-    case Operand::Src::kLoad:
-      if (operand.mask != 0xffff) {
-        std::snprintf(buf, sizeof(buf), "word[%u]&0x%04x", operand.word, operand.mask);
-      } else {
-        std::snprintf(buf, sizeof(buf), "word[%u]", operand.word);
-      }
-      return buf;
-    case Operand::Src::kStack:
-      return "pop";
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string DisassembleCompiled(const CompiledProgram& program) {
-  char line[160];
-  std::snprintf(line, sizeof(line), "compiled: %zu ops, %u insns, guard %zu bytes\n",
-                program.ops.size(), program.total_insns, program.min_packet_bytes);
-  std::string out = line;
-  for (size_t i = 0; i < program.ops.size(); ++i) {
-    const CompiledOp& op = program.ops[i];
-    std::string body;
-    switch (op.kind) {
-      case CompiledOp::Kind::kPush:
-        body = "push " + OperandString(op.a);
-        break;
-      case CompiledOp::Kind::kBinop:
-        body = ToString(op.op) + " " + OperandString(op.a) + ", " + OperandString(op.b);
-        if (!op.push_result) {
-          body += " (drop)";
-        }
-        break;
-      case CompiledOp::Kind::kIndLoad:
-        body = "ldind " + OperandString(op.a);
-        if (!op.push_result) {
-          body += " (drop)";
-        }
-        break;
-      case CompiledOp::Kind::kVerdictConst:
-        body = std::string("ret ") + (op.accept ? "accept" : "reject") + " [" +
-               ToString(op.status) + "]";
-        if (op.short_circuited) {
-          body += " (short-circuit)";
-        }
-        break;
-      case CompiledOp::Kind::kVerdictValue:
-        body = "ret (" + OperandString(op.a) + " != 0)";
-        break;
-    }
-    std::snprintf(line, sizeof(line), "  %2zu: %-40s ; insn %u\n", i, body.c_str(), op.end_insns);
-    out += line;
-  }
-  return out;
-}
-
-namespace {
-
 // The attribution bucket an instruction belongs to: its binary operator, or
 // for pure pushes, the push kind.
 std::string OpcodeClass(const Instruction& insn) {

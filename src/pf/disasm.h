@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "src/pf/compile.h"
 #include "src/pf/profile.h"
 #include "src/pf/program.h"
 #include "src/pf/validate.h"
@@ -22,13 +21,6 @@ std::string DisassembleInstruction(const Instruction& insn);
 // priority, length, and language version. Malformed programs render the
 // valid prefix followed by an error note.
 std::string Disassemble(const Program& program);
-
-// Multi-line rendering of a compiled program (Strategy::kCompiled): one
-// fused op per line with its operand sources (imm / word[n]&mask / pop)
-// and the `; insn N` exact-accounting column, preceded by a header giving
-// op count, original instruction count, and the short-packet guard. The
-// encoding is golden-tested in tests/compile_test.cc.
-std::string DisassembleCompiled(const CompiledProgram& program);
 
 // Simulated-cost attribution by opcode class: every executed instruction is
 // attributed to its binary operator (EQ, CAND, ...) or, for pure pushes, its

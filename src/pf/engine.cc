@@ -17,12 +17,8 @@ std::string ToString(Strategy strategy) {
       return "fast";
     case Strategy::kTree:
       return "tree";
-    case Strategy::kPredecoded:
-      return "predecoded";
     case Strategy::kIndexed:
       return "indexed";
-    case Strategy::kCompiled:
-      return "compiled";
   }
   return "unknown";
 }
@@ -106,20 +102,26 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
   return decoded;
 }
 
-ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
-                               std::span<const uint8_t> packet) {
-  ExecResult res;
+// kFast's whole per-filter cost is this loop. [[gnu::flatten]] inlines
+// EvalBinaryOp at -O2 as well as -O3, and the instruction count stays in a
+// local rather than in the returned ExecResult (which may live in the
+// caller's memory), so no instruction pays for a call or a store.
+[[gnu::flatten]] ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
+                                                std::span<const uint8_t> packet) {
   if (insns.empty()) {
     // An empty filter accepts every packet, as in the interpreters.
-    res.accept = true;
-    return res;
+    return ExecResult{.accept = true};
   }
 
   uint16_t stack[kMaxStackDepth];
   uint32_t depth = 0;
+  uint32_t executed = 0;
+  const auto finish = [&executed](bool accept, ExecStatus status, bool short_circuited) {
+    return ExecResult{accept, status, executed, short_circuited};
+  };
 
   for (const PredecodedInsn& insn : insns) {
-    ++res.insns_executed;
+    ++executed;
     switch (insn.fetch) {
       case PredecodedInsn::Fetch::kNone:
         break;
@@ -129,8 +131,7 @@ ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
       case PredecodedInsn::Fetch::kWord: {
         uint16_t value = 0;
         if (!pfutil::LoadPacketWord(packet, insn.word_index, &value)) {
-          res.status = ExecStatus::kOutOfPacket;
-          return res;
+          return finish(false, ExecStatus::kOutOfPacket, false);
         }
         stack[depth++] = value;
         break;
@@ -138,8 +139,7 @@ ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
       case PredecodedInsn::Fetch::kInd: {
         uint16_t value = 0;
         if (!pfutil::LoadPacketWordAtByte(packet, stack[depth - 1], &value)) {
-          res.status = ExecStatus::kOutOfPacket;
-          return res;
+          return finish(false, ExecStatus::kOutOfPacket, false);
         }
         stack[depth - 1] = value;
         break;
@@ -156,22 +156,15 @@ ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
       case detail::OpOutcome::kContinue:
         break;
       case detail::OpOutcome::kAccept:
-        res.accept = true;
-        res.short_circuited = true;
-        return res;
+        return finish(true, ExecStatus::kOk, true);
       case detail::OpOutcome::kReject:
-        res.accept = false;
-        res.short_circuited = true;
-        return res;
+        return finish(false, ExecStatus::kOk, true);
       case detail::OpOutcome::kDivideByZero:
-        res.status = ExecStatus::kDivideByZero;
-        return res;
+        return finish(false, ExecStatus::kDivideByZero, false);
     }
     stack[depth - 1] = result;
   }
-
-  res.accept = stack[depth - 1] != 0;
-  return res;
+  return finish(stack[depth - 1] != 0, ExecStatus::kOk, false);
 }
 
 void Engine::AttachMetrics(pfobs::MetricsRegistry* registry) {
@@ -217,10 +210,9 @@ void Engine::set_strategy(Strategy strategy) {
 }
 
 void Engine::Bind(Key key, ValidatedProgram program) {
-  Binding binding{std::move(program), {}, std::nullopt, 0, {}, -1, 0, nullptr};
+  Binding binding{std::move(program), {}, std::nullopt, 0, nullptr};
   binding.decoded = Predecode(binding.program);
   binding.conjunction = ExtractConjunction(binding.program.program());
-  binding.compiled = CompileProgram(binding.program);
   if (profiling_) {
     binding.profile = std::make_unique<ProgramProfile>();
     binding.profile->pc.resize(binding.decoded.size());
@@ -283,7 +275,6 @@ void Engine::Rebuild() {
   prune_min_packet_bytes_ = 0;
   RebuildTree();
   RebuildIndex();
-  RebuildCompiledPrefixes();
   std::sort(uncovered_ranks_.begin(), uncovered_ranks_.end());
   tree_hits_.reserve(filters_.size());
   merged_.reserve(filters_.size());
@@ -463,79 +454,6 @@ std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) 
   return HashIndexWords(packet);
 }
 
-void Engine::RebuildCompiledPrefixes() {
-  compiled_prefix_groups_ = 0;
-  prefix_cache_.clear();
-  if (strategy_ != Strategy::kCompiled) {
-    return;  // the prefix fields are only read under kCompiled
-  }
-  for (auto& [key, binding] : filters_) {
-    binding.prefix_group = -1;
-    binding.prefix_len = 0;
-  }
-  if (filters_.size() < 2) {
-    return;
-  }
-
-  // Key order keeps group assignment deterministic across identical bound
-  // sets (unordered_map iteration order is not).
-  std::vector<Key> keys;
-  keys.reserve(filters_.size());
-  for (const auto& [key, binding] : filters_) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-
-  // Group by first compiled op; ops compare equal only when their operand
-  // encodings AND end_insns accounting agree, so any common prefix yields
-  // identical ExecResults (and cursors) for a given packet no matter which
-  // member executes it.
-  std::vector<std::vector<Key>> groups;
-  for (const Key key : keys) {
-    const Binding& binding = filters_.at(key);
-    if (binding.compiled.ops.size() < 2) {
-      continue;  // a lone verdict op is not worth sharing
-    }
-    bool placed = false;
-    for (std::vector<Key>& group : groups) {
-      if (filters_.at(group.front()).compiled.ops.front() == binding.compiled.ops.front()) {
-        group.push_back(key);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      groups.push_back({key});
-    }
-  }
-  for (const std::vector<Key>& group : groups) {
-    if (group.size() < 2) {
-      continue;
-    }
-    const std::vector<CompiledOp>& head = filters_.at(group.front()).compiled.ops;
-    size_t lcp = head.size();
-    for (const Key key : group) {
-      const std::vector<CompiledOp>& ops = filters_.at(key).compiled.ops;
-      size_t match = 0;
-      const size_t limit = std::min(lcp, ops.size());
-      while (match < limit && ops[match] == head[match]) {
-        ++match;
-      }
-      lcp = match;
-    }
-    if (lcp < 2) {
-      continue;  // too short to be worth a cache slot
-    }
-    const int group_id = static_cast<int>(compiled_prefix_groups_++);
-    for (const Key key : group) {
-      Binding& binding = filters_.at(key);
-      binding.prefix_group = group_id;
-      binding.prefix_len = static_cast<uint32_t>(lcp);
-    }
-  }
-  prefix_cache_.assign(compiled_prefix_groups_, PrefixCacheEntry{});
-}
-
 void Engine::RebuildTree() {
   std::vector<std::pair<uint32_t, std::vector<FieldTest>>> compiled;
   if (strategy_ == Strategy::kTree) {
@@ -553,10 +471,6 @@ void Engine::RebuildTree() {
 
 Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
   Refresh();
-  if (strategy_ == Strategy::kCompiled) {
-    // New pass: every prefix-cache entry with an older generation is stale.
-    ++compiled_pass_gen_;
-  }
   MatchPass pass(this, packet);
   pass.walk_ = all_ranks_;
   if (!(tree_in_use() || index_in_use()) || packet.size() < prune_min_packet_bytes_) {
@@ -634,60 +548,9 @@ Verdict Engine::MatchPass::Evaluate(const Binding& binding, bool live) {
     return verdict;
   }
   ++telemetry_.filters_run;
-  ExecResult exec;
-  switch (engine_->strategy_) {
-    case Strategy::kChecked:
-      exec = InterpretChecked(binding.program.program(), packet_);
-      break;
-    case Strategy::kPredecoded:
-    case Strategy::kIndexed:  // re-confirmation / sequential fallback
-      exec = InterpretPredecoded(binding.decoded, packet_);
-      ++telemetry_.decode_cache_hits;
-      break;
-    case Strategy::kFast:
-    case Strategy::kTree:  // non-conjunction fallback within a tree pass
-      exec = InterpretFast(binding.program, packet_);
-      break;
-    case Strategy::kCompiled: {
-      const CompiledProgram& compiled = binding.compiled;
-      if (packet_.size() < compiled.min_packet_bytes) {
-        // Below the hoisted guard the fused path would skip the bounds
-        // checks a sequential run performs; the pre-decoded interpreter
-        // keeps kOutOfPacket statuses (and their pcs) exact.
-        exec = InterpretPredecoded(binding.decoded, packet_);
-        ++telemetry_.decode_cache_hits;
-        break;
-      }
-      uint32_t fused = 0;
-      if (binding.prefix_group >= 0) {
-        PrefixCacheEntry& entry =
-            engine_->prefix_cache_[static_cast<size_t>(binding.prefix_group)];
-        if (entry.gen != engine_->compiled_pass_gen_) {
-          entry.gen = engine_->compiled_pass_gen_;
-          entry.cursor = CompiledCursor{};
-          const std::optional<ExecResult> exit = ExecCompiledPrefix(
-              compiled, packet_, binding.prefix_len, &entry.cursor, &fused);
-          entry.exited = exit.has_value();
-          if (entry.exited) {
-            entry.exit = *exit;
-          }
-        }
-        if (entry.exited) {
-          // The shared prefix itself produced the verdict; every member of
-          // the group reports the identical ExecResult, so charging stays
-          // exact even though only the first member executed it.
-          exec = entry.exit;
-        } else {
-          exec = ExecCompiledFrom(compiled, packet_, binding.prefix_len, entry.cursor,
-                                  &fused);
-        }
-      } else {
-        exec = ExecCompiled(compiled, packet_, &fused);
-      }
-      telemetry_.fused_ops += fused;
-      break;
-    }
-  }
+  const ExecResult exec = engine_->strategy_ == Strategy::kChecked
+                              ? InterpretChecked(binding.program.program(), packet_)
+                              : InterpretPredecoded(binding.decoded, packet_);
   telemetry_.insns_executed += exec.insns_executed;
   if (engine_->profiling_ && binding.profile != nullptr) {
     binding.profile->RecordExec(exec, /*charged=*/true);

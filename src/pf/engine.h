@@ -3,50 +3,41 @@
 //
 // The paper describes a single interpreter (§4) and sketches two §7
 // improvements — performing the validity tests ahead of time, and compiling
-// the active filter set into a decision table. Those exist here as five
-// selectable strategies behind one interface:
+// the active filter set into a decision table. Those are two independent
+// choices, and the engine keeps them apart:
 //
-//   * kChecked    — the historical interpreter: every check per instruction
-//                   at run time (§4, InterpretChecked).
-//   * kFast       — validate-ahead interpretation: stack and opcode checks
-//                   proved once at bind time (§7, InterpretFast).
-//   * kTree       — the active conjunction-shaped filters are compiled into
-//                   one decision tree; one walk yields every verdict (§7's
-//                   "decision table"). Non-conjunction filters fall back to
-//                   kFast within the same pass; packets too short to load
-//                   every tree word take a sequential kFast pass, as under
-//                   kIndexed.
-//   * kPredecoded — at Bind() time each program is pre-decoded into a flat
-//                   array of {op, fetch kind, operand} structs, so the hot
-//                   loop does no per-instruction word splitting, literal
-//                   fetching, or constant-table lookups. The natural next
-//                   step after kFast: *all* static work, not just the safety
-//                   tests, is performed ahead of time.
-//   * kIndexed    — a hash dispatch index over the conjunction-shaped
-//                   filters: Bind() time chooses a small set of
-//                   discriminating (word, mask) pairs shared across the
-//                   bound set; Match() hashes those words' masked values
-//                   once and only the filters in the matching bucket are
-//                   (re-)executed. The index is a pruner, never an oracle —
-//                   a bucket hit is always re-confirmed by running the
-//                   filter itself (pre-decoded), so hash collisions cannot
-//                   mis-deliver. Filters outside the conjunction subset,
-//                   and packets too short to load every indexed word, fall
-//                   back to the sequential pre-decoded pass. Common-case
-//                   cost is O(index width), independent of bound_count().
-//   * kCompiled   — bind-time compilation (src/pf/compile.h): each program
-//                   is lowered to fused ops — constants folded, masks and
-//                   compare-and-exit pairs fused into single ops, dead
-//                   pushes eliminated, the short-packet guard hoisted out
-//                   of the hot loop — and bindings sharing a compiled-op
-//                   prefix (e.g. a port's filters testing the same leading
-//                   header fields) execute that prefix once per pass.
-//                   Exact-accounting ops make every exit report the same
-//                   ExecResult the §4 interpreter would have produced, so
-//                   charged cost, statuses, and profiles reconcile with
-//                   kChecked; the win is wall clock (bench/micro_interpreter).
-//                   Packets below a program's guard fall back to the exact
-//                   pre-decoded interpreter.
+// *How* one filter runs — two execution paths:
+//   * InterpretChecked (interpreter.h) — the §4 reference: every check per
+//     instruction at run time. Used by kChecked only.
+//   * InterpretPredecoded (below) — the §7 ahead-of-time form: the
+//     validator proved the stack and opcode checks once, and Bind()
+//     pre-decodes the program into a flat array of {op, fetch kind,
+//     operand} structs, so the hot loop does no word splitting, literal
+//     fetching or constant-table lookups; only packet-bounds and
+//     divide-by-zero checks remain. Used by every other strategy. On a
+//     validated program it returns the same ExecResult as
+//     InterpretChecked, bit for bit.
+//
+// *Which* filters run — four named strategies:
+//   * kChecked — the priority walk over every candidate, checked (§4).
+//   * kFast    — the same walk, pre-decoded (§7 validate-ahead).
+//   * kTree    — the active conjunction-shaped filters are compiled into
+//                one decision tree; one walk yields every verdict (§7's
+//                "decision table"). Non-conjunction filters run pre-decoded
+//                within the same pass; packets too short to load every tree
+//                word take a sequential pass, as under kIndexed.
+//   * kIndexed — a hash dispatch index over the conjunction-shaped filters:
+//                Bind() time chooses a small set of discriminating
+//                (word, mask) pairs shared across the bound set; Match()
+//                hashes those words' masked values once and only the
+//                filters in the matching bucket are (re-)executed. The
+//                index is a pruner, never an oracle — a bucket hit is
+//                always re-confirmed by running the filter itself, so hash
+//                collisions cannot mis-deliver. Filters outside the
+//                conjunction subset, and packets too short to load every
+//                indexed word, fall back to the sequential pass.
+//                Common-case cost is O(index width), independent of
+//                bound_count().
 //
 // An Engine owns the bound filter set (keyed by an opaque uint32_t — the
 // demultiplexer uses its PortId) and its priority order: SetOrder() ranks
@@ -72,7 +63,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/pf/compile.h"
 #include "src/pf/decision_tree.h"
 #include "src/pf/interpreter.h"
 #include "src/pf/profile.h"
@@ -82,17 +72,14 @@
 namespace pf {
 
 enum class Strategy : uint8_t {
-  kChecked = 0,  // §4 historical interpreter, per-instruction checking
-  kFast,         // §7 validate-ahead interpretation
+  kChecked = 0,  // §4 priority walk, per-instruction checking
+  kFast,         // §7 priority walk, validated ahead and pre-decoded
   kTree,         // §7 decision-tree compilation of the conjunction subset
-  kPredecoded,   // bind-time pre-decode, no per-instruction operand fetching
   kIndexed,      // hash dispatch on shared discriminating words + re-confirm
-  kCompiled,     // bind-time compilation into fused ops (src/pf/compile.h)
 };
 
 inline constexpr Strategy kAllStrategies[] = {Strategy::kChecked, Strategy::kFast,
-                                              Strategy::kTree, Strategy::kPredecoded,
-                                              Strategy::kIndexed, Strategy::kCompiled};
+                                              Strategy::kTree, Strategy::kIndexed};
 inline constexpr size_t kStrategyCount = sizeof(kAllStrategies) / sizeof(kAllStrategies[0]);
 
 std::string ToString(Strategy strategy);
@@ -104,21 +91,13 @@ struct ExecTelemetry {
   uint32_t filters_run = 0;       // programs interpreted sequentially
   uint64_t insns_executed = 0;    // filter instructions evaluated
   uint32_t tree_probes = 0;       // decision-tree node probes
-  uint32_t decode_cache_hits = 0; // verdicts served from a pre-decoded program
   uint32_t index_probes = 0;      // discriminating-word loads for the hash index
-  // Fused ops the kCompiled backend actually executed — informational (the
-  // runtime-work counterpart of insns_executed, which under kCompiled
-  // stays the *original-equivalent* count the ledger charges). Not part of
-  // the charged work sum.
-  uint64_t fused_ops = 0;
 
   ExecTelemetry& operator+=(const ExecTelemetry& other) {
     filters_run += other.filters_run;
     insns_executed += other.insns_executed;
     tree_probes += other.tree_probes;
-    decode_cache_hits += other.decode_cache_hits;
     index_probes += other.index_probes;
-    fused_ops += other.fused_ops;
     return *this;
   }
 };
@@ -167,12 +146,6 @@ class Engine {
     std::vector<PredecodedInsn> decoded;
     std::optional<std::vector<FieldTest>> conjunction;
     uint32_t rank = 0;     // position in the priority order (SetOrder)
-    // Bind-time compilation output (kCompiled). `prefix_group` >= 0 names
-    // the engine prefix-cache slot shared with every binding whose first
-    // `prefix_len` compiled ops are identical; -1 = no shared prefix.
-    CompiledProgram compiled;
-    int prefix_group = -1;
-    uint32_t prefix_len = 0;
     // Allocated by SetProfiling(true) / Bind() while profiling; updated by
     // the (const) MatchPass, hence mutable. Null whenever profiling has
     // never been on for this binding.
@@ -197,8 +170,8 @@ class Engine {
 
   // --- The bound filter set ---
   // Bind() performs every ahead-of-time step once: the program arrives
-  // already validated, is pre-decoded for kPredecoded, and its conjunction
-  // shape (if any) is extracted for kTree.
+  // already validated, is pre-decoded, and its conjunction shape (if any)
+  // is extracted for kTree and kIndexed.
   void Bind(Key key, ValidatedProgram program);
   bool Unbind(Key key);
   void Clear();
@@ -242,11 +215,6 @@ class Engine {
   // strategy is not kIndexed, no index exists, or the packet is too short
   // to load every discriminating word.
   std::optional<uint64_t> IndexSignature(std::span<const uint8_t> packet);
-
-  // --- Compiled-backend introspection (meaningful under kCompiled) ---
-  // Shared-prefix groups found across the bound set; reflects the most
-  // recent rebuild (Match() rebuilds lazily after Bind/Unbind/set_strategy).
-  size_t compiled_prefix_groups() const { return compiled_prefix_groups_; }
 
   // --- Filter-program profiling (src/pf/profile.h) ---
   // Opt-in per-binding profiles: per-pc hit counts, exit pcs, and charged
@@ -324,8 +292,8 @@ class Engine {
   static constexpr size_t kMaxIndexWords = 4;
 
   void AssignRanks();
-  // Rebuilds the rank-dependent structures (tree, index, compiled prefix
-  // groups) for the current strategy if a Bind/Unbind/SetOrder/strategy
+  // Rebuilds the rank-dependent structures (tree, index) for the current
+  // strategy if a Bind/Unbind/SetOrder/strategy
   // change made them stale.
   void Refresh() {
     if (dirty_) {
@@ -338,19 +306,6 @@ class Engine {
   // FNV-1a over the discriminating words' masked values (the index bucket
   // key); nullopt when the packet is too short to load every word.
   std::optional<uint64_t> HashIndexWords(std::span<const uint8_t> packet) const;
-  void RebuildCompiledPrefixes();
-
-  // Per-pass memo for one shared compiled-op prefix: either the prefix
-  // itself exited (every group member reports the identical ExecResult —
-  // ops compare equal *including* their end_insns accounting) or the
-  // machine state at the boundary, from which each member resumes. Charged
-  // work is unaffected: insns_executed always derives from end_insns.
-  struct PrefixCacheEntry {
-    uint64_t gen = 0;  // valid iff == compiled_pass_gen_
-    bool exited = false;
-    ExecResult exit;
-    CompiledCursor cursor;
-  };
 
   struct StrategyMetrics {
     pfobs::Counter* passes = nullptr;
@@ -397,21 +352,14 @@ class Engine {
   std::vector<uint64_t> index_hashes_;
   std::vector<uint32_t> index_ranks_;
   bool index_covers_all_ = false;
-
-  // --- Compiled prefix hoisting (kCompiled) ---
-  size_t compiled_prefix_groups_ = 0;
-  // One entry per prefix group, written by the (const) MatchPass on the
-  // first member tested each pass, hence mutable. Entries invalidate by
-  // generation, not by clearing, so Match() stays O(1) in group count.
-  mutable std::vector<PrefixCacheEntry> prefix_cache_;
-  uint64_t compiled_pass_gen_ = 0;
 };
 
 // Bind-time pre-decode of a validated program (exposed for tests and the
 // disassembler-style tooling; Engine::Bind calls it).
 std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program);
 
-// The kPredecoded hot loop (exposed for tests; Engine uses it internally).
+// The pre-decoded interpreter every strategy but kChecked runs (exposed for
+// tests; Engine uses it internally).
 ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
                                std::span<const uint8_t> packet);
 

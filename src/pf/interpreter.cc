@@ -36,11 +36,9 @@ ExecResult Fail(ExecResult res, ExecStatus status) {
   return res;
 }
 
-// One interpreter body, instantiated with and without per-instruction
-// checking. The kChecked=false instantiation relies on the ValidatedProgram
-// invariants; only packet-relative checks survive.
-template <bool kChecked>
-ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
+}  // namespace
+
+ExecResult InterpretChecked(const Program& program, std::span<const uint8_t> packet) {
   ExecResult res;
   const std::vector<uint16_t>& words = program.words;
   if (words.empty()) {
@@ -55,13 +53,11 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
 
   for (size_t i = 0; i < words.size(); ++i) {
     const RawFields fields = SplitWord(words[i]);
-    if constexpr (kChecked) {
-      if (!IsValidOp(fields.op_bits, program.version)) {
-        return Fail(res, ExecStatus::kBadOpcode);
-      }
-      if (!IsValidAction(fields.action_bits, program.version)) {
-        return Fail(res, ExecStatus::kBadAction);
-      }
+    if (!IsValidOp(fields.op_bits, program.version)) {
+      return Fail(res, ExecStatus::kBadOpcode);
+    }
+    if (!IsValidAction(fields.action_bits, program.version)) {
+      return Fail(res, ExecStatus::kBadAction);
     }
     ++res.insns_executed;
 
@@ -71,10 +67,8 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
       if (!pfutil::LoadPacketWord(packet, fields.action_bits - kPushWordBase, &value)) {
         return Fail(res, ExecStatus::kOutOfPacket);
       }
-      if constexpr (kChecked) {
-        if (depth >= kMaxStackDepth) {
-          return Fail(res, ExecStatus::kStackOverflow);
-        }
+      if (depth >= kMaxStackDepth) {
+        return Fail(res, ExecStatus::kStackOverflow);
       }
       stack[depth++] = value;
     } else {
@@ -82,13 +76,11 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
         case StackAction::kNoPush:
           break;
         case StackAction::kPushLit: {
-          if constexpr (kChecked) {
-            if (i + 1 >= words.size()) {
-              return Fail(res, ExecStatus::kMissingLiteral);
-            }
-            if (depth >= kMaxStackDepth) {
-              return Fail(res, ExecStatus::kStackOverflow);
-            }
+          if (i + 1 >= words.size()) {
+            return Fail(res, ExecStatus::kMissingLiteral);
+          }
+          if (depth >= kMaxStackDepth) {
+            return Fail(res, ExecStatus::kStackOverflow);
           }
           stack[depth++] = words[++i];
           break;
@@ -98,10 +90,8 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
         case StackAction::kPushFFFF:
         case StackAction::kPushFF00:
         case StackAction::kPush00FF: {
-          if constexpr (kChecked) {
-            if (depth >= kMaxStackDepth) {
-              return Fail(res, ExecStatus::kStackOverflow);
-            }
+          if (depth >= kMaxStackDepth) {
+            return Fail(res, ExecStatus::kStackOverflow);
           }
           static constexpr uint16_t kConstants[] = {0, 0, 0x0000, 0x0001,
                                                     0xffff, 0xff00, 0x00ff};
@@ -109,10 +99,8 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
           break;
         }
         case StackAction::kPushInd: {
-          if constexpr (kChecked) {
-            if (depth < 1) {
-              return Fail(res, ExecStatus::kStackUnderflow);
-            }
+          if (depth < 1) {
+            return Fail(res, ExecStatus::kStackUnderflow);
           }
           uint16_t value = 0;
           if (!pfutil::LoadPacketWordAtByte(packet, stack[depth - 1], &value)) {
@@ -131,10 +119,8 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
     if (op == BinaryOp::kNop) {
       continue;
     }
-    if constexpr (kChecked) {
-      if (depth < 2) {
-        return Fail(res, ExecStatus::kStackUnderflow);
-      }
+    if (depth < 2) {
+      return Fail(res, ExecStatus::kStackUnderflow);
     }
     const uint16_t t1 = stack[--depth];  // original top of stack
     const uint16_t t2 = stack[depth - 1];
@@ -156,23 +142,11 @@ ExecResult Run(const Program& program, std::span<const uint8_t> packet) {
     stack[depth - 1] = result;
   }
 
-  if constexpr (kChecked) {
-    if (depth == 0) {
-      return Fail(res, ExecStatus::kEmptyStackAtEnd);
-    }
+  if (depth == 0) {
+    return Fail(res, ExecStatus::kEmptyStackAtEnd);
   }
   res.accept = stack[depth - 1] != 0;
   return res;
-}
-
-}  // namespace
-
-ExecResult InterpretChecked(const Program& program, std::span<const uint8_t> packet) {
-  return Run<true>(program, packet);
-}
-
-ExecResult InterpretFast(const ValidatedProgram& program, std::span<const uint8_t> packet) {
-  return Run<false>(program.program(), packet);
 }
 
 }  // namespace pf

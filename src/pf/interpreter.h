@@ -2,16 +2,13 @@
 // 'instruction words' of a filter (there are no branch instructions),
 // evaluating the filter predicate using a small stack."
 //
-// Two entry points:
-//   * InterpretChecked() — every check the paper lists (§7) is performed per
-//     instruction at run time: instruction validity, stack under/overflow,
-//     out-of-packet references. Works on any Program. This is the historical
-//     interpreter.
-//   * InterpretFast()    — requires a ValidatedProgram; per-instruction
-//     validity and stack checks are elided (the validator proved them),
-//     leaving only packet-bounds and divide-by-zero checks. This is the §7
-//     "perform the tests ahead of time" improvement; micro_interpreter
-//     benchmarks the difference.
+// InterpretChecked() is the historical interpreter: every check the paper
+// lists (§7) is performed per instruction at run time — instruction
+// validity, stack under/overflow, out-of-packet references. It works on any
+// Program. The §7 "perform the tests ahead of time" form is the engine's
+// pre-decoded interpreter (InterpretPredecoded in engine.h), which runs a
+// ValidatedProgram with only the packet-bounds and divide-by-zero checks
+// left; micro_interpreter benchmarks the difference.
 //
 // Errors reject the packet (§4: "or an error is detected, it returns the
 // predicate value to indicate acceptance or rejection") and are reported in
@@ -24,7 +21,6 @@
 #include <string>
 
 #include "src/pf/program.h"
-#include "src/pf/validate.h"
 
 namespace pf {
 
@@ -50,7 +46,6 @@ struct ExecResult {
 };
 
 ExecResult InterpretChecked(const Program& program, std::span<const uint8_t> packet);
-ExecResult InterpretFast(const ValidatedProgram& program, std::span<const uint8_t> packet);
 
 namespace detail {
 
@@ -64,8 +59,8 @@ enum class OpOutcome : uint8_t {
 
 // Applies `op` to the two popped operands (t1 was the top of stack, t2 the
 // word beneath it), writing the value to push through *out. Shared by the
-// word-at-a-time interpreters (interpreter.cc) and the pre-decoded backend
-// (engine.cc) so fig. 3-6's semantics live in exactly one place. `op` must
+// checked interpreter (interpreter.cc) and the pre-decoded one (engine.cc)
+// so fig. 3-6's semantics live in exactly one place. `op` must
 // already be known valid and must not be kNop.
 inline OpOutcome EvalBinaryOp(BinaryOp op, uint16_t t1, uint16_t t2, uint16_t* out) {
   switch (op) {

@@ -13,7 +13,7 @@
 //               conjunction filter from the decision-tree walk, or kIndexed
 //               prunes a filter via the hash index, the engine replays the
 //               pre-decoded program once (uncharged) so the per-pc hit
-//               counts stay identical across all five strategies.
+//               counts stay identical across all four strategies.
 //   * charged — executions the cost Ledger actually paid for (the filter
 //               really was interpreted). Cost attribution uses this count:
 //               filter_apply * runs + filter_insn * (sum of charged +

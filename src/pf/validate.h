@@ -5,7 +5,7 @@
 // Because programs are straight-line, stack depth at every instruction is a
 // static quantity: the validator proves, once, that a program never
 // underflows or overflows the evaluation stack, that every PUSHLIT has its
-// literal, and that every opcode is assigned. InterpretFast() (interpreter.h)
+// literal, and that every opcode is assigned. InterpretPredecoded() (engine.h)
 // then runs without per-instruction checking; only packet-bounds checks (and
 // divide-by-zero for v2 programs) remain at run time, exactly as the paper
 // anticipates ("except for indirect-push instructions").

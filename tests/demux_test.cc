@@ -95,9 +95,8 @@ TEST(DemuxTest, DeliverToLowerProducesCopies) {
 
 TEST(DemuxTest, DeliverToLowerOrderingIsStrategyIndependent) {
   // The fig. 4-1 walk order (priority desc, then open order) is policy and
-  // must not depend on how filters are *executed* — in particular the
-  // compiled backend's prefix hoisting shares work across bindings but may
-  // not reorder claims or copies.
+  // must not depend on how filters are *executed* or which candidates the
+  // tree or index hands back: no strategy may reorder claims or copies.
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     PacketFilter filter;
     filter.SetStrategy(strategy);
@@ -347,11 +346,6 @@ TEST(DemuxTest, StrategySwitchableAtRuntime) {
     filter.Demux(pftest::MakePupFrame(8, 35));
   }
   EXPECT_EQ(filter.QueueLength(port), std::size(pf::kAllStrategies));
-  // The pre-decoded pass reported its decode-cache hit, and the indexed
-  // pass re-confirmed its bucket hit from the same pre-decoded form. The
-  // compiled pass runs its fused ops (full-length packet: no fallback).
-  EXPECT_EQ(filter.global_stats().exec.decode_cache_hits, 2u);
-  EXPECT_GT(filter.global_stats().exec.fused_ops, 0u);
 }
 
 TEST(DemuxTest, GlobalStatsAccumulate) {

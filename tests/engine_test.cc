@@ -1,8 +1,8 @@
 // pf::Engine tests: strategy selection, bind-time pre-decoding, per-pass
 // telemetry, lazy evaluation, the kIndexed hash dispatch index — and the
-// cross-backend parity property: randomized programs (conjunction-shaped
+// cross-strategy parity property: randomized programs (conjunction-shaped
 // and not) against randomized packets must produce identical verdicts
-// under all five strategies.
+// under all four strategies.
 #include <gtest/gtest.h>
 
 #include "src/pf/builder.h"
@@ -48,17 +48,17 @@ TEST(PredecodeTest, FoldsLiteralsAndConstants) {
   EXPECT_EQ(decoded[3].op, BinaryOp::kAnd);
 }
 
-TEST(PredecodeTest, InterpretPredecodedMatchesFast) {
+TEST(PredecodeTest, InterpretPredecodedMatchesChecked) {
   const auto packet = pftest::MakePupFrame(50, 35);
   for (const Program& program : {pf::PaperFig38Filter(), pf::PaperFig39Filter()}) {
     const auto validated = ValidatedProgram::Create(program);
     ASSERT_TRUE(validated.has_value());
-    const pf::ExecResult fast = pf::InterpretFast(*validated, packet);
+    const pf::ExecResult checked = pf::InterpretChecked(program, packet);
     const pf::ExecResult pre = pf::InterpretPredecoded(pf::Predecode(*validated), packet);
-    EXPECT_EQ(pre.accept, fast.accept);
-    EXPECT_EQ(pre.status, fast.status);
-    EXPECT_EQ(pre.insns_executed, fast.insns_executed);
-    EXPECT_EQ(pre.short_circuited, fast.short_circuited);
+    EXPECT_EQ(pre.accept, checked.accept);
+    EXPECT_EQ(pre.status, checked.status);
+    EXPECT_EQ(pre.insns_executed, checked.insns_executed);
+    EXPECT_EQ(pre.short_circuited, checked.short_circuited);
   }
 }
 
@@ -108,18 +108,20 @@ TEST(EngineTest, LazyEvaluationSkipsUntestedFilters) {
   EXPECT_EQ(pass.telemetry().filters_run, 1u);
 }
 
-TEST(EngineTest, DecodeCacheHitsCountOnlyPredecodedRuns) {
+TEST(EngineTest, EveryStrategyRunsANonConjunctionOnce) {
+  // Fig. 3-8 tests ranges, so neither the tree nor the index covers it:
+  // every strategy interprets it exactly once, doing kChecked's work.
+  const auto packet = pftest::MakePupFrame(50, 35);
+  const uint32_t checked_insns =
+      pf::InterpretChecked(pf::PaperFig38Filter(), packet).insns_executed;
   for (const Strategy strategy : pf::kAllStrategies) {
     Engine engine(strategy);
     engine.Bind(kKey, *ValidatedProgram::Create(pf::PaperFig38Filter()));
     pf::ExecTelemetry telemetry;
-    engine.RunOne(kKey, pftest::MakePupFrame(50, 35), &telemetry);
-    // kIndexed also runs from the pre-decoded form (fig. 3-8 is not a
-    // conjunction, so it takes the sequential fallback).
-    const bool predecoded_path =
-        strategy == Strategy::kPredecoded || strategy == Strategy::kIndexed;
-    EXPECT_EQ(telemetry.decode_cache_hits, predecoded_path ? 1u : 0u)
-        << pf::ToString(strategy);
+    EXPECT_TRUE(engine.RunOne(kKey, packet, &telemetry).accept) << pf::ToString(strategy);
+    EXPECT_EQ(telemetry.filters_run, 1u) << pf::ToString(strategy);
+    EXPECT_EQ(telemetry.insns_executed, checked_insns) << pf::ToString(strategy);
+    EXPECT_EQ(telemetry.tree_probes + telemetry.index_probes, 0u) << pf::ToString(strategy);
   }
 }
 
@@ -184,7 +186,6 @@ TEST(EngineIndexTest, PrunesNonMatchingFiltersWithoutRunningThem) {
   // Three index probes answered seven filters; only the candidate ran.
   EXPECT_EQ(pass.telemetry().index_probes, 3u);
   EXPECT_EQ(pass.telemetry().filters_run, 1u);
-  EXPECT_EQ(pass.telemetry().decode_cache_hits, 1u);
 }
 
 TEST(EngineIndexTest, ShortPacketFallsBackToSequentialExactness) {

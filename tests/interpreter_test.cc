@@ -1,11 +1,13 @@
 // Interpreter tests: every operator, the paper's example filters against
 // fig. 3-7 packets, short-circuit semantics, error handling, and the
-// checked-vs-fast agreement property.
+// agreement property between the checked interpreter and the pre-decoded
+// one kFast runs.
 #include <gtest/gtest.h>
 
 #include <type_traits>
 
 #include "src/pf/builder.h"
+#include "src/pf/engine.h"
 #include "src/pf/interpreter.h"
 #include "src/util/rng.h"
 #include "tests/test_packets.h"
@@ -24,7 +26,7 @@ ExecResult RunBoth(const Program& program, std::span<const uint8_t> packet) {
   const ExecResult checked = pf::InterpretChecked(program, packet);
   const auto validated = pf::ValidatedProgram::Create(program);
   if (validated.has_value()) {
-    const ExecResult fast = pf::InterpretFast(*validated, packet);
+    const ExecResult fast = pf::InterpretPredecoded(pf::Predecode(*validated), packet);
     EXPECT_EQ(fast.accept, checked.accept);
     EXPECT_EQ(fast.status, checked.status);
     EXPECT_EQ(fast.insns_executed, checked.insns_executed);
@@ -269,7 +271,8 @@ TEST(InterpreterTest, IndirectPushUnalignedOffset) {
   EXPECT_TRUE(RunBoth(b.Build(0), IndexedPacket()).accept);
 }
 
-// --- Property: checked and fast agree on arbitrary *valid* programs ---
+// --- Property: checked and fast (pre-decoded) agree on arbitrary *valid*
+// programs ---
 
 TEST(InterpreterProperty, CheckedAndFastAgreeOnRandomValidPrograms) {
   pfutil::Rng rng(0xf117e4);
@@ -322,7 +325,7 @@ TEST(InterpreterProperty, CheckedAndFastAgreeOnRandomValidPrograms) {
     ++valid_programs;
     const std::vector<uint8_t> packet = IndexedPacket(rng.Range(0, 24));
     const ExecResult checked = pf::InterpretChecked(p, packet);
-    const ExecResult fast = pf::InterpretFast(*validated, packet);
+    const ExecResult fast = pf::InterpretPredecoded(pf::Predecode(*validated), packet);
     ASSERT_EQ(checked.accept, fast.accept) << "trial " << trial;
     ASSERT_EQ(checked.status, fast.status) << "trial " << trial;
     ASSERT_EQ(checked.insns_executed, fast.insns_executed) << "trial " << trial;

@@ -158,15 +158,15 @@ TEST(ProfileTest, AllStrategiesProduceIdenticalHitCounts) {
   EXPECT_GE(reference.front().hottest_pc, 0);
 }
 
-// kCompiled holds a stronger property than the hit equivalence above: its
-// passes are always charged (fused execution does the full sequential
-// work), so per-pc *charged* counts — the ledger-reconciling column — must
-// also match kChecked exactly, short-packet fallbacks included.
-TEST(ProfileTest, CompiledChargedCountsMatchChecked) {
+// kFast holds a stronger property than the hit equivalence above: its
+// passes are always charged (the pre-decoded interpreter does the full
+// sequential work), so per-pc *charged* counts — the ledger-reconciling
+// column — must also match kChecked exactly, runt packets included.
+TEST(ProfileTest, FastChargedCountsMatchChecked) {
   const std::vector<std::vector<uint8_t>> stream = {
       pftest::MakePupFrame(50, 35), pftest::MakePupFrame(50, 36),
       pftest::MakePupFrame(8, 35),  TruncatedFrame(),
-      {1, 2, 3},  // below the short-packet guard: compiled fallback path
+      {1, 2, 3},  // shorter than the first word the filter loads
   };
   const auto run = [&stream](Strategy strategy) {
     PacketFilter filter;
@@ -182,18 +182,18 @@ TEST(ProfileTest, CompiledChargedCountsMatchChecked) {
     return *profile;
   };
   const ProgramProfile checked = run(Strategy::kChecked);
-  const ProgramProfile compiled = run(Strategy::kCompiled);
-  ASSERT_EQ(compiled.pc.size(), checked.pc.size());
+  const ProgramProfile fast = run(Strategy::kFast);
+  ASSERT_EQ(fast.pc.size(), checked.pc.size());
   for (size_t pc = 0; pc < checked.pc.size(); ++pc) {
-    EXPECT_EQ(compiled.pc[pc].hits, checked.pc[pc].hits) << "pc " << pc;
-    EXPECT_EQ(compiled.pc[pc].charged, checked.pc[pc].charged) << "pc " << pc;
-    EXPECT_EQ(compiled.pc[pc].accept_exits, checked.pc[pc].accept_exits) << "pc " << pc;
-    EXPECT_EQ(compiled.pc[pc].reject_exits, checked.pc[pc].reject_exits) << "pc " << pc;
+    EXPECT_EQ(fast.pc[pc].hits, checked.pc[pc].hits) << "pc " << pc;
+    EXPECT_EQ(fast.pc[pc].charged, checked.pc[pc].charged) << "pc " << pc;
+    EXPECT_EQ(fast.pc[pc].accept_exits, checked.pc[pc].accept_exits) << "pc " << pc;
+    EXPECT_EQ(fast.pc[pc].reject_exits, checked.pc[pc].reject_exits) << "pc " << pc;
   }
-  EXPECT_EQ(compiled.charged_insns(), checked.charged_insns());
-  EXPECT_EQ(compiled.accepts, checked.accepts);
-  EXPECT_EQ(compiled.errors, checked.errors);
-  EXPECT_GT(compiled.errors, 0u);  // the truncated frames exercised faults
+  EXPECT_EQ(fast.charged_insns(), checked.charged_insns());
+  EXPECT_EQ(fast.accepts, checked.accepts);
+  EXPECT_EQ(fast.errors, checked.errors);
+  EXPECT_GT(fast.errors, 0u);  // the truncated frames exercised faults
 }
 
 // ------------------------------------------------------------- exit counts

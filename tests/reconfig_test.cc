@@ -615,7 +615,6 @@ class WalkTwins {
       ASSERT_EQ(traced.filters_run, plain.filters_run);
       ASSERT_EQ(traced.insns_executed, plain.insns_executed);
       ASSERT_EQ(traced.index_probes, plain.index_probes);
-      ASSERT_EQ(traced.decode_cache_hits, plain.decode_cache_hits);
       ASSERT_EQ(traced.tree_probes, plain.tree_probes);
       if (rng_.Chance(0.3) && model_.ports().count(port) != 0) {  // readers drain at random
         const size_t n = rng_.Range(1, 4);
