@@ -144,15 +144,20 @@ std::string BuildTypeName() { return PF_BUILD_TYPE; }
 
 std::string SanitizerFlags() { return PF_SANITIZERS; }
 
-void ReportCheck(const std::string& name, bool passed) {
-  std::printf("    gate %-40s [%s]\n", name.c_str(), passed ? "pass" : "FAIL");
+void ReportCheck(const std::string& name, bool passed, double measured) {
+  if (std::isnan(measured)) {
+    std::printf("    gate %-40s [%s]\n", name.c_str(), passed ? "pass" : "FAIL");
+  } else {
+    std::printf("    gate %-40s [%s] measured %.4g\n", name.c_str(), passed ? "pass" : "FAIL",
+                measured);
+  }
   if (json_checks == nullptr) {
     json_checks = new std::vector<CheckOutcome>;  // leaked intentionally: read by atexit
     EnsureFlushRegistered();
   }
-  json_checks->push_back({name, passed});
+  json_checks->push_back({name, passed, measured});
   if (active_capture != nullptr) {
-    active_capture->checks.push_back({name, passed});
+    active_capture->checks.push_back({name, passed, measured});
   }
 }
 

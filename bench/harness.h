@@ -8,6 +8,7 @@
 #define BENCH_HARNESS_H_
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,8 +92,10 @@ void PrintNote(const std::string& note);
 // Records a named pass/fail gate outcome (the `--check` style gates). The
 // outcome is printed, folded into the PF_BENCH_JSON export's meta block,
 // and — inside a pfbench sweep — captured into the bench's entry in
-// BENCH_<sha>.json.
-void ReportCheck(const std::string& name, bool passed);
+// BENCH_<sha>.json. `measured` is the value the gate judged (NaN when the
+// gate has no single number); pfbench prints it with any failure.
+void ReportCheck(const std::string& name, bool passed,
+                 double measured = std::numeric_limits<double>::quiet_NaN());
 
 // --- In-process capture (the pfbench runner) ---
 //
@@ -111,6 +114,7 @@ struct CapturedTable {
 struct CheckOutcome {
   std::string name;
   bool passed = false;
+  double measured = std::numeric_limits<double>::quiet_NaN();  // not exported
 };
 
 struct BenchCapture {

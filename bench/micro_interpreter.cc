@@ -225,7 +225,7 @@ static int BenchMain(int argc, char** argv) {
         for (char& c : slug) {
           if (c == ' ') c = '_';
         }
-        pfbench::ReportCheck("micro_interpreter.fast_1_5x." + slug, speedup >= 1.5);
+        pfbench::ReportCheck("micro_interpreter.fast_1_5x." + slug, speedup >= 1.5, speedup);
         ok = ok && speedup >= 1.5;
       }
     }

@@ -263,7 +263,7 @@ static int BenchMain(int argc, char** argv) {
     const double ratio = indexed_at_256 > 0 ? fast_at_256 / indexed_at_256 : 0;
     std::printf("check: kFast@256 = %.2f, kIndexed@256 = %.2f, ratio = %.1fx (need >= 5x)\n",
                 fast_at_256, indexed_at_256, ratio);
-    pfbench::ReportCheck("micro_scaling.indexed_5x_cheaper", ratio >= 5.0);
+    pfbench::ReportCheck("micro_scaling.indexed_5x_cheaper", ratio >= 5.0, ratio);
     if (ratio < 5.0) {
       std::printf("check FAILED\n");
       return 1;
@@ -281,7 +281,7 @@ static int BenchMain(int argc, char** argv) {
                 slope.one_port_ns, slope.many_ports_ns, growth,
                 enforce ? "" : " [informational: non-Release or sanitized build]");
     if (enforce) {
-      pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0);
+      pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0, growth);
       if (growth > 2.0) {
         std::printf("check FAILED\n");
         return 1;

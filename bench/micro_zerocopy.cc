@@ -237,7 +237,7 @@ static int BenchMain(int argc, char** argv) {
                          "bytewise reference per byte\n");
     fcs_ok = false;
   }
-  pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok);
+  pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok, ratio);
 
   if (failures.empty() && fcs_ok) {
     std::printf("    --check: all zero-copy, reconciliation and FCS gates hold\n");

@@ -485,8 +485,21 @@ int main(int argc, char** argv) {
       RunOnce(bench, /*verbose=*/false);
     }
     std::vector<RepResult> reps;
+    bool named_failure = false;
     for (int r = 0; r < options.reps; ++r) {
       reps.push_back(RunOnce(bench, options.verbose));
+      // The bench's own report went to the muted stdout; name the failure.
+      for (const pfbench::CheckOutcome& gate : reps.back().capture.checks) {
+        if (!gate.passed) {
+          std::fprintf(stderr, "%spfbench: %s rep %d: gate %s FAILED", named_failure ? "" : "\n",
+                       bench.id.c_str(), r + 1, gate.name.c_str());
+          if (!std::isnan(gate.measured)) {
+            std::fprintf(stderr, ", measured %.4g", gate.measured);
+          }
+          std::fputc('\n', stderr);
+          named_failure = true;
+        }
+      }
     }
     RunBench summary = Summarize(bench.id, reps);
     if (summary.exit_code != 0) {

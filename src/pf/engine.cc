@@ -113,7 +113,12 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
     return ExecResult{.accept = true};
   }
 
-  uint16_t stack[kMaxStackDepth];
+  // The top of the stack lives in a register, `top`; the values under it
+  // in below[1..depth-1] (below[0] takes the first push's empty `top`). An
+  // instruction that both pushes and operates never touches memory, so a
+  // push-and-compare term costs no store-to-load round trip.
+  uint16_t below[kMaxStackDepth];
+  uint16_t top = 0;
   uint32_t depth = 0;
   uint32_t executed = 0;
   const auto finish = [&executed](bool accept, ExecStatus status, bool short_circuited) {
@@ -122,35 +127,39 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
 
   for (const PredecodedInsn& insn : insns) {
     ++executed;
+    uint16_t pushed = 0;
+    bool has_push = true;
     switch (insn.fetch) {
       case PredecodedInsn::Fetch::kNone:
+        has_push = false;
         break;
       case PredecodedInsn::Fetch::kImm:
-        stack[depth++] = insn.imm;
+        pushed = insn.imm;
         break;
-      case PredecodedInsn::Fetch::kWord: {
-        uint16_t value = 0;
-        if (!pfutil::LoadPacketWord(packet, insn.word_index, &value)) {
+      case PredecodedInsn::Fetch::kWord:
+        if (!pfutil::LoadPacketWord(packet, insn.word_index, &pushed)) {
           return finish(false, ExecStatus::kOutOfPacket, false);
         }
-        stack[depth++] = value;
         break;
-      }
-      case PredecodedInsn::Fetch::kInd: {
-        uint16_t value = 0;
-        if (!pfutil::LoadPacketWordAtByte(packet, stack[depth - 1], &value)) {
+      case PredecodedInsn::Fetch::kInd:
+        // Replaces the top: pops a byte offset, pushes the word there.
+        if (!pfutil::LoadPacketWordAtByte(packet, top, &top)) {
           return finish(false, ExecStatus::kOutOfPacket, false);
         }
-        stack[depth - 1] = value;
+        has_push = false;
         break;
-      }
     }
 
     if (insn.op == BinaryOp::kNop) {
+      if (has_push) {
+        below[depth++] = top;
+        top = pushed;
+      }
       continue;
     }
-    const uint16_t t1 = stack[--depth];  // original top of stack
-    const uint16_t t2 = stack[depth - 1];
+    // t1 is the top of stack after this instruction's push, if any.
+    const uint16_t t1 = has_push ? pushed : top;
+    const uint16_t t2 = has_push ? top : below[--depth];
     uint16_t result = 0;
     switch (detail::EvalBinaryOp(insn.op, t1, t2, &result)) {
       case detail::OpOutcome::kContinue:
@@ -162,9 +171,9 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
       case detail::OpOutcome::kDivideByZero:
         return finish(false, ExecStatus::kDivideByZero, false);
     }
-    stack[depth - 1] = result;
+    top = result;
   }
-  return finish(stack[depth - 1] != 0, ExecStatus::kOk, false);
+  return finish(top != 0, ExecStatus::kOk, false);
 }
 
 void Engine::AttachMetrics(pfobs::MetricsRegistry* registry) {

@@ -5,13 +5,17 @@
 // deterministic. Run() executes until the event queue drains; coroutines
 // blocked on conditions (WaitQueue / MsgQueue) hold no events, so a
 // simulation quiesces naturally once traffic stops.
+//
+// The queue is a binary heap of 24-byte {at, seq, slot} keys over a slab of
+// slots, reused through a free list. A slot holds either a callback or a
+// bare coroutine handle (a resume needs no callable), so a heap sift moves
+// three words and never a type-erased callable.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/sim/sim_time.h"
@@ -68,28 +72,36 @@ class Simulator {
     return Awaiter{this, d};
   }
 
-  size_t pending_events() const { return events_.size(); }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t events_executed() const { return events_executed_; }
 
  private:
-  struct Event {
+  // One pending event's place in the order; `slot` indexes slots_.
+  struct Key {
     TimePoint at;
     uint64_t seq;
-    Callback fn;
+    uint32_t slot;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
+  static_assert(sizeof(Key) == 24);
+  // What a pending event does: exactly one of the two is set (neither,
+  // while the slot is free).
+  struct Slot {
+    Callback fn;
+    std::coroutine_handle<> resume;
   };
 
+  // Claims a free slot and pushes its key at `at`.
+  Slot& Push(TimePoint at);
   void PruneDoneTasks();
 
-  // Declaration order matters for destruction: events_ (which may capture
-  // coroutine handles) must be destroyed before tasks_ (which owns the
-  // frames), i.e. declared after it.
   std::vector<std::coroutine_handle<Task::promise_type>> tasks_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  // Spawn prunes completed frames once tasks_ reaches this size.
+  size_t prune_at_ = kMinPruneAt;
+  static constexpr size_t kMinPruneAt = 64;
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   TimePoint now_{};
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;

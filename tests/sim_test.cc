@@ -1,9 +1,23 @@
 // Tests for the discrete-event simulator core: event ordering, coroutine
 // tasks, timers, queues with timeout, wait queues, and the async mutex.
+//
+// The ordering-parity test is generated and time-boxed: seeds run while
+// the budget lasts (PF_SIM_ORDER_SECONDS, default 1; raise it for a soak).
+// A failure names its seed; PF_SIM_ORDER_SEED=N PF_SIM_ORDER_SECONDS=0
+// replays exactly that seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <coroutine>
+#include <cstdlib>
+#include <functional>
+#include <memory>
 #include <optional>
+#include <queue>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/sim_time.h"
@@ -11,6 +25,7 @@
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/value_task.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -19,6 +34,7 @@ using pfsim::kForever;
 using pfsim::Microseconds;
 using pfsim::Milliseconds;
 using pfsim::MsgQueue;
+using pfsim::Nanoseconds;
 using pfsim::Simulator;
 using pfsim::Task;
 using pfsim::TimePoint;
@@ -348,6 +364,518 @@ TEST(ValueTaskTest, VoidTaskCompletesSynchronously) {
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.Now().time_since_epoch().count(), 0);
+}
+
+// --- Ordering parity against a reference model ------------------------------
+//
+// One seeded mix generator makes every random decision; it runs once over
+// a real Simulator and once over a reference model (a plain std::function
+// priority queue keyed by (at, seq)). Each backend logs every firing with
+// the clock and the queue counters, and the two logs must match entry for
+// entry.
+
+constexpr int64_t kFinish = -1;
+constexpr int64_t kPark = -2;
+constexpr int kMaxIdsPerSeed = 4000;
+
+// One log entry: who fired (-1 for a top-level checkpoint), when, and the
+// queue counters at that moment. `intact` is false when a callback found
+// its own callable destroyed while it ran.
+struct Firing {
+  int id;
+  int64_t now;
+  size_t pending;
+  uint64_t executed;
+  bool intact;
+  bool operator==(const Firing&) const = default;
+};
+
+// The operations the mix generator may perform, on either backend.
+class Backend {
+ public:
+  Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+  virtual ~Backend() = default;
+  virtual int64_t Now() const = 0;
+  virtual size_t Pending() const = 0;
+  virtual uint64_t Executed() const = 0;
+  // Schedule (relative `t`) or ScheduleAt (absolute `t`) a callback.
+  virtual void Callback(int64_t t, bool absolute, int id) = 0;
+  // ScheduleResume of a parked worker.
+  virtual void Resume(int64_t delay, int worker) = 0;
+  virtual void Spawn(int worker) = 0;
+  virtual bool Step() = 0;
+  virtual void RunUntil(int64_t deadline) = 0;
+};
+
+// What the generated mix exercised, summed over seeds.
+struct OrderCoverage {
+  uint64_t zero_delays = 0;
+  uint64_t equal_time_firings = 0;
+  uint64_t bursts = 0;
+  uint64_t resumes = 0;
+  uint64_t spawns = 0;
+  uint64_t absolute = 0;
+  uint64_t cut_deadlines = 0;  // RunUntil returned with events still pending
+};
+
+class OrderMix {
+ public:
+  OrderMix(uint64_t seed, OrderCoverage* coverage) : rng_(seed), coverage_(coverage) {}
+
+  void Attach(Backend* backend) { backend_ = backend; }
+  std::vector<Firing>& log() { return log_; }
+
+  // The top-level schedule: runs, steps and RunUntil deadlines interleaved
+  // with fresh work, then a full drain.
+  void Drive() {
+    for (int round = 0; round < 200; ++round) {
+      switch (rng_.Below(4)) {
+        case 0:
+          backend_->RunUntil(backend_->Now() + static_cast<int64_t>(rng_.Below(400)));
+          if (backend_->Pending() > 0) {
+            ++coverage_->cut_deadlines;
+          }
+          break;
+        case 1:
+          for (uint64_t k = rng_.Below(24); k > 0; --k) {
+            backend_->Step();
+          }
+          break;
+        default:
+          Act();
+          break;
+      }
+      Checkpoint();
+    }
+    backend_->RunUntil(backend_->Now() + 1'000'000);
+    Checkpoint();
+    while (backend_->Step()) {
+    }
+    Checkpoint();
+  }
+
+  // A callback fired; returns its log index.
+  size_t CallbackFired(int id) {
+    const size_t entry = Fired(id);
+    Act();
+    return entry;
+  }
+
+  // A worker woke (spawned, resumed, or its delay elapsed): it does some
+  // work, then finishes, parks, or sleeps for the returned delay.
+  int64_t WorkerWoke(int id) {
+    Fired(id);
+    Act();
+    switch (rng_.Below(4)) {
+      case 0:
+        return kFinish;
+      case 1:
+        parked_.push_back(id);
+        return kPark;
+      default:
+        return RandomDelay();
+    }
+  }
+
+ private:
+  int64_t RandomDelay() {
+    switch (rng_.Below(4)) {
+      case 0:
+        ++coverage_->zero_delays;
+        return 0;
+      case 1:
+        return static_cast<int64_t>(rng_.Below(3));  // ties are likely
+      default:
+        return static_cast<int64_t>(rng_.Below(500));
+    }
+  }
+
+  size_t Fired(int id) {
+    if (!log_.empty() && log_.back().now == backend_->Now() && log_.back().id >= 0) {
+      ++coverage_->equal_time_firings;
+    }
+    log_.push_back({id, backend_->Now(), backend_->Pending(), backend_->Executed(), true});
+    return log_.size() - 1;
+  }
+
+  void Checkpoint() {
+    log_.push_back({-1, backend_->Now(), backend_->Pending(), backend_->Executed(), true});
+  }
+
+  // Random follow-up work: usually zero to two operations, sometimes a
+  // burst that grows the slab from inside a running event.
+  void Act() {
+    uint64_t n = rng_.Below(2);
+    if (rng_.Below(16) == 0) {
+      n = 16 + rng_.Below(48);
+      ++coverage_->bursts;
+    }
+    for (; n > 0; --n) {
+      switch (rng_.Below(5)) {
+        case 0:
+        case 1:
+          if (next_id_ < kMaxIdsPerSeed) {
+            backend_->Callback(RandomDelay(), false, next_id_++);
+          }
+          break;
+        case 2:
+          if (next_id_ < kMaxIdsPerSeed) {
+            ++coverage_->absolute;
+            backend_->Callback(backend_->Now() + RandomDelay(), true, next_id_++);
+          }
+          break;
+        case 3:
+          if (!parked_.empty()) {
+            const size_t pick = rng_.Below(parked_.size());
+            const int worker = parked_[pick];
+            parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(pick));
+            ++coverage_->resumes;
+            backend_->Resume(RandomDelay(), worker);
+          }
+          break;
+        default:
+          // Spawn resumes inline; bound the nesting.
+          if (next_id_ < kMaxIdsPerSeed && spawn_depth_ < 3) {
+            ++coverage_->spawns;
+            ++spawn_depth_;
+            backend_->Spawn(next_id_++);
+            --spawn_depth_;
+          }
+          break;
+      }
+    }
+  }
+
+  pfutil::Rng rng_;
+  OrderCoverage* coverage_;
+  Backend* backend_ = nullptr;
+  std::vector<Firing> log_;
+  std::vector<int> parked_;
+  int next_id_ = 0;
+  int spawn_depth_ = 0;
+};
+
+// The reference: a std::function priority queue keyed by (at, seq).
+class ModelBackend : public Backend {
+ public:
+  explicit ModelBackend(OrderMix* mix) : mix_(mix) {}
+
+  int64_t Now() const override { return now_; }
+  size_t Pending() const override { return queue_.size(); }
+  uint64_t Executed() const override { return executed_; }
+  void Callback(int64_t t, bool absolute, int id) override {
+    At(absolute ? t : now_ + t, [this, id] { mix_->CallbackFired(id); });
+  }
+  void Resume(int64_t delay, int worker) override {
+    At(now_ + delay, [this, worker] { Wake(worker); });
+  }
+  void Spawn(int worker) override { Wake(worker); }
+  bool Step() override {
+    if (queue_.empty()) {
+      return false;
+    }
+    Event ev = queue_.top();
+    queue_.pop();
+    now_ = ev.at;
+    ++executed_;
+    ev.fn();
+    return true;
+  }
+  void RunUntil(int64_t deadline) override {
+    while (!queue_.empty() && queue_.top().at <= deadline) {
+      Step();
+    }
+    now_ = std::max(now_, deadline);
+  }
+
+ private:
+  struct Event {
+    int64_t at;
+    uint64_t seq;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+
+  void At(int64_t at, std::function<void()> fn) {
+    queue_.push(Event{at, next_seq_++, std::move(fn)});
+  }
+
+  // A worker coroutine, unrolled: a zero delay continues inline (Delay's
+  // await_ready), a positive one is an event.
+  void Wake(int worker) {
+    for (;;) {
+      const int64_t next = mix_->WorkerWoke(worker);
+      if (next == kFinish || next == kPark) {
+        return;
+      }
+      if (next > 0) {
+        At(now_ + next, [this, worker] { Wake(worker); });
+        return;
+      }
+    }
+  }
+
+  OrderMix* mix_;
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  int64_t now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t executed_ = 0;
+};
+
+class RealBackend;
+
+// Counts the live copies of callback `id`'s callable, so a callback can
+// tell whether its own callable was destroyed while it ran.
+class CallableToken {
+ public:
+  CallableToken(std::vector<int>* live, int id) : live_(live), id_(id) {
+    if (live_->size() <= static_cast<size_t>(id_)) {
+      live_->resize(static_cast<size_t>(id_) + 1, 0);
+    }
+    ++(*live_)[id_];
+  }
+  CallableToken(const CallableToken& other) : live_(other.live_), id_(other.id_) {
+    if (id_ >= 0) {
+      ++(*live_)[id_];
+    }
+  }
+  CallableToken(CallableToken&& other) noexcept
+      : live_(other.live_), id_(std::exchange(other.id_, -1)) {}
+  CallableToken& operator=(const CallableToken&) = delete;
+  ~CallableToken() {
+    if (id_ >= 0) {
+      --(*live_)[id_];
+    }
+  }
+  bool alive() const { return id_ >= 0 && (*live_)[id_] > 0; }
+
+ private:
+  std::vector<int>* live_;
+  int id_;
+};
+
+Task RealWorker(RealBackend* backend, OrderMix* mix, Simulator* sim, int id);
+
+class RealBackend : public Backend {
+ public:
+  explicit RealBackend(OrderMix* mix) : mix_(mix) {}
+
+  int64_t Now() const override { return sim_.NowNanos(); }
+  size_t Pending() const override { return sim_.pending_events(); }
+  uint64_t Executed() const override { return sim_.events_executed(); }
+  void Callback(int64_t t, bool absolute, int id) override {
+    auto fn = [mix = mix_, token = CallableToken(&live_, id), id] {
+      const size_t entry = mix->CallbackFired(id);
+      mix->log()[entry].intact = token.alive();
+    };
+    if (absolute) {
+      sim_.ScheduleAt(TimePoint{} + Nanoseconds(t), std::move(fn));
+    } else {
+      sim_.Schedule(Nanoseconds(t), std::move(fn));
+    }
+  }
+  void Resume(int64_t delay, int worker) override {
+    sim_.ScheduleResume(Nanoseconds(delay), parked_.at(worker));
+  }
+  void Spawn(int worker) override { sim_.Spawn(RealWorker(this, mix_, &sim_, worker)); }
+  bool Step() override { return sim_.Step(); }
+  void RunUntil(int64_t deadline) override { sim_.RunUntil(TimePoint{} + Nanoseconds(deadline)); }
+
+  void Park(int worker, std::coroutine_handle<> h) { parked_[worker] = h; }
+
+ private:
+  OrderMix* mix_;
+  std::vector<int> live_;
+  std::unordered_map<int, std::coroutine_handle<>> parked_;
+  Simulator sim_;  // destroyed first: pending callbacks' tokens count into live_
+};
+
+Task RealWorker(RealBackend* backend, OrderMix* mix, Simulator* sim, int id) {
+  struct Park {
+    RealBackend* backend;
+    int id;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { backend->Park(id, h); }
+    void await_resume() const noexcept {}
+  };
+  for (;;) {
+    const int64_t next = mix->WorkerWoke(id);
+    if (next == kFinish) {
+      co_return;
+    }
+    if (next == kPark) {
+      co_await Park{backend, id};
+    } else {
+      co_await sim->Delay(Nanoseconds(next));
+    }
+  }
+}
+
+TEST(SimulatorOrderTest, GeneratedMixMatchesReferenceQueue) {
+  const char* seconds_env = std::getenv("PF_SIM_ORDER_SECONDS");
+  const char* seed_env = std::getenv("PF_SIM_ORDER_SEED");
+  const double budget_s = seconds_env != nullptr ? std::atof(seconds_env) : 1.0;
+  const uint64_t first_seed = seed_env != nullptr ? std::strtoull(seed_env, nullptr, 10) : 1;
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed_s = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  OrderCoverage coverage;
+  OrderCoverage model_coverage;
+  uint64_t seed = first_seed;
+  do {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    OrderMix real_mix(seed, &coverage);
+    OrderMix model_mix(seed, &model_coverage);
+    {
+      RealBackend real(&real_mix);
+      real_mix.Attach(&real);
+      real_mix.Drive();
+    }
+    ModelBackend model(&model_mix);
+    model_mix.Attach(&model);
+    model_mix.Drive();
+
+    const std::vector<Firing>& got = real_mix.log();
+    const std::vector<Firing>& want = model_mix.log();
+    const size_t n = std::min(got.size(), want.size());
+    for (size_t i = 0; i < n; ++i) {
+      const Firing& g = got[i];
+      const Firing& w = want[i];
+      if (!(g == w)) {
+        ADD_FAILURE() << "first divergence at log entry " << i << ": simulator fired id " << g.id
+                      << " at " << g.now << " (pending " << g.pending << ", executed "
+                      << g.executed << (g.intact ? "" : ", callable destroyed mid-run")
+                      << "), reference fired id " << w.id << " at " << w.now << " (pending "
+                      << w.pending << ", executed " << w.executed << ")";
+        return;
+      }
+    }
+    ASSERT_EQ(got.size(), want.size());
+    ++seed;
+  } while (elapsed_s() < budget_s);
+  // The mix must have exercised what it exists to exercise.
+  EXPECT_GT(coverage.zero_delays, 0u);
+  EXPECT_GT(coverage.equal_time_firings, 0u);
+  EXPECT_GT(coverage.bursts, 0u);
+  EXPECT_GT(coverage.resumes, 0u);
+  EXPECT_GT(coverage.spawns, 0u);
+  EXPECT_GT(coverage.absolute, 0u);
+  EXPECT_GT(coverage.cut_deadlines, 0u);
+  ::testing::Test::RecordProperty("seeds", static_cast<int>(seed - first_seed));
+}
+
+// --- Teardown and frame reclamation -----------------------------------------
+
+// Counts its own destruction; a moved-from instance does not count.
+class CountsFree {
+ public:
+  explicit CountsFree(int* freed) : freed_(freed) {}
+  CountsFree(CountsFree&& other) noexcept : freed_(std::exchange(other.freed_, nullptr)) {}
+  CountsFree(const CountsFree&) = delete;
+  CountsFree& operator=(const CountsFree&) = delete;
+  ~CountsFree() {
+    if (freed_ != nullptr) {
+      ++*freed_;
+    }
+  }
+
+ private:
+  int* freed_;
+};
+
+Task SleepThenMark(Simulator* sim, CountsFree /*token*/, std::shared_ptr<int> /*capture*/,
+                   bool* resumed) {
+  co_await sim->Delay(Milliseconds(5));
+  *resumed = true;
+}
+
+Task WaitThenMark(pfsim::WaitQueue* wq, CountsFree /*token*/, std::shared_ptr<int> /*capture*/,
+                  bool* resumed) {
+  co_await wq->Wait();
+  *resumed = true;
+}
+
+TEST(SimulatorTest, TeardownDropsPendingCallbacksAndResumesUnrun) {
+  auto capture = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = capture;
+  bool ran = false;
+  bool resumed = false;
+  int frames_freed = 0;
+  {
+    Simulator sim;
+    pfsim::WaitQueue wq(&sim);
+    for (int i = 0; i < 100; ++i) {
+      sim.Schedule(Milliseconds(1 + i % 3), [capture, &ran] { ran = true; });
+    }
+    for (int i = 0; i < 50; ++i) {
+      sim.Spawn(SleepThenMark(&sim, CountsFree(&frames_freed), capture, &resumed));
+      sim.Spawn(WaitThenMark(&wq, CountsFree(&frames_freed), capture, &resumed));
+    }
+    wq.NotifyAll();  // 50 zero-delay resumes, pending but not yet run
+    capture.reset();
+    EXPECT_EQ(sim.pending_events(), 200u);
+    EXPECT_EQ(frames_freed, 0);
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(frames_freed, 100);
+  EXPECT_TRUE(watch.expired());
+}
+
+Task ShortTask(Simulator* sim, CountsFree /*token*/, Duration sleep, int* completed) {
+  if (sleep.count() > 0) {
+    co_await sim->Delay(sleep);
+  }
+  ++*completed;
+}
+
+TEST(TaskTest, CompletedFramesStayWithinPruneBound) {
+  // Completed frames are freed in batches from Spawn, never more than
+  // max(64, 2 x live tasks) of them at once; ~Simulator frees the rest.
+  constexpr int kTasks = 10000;
+  int completed = 0;
+  int freed = 0;
+  size_t peak_live = 0;
+  size_t peak_retained = 0;
+  {
+    Simulator sim;
+    pfutil::Rng rng(10000);
+    const auto check = [&](int spawned) {
+      const size_t live = static_cast<size_t>(spawned - completed);
+      const size_t retained = static_cast<size_t>(completed - freed);
+      peak_live = std::max(peak_live, live);
+      peak_retained = std::max(peak_retained, retained);
+      ASSERT_LE(retained, std::max<size_t>(64, 2 * peak_live)) << "after " << spawned;
+    };
+    for (int i = 0; i < kTasks; ++i) {
+      // A quarter finish inside Spawn; the rest sleep up to 40 us.
+      const Duration sleep = Microseconds(static_cast<int64_t>(rng.Below(4)) * 10 +
+                                          static_cast<int64_t>(rng.Below(10)));
+      sim.Spawn(ShortTask(&sim, CountsFree(&freed), rng.Below(4) == 0 ? Duration(0) : sleep,
+                          &completed));
+      check(i + 1);
+      if (rng.Below(100) == 0) {
+        sim.Run();
+        check(i + 1);
+      }
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    sim.Run();
+    check(kTasks);
+    EXPECT_EQ(completed, kTasks);
+  }
+  EXPECT_EQ(freed, kTasks);
+  EXPECT_GT(peak_retained, 0u);  // frames really were retained, then freed
 }
 
 }  // namespace
