@@ -1,16 +1,17 @@
-# Smoke test for table_6_08_demux_latency --trace: runs the bench with
-# tracing enabled and verifies the emitted Chrome trace JSON parses and
+# Smoke test for `pfbench table_6_08_demux_latency --trace`: runs the bench
+# with tracing enabled and verifies the emitted Chrome trace JSON parses and
 # contains the expected span names.
 #
-# Usage: cmake -DBENCH=<path-to-binary> -DOUT=<trace.json> -P check_trace.cmake
+# Usage: cmake -DPFBENCH=<path-to-pfbench> -DOUT=<trace.json> -P check_trace.cmake
 
-if(NOT BENCH OR NOT OUT)
-  message(FATAL_ERROR "usage: cmake -DBENCH=... -DOUT=... -P check_trace.cmake")
+if(NOT PFBENCH OR NOT OUT)
+  message(FATAL_ERROR "usage: cmake -DPFBENCH=... -DOUT=... -P check_trace.cmake")
 endif()
 
-execute_process(COMMAND "${BENCH}" "--trace=${OUT}" RESULT_VARIABLE rc OUTPUT_QUIET)
+execute_process(COMMAND "${PFBENCH}" table_6_08_demux_latency "--trace=${OUT}"
+                RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BENCH} --trace exited with ${rc}")
+  message(FATAL_ERROR "pfbench table_6_08_demux_latency --trace exited with ${rc}")
 endif()
 
 if(NOT EXISTS "${OUT}")

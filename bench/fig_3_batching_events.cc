@@ -1,9 +1,9 @@
 // Figures 3-4 / 3-5: per-packet overheads without and with received-packet
 // batching — counted events (wakeup switches + read syscalls) for a burst
 // of N packets delivered to one port.
-// With `--zerocopy`, two extra rows count the same burst delivered over the
-// DESIGN.md §13 modes: shared-memory ring (copies collapse to zero) and
-// ring + NIC poll mode; the default output is unchanged.
+// Two more rows count the same burst delivered over the DESIGN.md §13
+// modes: shared-memory ring (copies collapse to zero) and ring + NIC poll
+// mode.
 #include <cmath>
 #include <cstdio>
 
@@ -71,13 +71,15 @@ Events CountBurst(bool batching, int burst, size_t ring_slots = 0, bool poll = f
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   constexpr int kBurst = 16;
   const Events without = CountBurst(false, kBurst);
   const Events with = CountBurst(true, kBurst);
 
   const double nan = std::nan("");
-  std::vector<pfbench::Row> rows = {
+  const Events ring = CountBurst(true, kBurst, /*ring_slots=*/64);
+  const Events ring_poll = CountBurst(true, kBurst, /*ring_slots=*/64, /*poll=*/true);
+  const std::vector<pfbench::Row> rows = {
       {"without batching (fig. 3-4): context switches", nan,
        static_cast<double>(without.switches)},
       {"without batching (fig. 3-4): system calls", nan, static_cast<double>(without.syscalls)},
@@ -85,21 +87,13 @@ static int BenchMain(int argc, char** argv) {
       {"with batching (fig. 3-5): context switches", nan, static_cast<double>(with.switches)},
       {"with batching (fig. 3-5): system calls", nan, static_cast<double>(with.syscalls)},
       {"with batching (fig. 3-5): copies", nan, static_cast<double>(with.copies)},
+      {"batching + ring: context switches", nan, static_cast<double>(ring.switches)},
+      {"batching + ring: system calls", nan, static_cast<double>(ring.syscalls)},
+      {"batching + ring: copies", nan, static_cast<double>(ring.copies)},
+      {"batching + ring + poll: context switches", nan, static_cast<double>(ring_poll.switches)},
+      {"batching + ring + poll: system calls", nan, static_cast<double>(ring_poll.syscalls)},
+      {"batching + ring + poll: copies", nan, static_cast<double>(ring_poll.copies)},
   };
-  if (pfbench::HasFlag(argc, argv, "--zerocopy") || pfbench::CaptureActive()) {
-    const Events ring = CountBurst(true, kBurst, /*ring_slots=*/64);
-    const Events ring_poll = CountBurst(true, kBurst, /*ring_slots=*/64, /*poll=*/true);
-    rows.push_back({"batching + ring: context switches", nan,
-                    static_cast<double>(ring.switches)});
-    rows.push_back({"batching + ring: system calls", nan, static_cast<double>(ring.syscalls)});
-    rows.push_back({"batching + ring: copies", nan, static_cast<double>(ring.copies)});
-    rows.push_back({"batching + ring + poll: context switches", nan,
-                    static_cast<double>(ring_poll.switches)});
-    rows.push_back({"batching + ring + poll: system calls", nan,
-                    static_cast<double>(ring_poll.syscalls)});
-    rows.push_back({"batching + ring + poll: copies", nan,
-                    static_cast<double>(ring_poll.copies)});
-  }
   pfbench::PrintTable("Figs. 3-4/3-5: burst of 16 packets, without vs with batching",
                       "counted events on the receiver, one port", "events/burst", rows);
   pfbench::PrintNote(

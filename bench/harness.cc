@@ -1,15 +1,11 @@
 #include "bench/harness.h"
 
-#include <errno.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/proto/ip.h"
-#include "src/util/json.h"
 
 // Build identity fallbacks: CMake defines these on pfbench_harness; keep the
 // file compilable without them (e.g. external inclusion).
@@ -27,95 +23,10 @@ namespace pfbench {
 
 namespace {
 
-using pfutil::JsonEscape;
-using pfutil::JsonNumber;
-
 std::vector<BenchEntry>* registered_benches = nullptr;
-
-// Rows accumulated by PrintTable for the PF_BENCH_JSON export, flushed once
-// at process exit so each binary produces one complete file however many
-// tables it prints.
-std::string* json_rows = nullptr;
-
-// Gate outcomes (ReportCheck), for the export's meta block.
-std::vector<CheckOutcome>* json_checks = nullptr;
 
 // The active pfbench capture, if any.
 BenchCapture* active_capture = nullptr;
-
-std::string ChecksJson(const std::vector<CheckOutcome>& checks) {
-  std::string out = "[";
-  for (size_t i = 0; i < checks.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += "{\"name\":\"" + JsonEscape(checks[i].name) +
-           "\",\"passed\":" + (checks[i].passed ? "true" : "false") + "}";
-  }
-  return out + "]";
-}
-
-void FlushBenchJson() {
-  const char* dir = std::getenv("PF_BENCH_JSON");
-  if (dir == nullptr || (json_rows == nullptr && json_checks == nullptr)) {
-    return;
-  }
-  // program_invocation_short_name is the binary's basename (glibc).
-  const std::string path =
-      std::string(dir) + "/BENCH_" + program_invocation_short_name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "PF_BENCH_JSON: cannot write %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    return;
-  }
-  // Meta block (who produced these rows, under what build, and whether the
-  // binary's --check style gates passed), then the rows themselves.
-  std::fprintf(f,
-               "{\"meta\":{\"schema\":\"pfbench-rows-2\",\"binary\":\"%s\","
-               "\"git_sha\":\"%s\",\"build_type\":\"%s\",\"sanitizers\":\"%s\","
-               "\"checks\":%s},\n\"rows\":[\n%s\n]}\n",
-               JsonEscape(program_invocation_short_name).c_str(),
-               JsonEscape(BuildGitSha()).c_str(), JsonEscape(BuildTypeName()).c_str(),
-               JsonEscape(SanitizerFlags()).c_str(),
-               ChecksJson(json_checks != nullptr ? *json_checks : std::vector<CheckOutcome>{})
-                   .c_str(),
-               json_rows != nullptr ? json_rows->c_str() : "");
-  std::fclose(f);
-}
-
-void EnsureFlushRegistered() {
-  static bool registered = false;
-  if (!registered) {
-    registered = true;
-    std::atexit(FlushBenchJson);
-  }
-}
-
-void AppendJsonRows(const std::string& title, const std::string& unit,
-                    const std::vector<Row>& rows) {
-  if (std::getenv("PF_BENCH_JSON") == nullptr) {
-    return;
-  }
-  if (json_rows == nullptr) {
-    json_rows = new std::string;  // leaked intentionally: read by atexit
-    EnsureFlushRegistered();
-  }
-  for (const Row& row : rows) {
-    if (!json_rows->empty()) {
-      *json_rows += ",\n";
-    }
-    *json_rows += "  {\"table\":\"" + JsonEscape(title) + "\",\"unit\":\"" + JsonEscape(unit) +
-                  "\",\"label\":\"" + JsonEscape(row.label) + "\",";
-    if (std::isnan(row.paper)) {
-      *json_rows += "\"paper\":null,\"measured\":" + JsonNumber(row.measured) + ",\"ratio\":null}";
-    } else {
-      *json_rows += "\"paper\":" + JsonNumber(row.paper) +
-                    ",\"measured\":" + JsonNumber(row.measured) +
-                    ",\"ratio\":" + JsonNumber(row.measured / row.paper) + "}";
-    }
-  }
-}
 
 }  // namespace
 
@@ -144,6 +55,12 @@ std::string BuildTypeName() { return PF_BUILD_TYPE; }
 
 std::string SanitizerFlags() { return PF_SANITIZERS; }
 
+bool HostGatesEnforced(const std::string& build_type, const std::string& sanitizers) {
+  const bool release_family =
+      build_type == "Release" || build_type == "RelWithDebInfo" || build_type == "MinSizeRel";
+  return release_family && sanitizers.empty();
+}
+
 void ReportCheck(const std::string& name, bool passed, double measured) {
   if (std::isnan(measured)) {
     std::printf("    gate %-40s [%s]\n", name.c_str(), passed ? "pass" : "FAIL");
@@ -151,11 +68,6 @@ void ReportCheck(const std::string& name, bool passed, double measured) {
     std::printf("    gate %-40s [%s] measured %.4g\n", name.c_str(), passed ? "pass" : "FAIL",
                 measured);
   }
-  if (json_checks == nullptr) {
-    json_checks = new std::vector<CheckOutcome>;  // leaked intentionally: read by atexit
-    EnsureFlushRegistered();
-  }
-  json_checks->push_back({name, passed, measured});
   if (active_capture != nullptr) {
     active_capture->checks.push_back({name, passed, measured});
   }
@@ -175,8 +87,6 @@ BenchCapture EndCapture() {
   }
   return result;
 }
-
-bool CaptureActive() { return active_capture != nullptr; }
 
 void CaptureMachine(pfkern::Machine& machine) {
   if (active_capture == nullptr) {
@@ -217,7 +127,6 @@ void PrintTable(const std::string& title, const std::string& citation,
                   row.measured, row.measured / row.paper);
     }
   }
-  AppendJsonRows(title, unit, rows);
   if (active_capture != nullptr) {
     active_capture->tables.push_back({title, unit, rows});
   }
@@ -237,10 +146,8 @@ Duo::Duo(pflink::LinkType link_type, pfkern::CostModel costs)
 }
 
 Duo::~Duo() {
-  if (CaptureActive()) {
-    CaptureMachine(*client_);
-    CaptureMachine(*server_);
-  }
+  CaptureMachine(*client_);
+  CaptureMachine(*server_);
 }
 
 uint32_t Duo::client_ip_addr() const { return pfproto::MakeIpv4(10, 0, 0, 1); }
@@ -260,15 +167,6 @@ double ElapsedMs(pfsim::TimePoint start, pfsim::TimePoint end) {
 double RateKBps(size_t bytes, pfsim::TimePoint start, pfsim::TimePoint end) {
   const double seconds = pfsim::ToSeconds(end - start);
   return seconds > 0 ? static_cast<double>(bytes) / 1024.0 / seconds : 0.0;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace pfbench

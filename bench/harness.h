@@ -1,6 +1,6 @@
 // Shared infrastructure for the table/figure reproduction benchmarks.
 //
-// Each bench binary regenerates one table or figure from the paper's §6,
+// Each bench regenerates one table or figure from the paper's §6,
 // printing the paper's reported value next to the value measured on the
 // simulated MicroVAX-II (see src/kernel/cost_model.h for the calibration).
 // EXPERIMENTS.md records and discusses the outputs.
@@ -27,11 +27,10 @@ namespace pfbench {
 // --- Bench registration (the performance observatory, DESIGN.md §14) ---
 //
 // Every table/figure/micro bench exposes its entry point through
-// PFBENCH_MAIN(id, fn): built standalone (the default) the macro emits a
-// main() shim, built with -DPFBENCH_COMBINED (the bench/pfbench runner,
-// which compiles every bench source into one binary) it only registers the
-// bench so the runner can sweep them all in a single process. `id` is the
-// bench's stable identity in BENCH_<sha>.json and bench/baselines/.
+// PFBENCH_MAIN(id, fn), which registers it with the bench/pfbench runner:
+// `pfbench` sweeps every registered bench in one process, and
+// `pfbench <id> [args...]` runs one of them with its own arguments. `id` is
+// the bench's stable identity in BENCH_<sha>.json and bench/baselines/.
 
 using BenchMainFn = int (*)(int argc, char** argv);
 
@@ -47,26 +46,24 @@ int RegisterBench(const char* id, BenchMainFn fn);
 // across link orders; the sort is what makes sweep output deterministic).
 std::vector<BenchEntry> RegisteredBenches();
 
-#ifdef PFBENCH_COMBINED
 #define PFBENCH_MAIN(id, fn)                                                         \
   namespace {                                                                        \
   [[maybe_unused]] const int pfbench_registered = ::pfbench::RegisterBench(id, fn);  \
   }
-#else
-#define PFBENCH_MAIN(id, fn)                                                         \
-  namespace {                                                                        \
-  [[maybe_unused]] const int pfbench_registered = ::pfbench::RegisterBench(id, fn);  \
-  }                                                                                  \
-  int main(int argc, char** argv) { return fn(argc, argv); }
-#endif
 
-// Build identity, for the JSON exports: the values of the PF_GIT_SHA /
+// Build identity, for the run documents: the values of the PF_GIT_SHA /
 // PF_BUILD_TYPE / PF_SANITIZERS compile definitions (CMake provides them;
 // a PF_GIT_SHA environment variable overrides the baked-in sha so CI can
 // stamp artifacts with the exact commit even on stale configures).
 std::string BuildGitSha();
 std::string BuildTypeName();
 std::string SanitizerFlags();
+
+// True when host wall-clock gates are enforced for a build: a Release-family
+// build type (Release, RelWithDebInfo, MinSizeRel) with no sanitizers. Under
+// -O0 or ASan/UBSan a wall-clock ratio measures the build, not the code, so
+// such gates only inform there.
+bool HostGatesEnforced(const std::string& build_type, const std::string& sanitizers);
 
 // --- Output formatting ---
 
@@ -78,20 +75,14 @@ struct Row {
 
 // Prints a header (title + paper citation) and rows with a paper/measured
 // ratio column.
-//
-// When the environment variable PF_BENCH_JSON names a directory, every call
-// also appends its rows to `<dir>/BENCH_<binary>.json` (written atomically at
-// process exit): an array of {"table","unit","label","paper","measured",
-// "ratio"} objects, `paper`/`ratio` null where the paper reports nothing.
 void PrintTable(const std::string& title, const std::string& citation,
                 const std::string& unit, const std::vector<Row>& rows);
 
 // A free-form note under a table.
 void PrintNote(const std::string& note);
 
-// Records a named pass/fail gate outcome (the `--check` style gates). The
-// outcome is printed, folded into the PF_BENCH_JSON export's meta block,
-// and — inside a pfbench sweep — captured into the bench's entry in
+// Records a named pass/fail gate outcome. The outcome is printed and —
+// inside a pfbench sweep — captured into the bench's entry in
 // BENCH_<sha>.json. `measured` is the value the gate judged (NaN when the
 // gate has no single number); pfbench prints it with any failure.
 void ReportCheck(const std::string& name, bool passed,
@@ -102,8 +93,8 @@ void ReportCheck(const std::string& name, bool passed,
 // While a capture is active, PrintTable also appends its rows to the
 // capture, CaptureMachine folds a machine's cost ledger and metric counters
 // into it, and ReportCheck records gate outcomes. The runner brackets each
-// bench's entry point with Begin/EndCapture; standalone bench binaries
-// never activate it, so the hooks cost one branch.
+// bench's entry point with Begin/EndCapture; `pfbench <id>` runs a bench
+// without one, so the hooks cost one branch.
 
 struct CapturedTable {
   std::string title;
@@ -130,7 +121,6 @@ struct BenchCapture {
 
 void BeginCapture();
 BenchCapture EndCapture();
-bool CaptureActive();
 
 // Folds `machine`'s ledger and metric counters into the active capture
 // (no-op when none). Duo's destructor calls this for both machines; benches
@@ -146,7 +136,7 @@ class Duo {
  public:
   explicit Duo(pflink::LinkType link_type,
                pfkern::CostModel costs = pfkern::MicroVaxUltrixCosts());
-  // Feeds both machines to CaptureMachine when a pfbench capture is active.
+  // Feeds both machines to CaptureMachine (a no-op outside a pfbench capture).
   ~Duo();
 
   pfsim::Simulator& sim() { return sim_; }
@@ -176,9 +166,6 @@ double ElapsedMs(pfsim::TimePoint start, pfsim::TimePoint end);
 
 // KBytes/sec for `bytes` transferred over [start, end].
 double RateKBps(size_t bytes, pfsim::TimePoint start, pfsim::TimePoint end);
-
-// True if `flag` (e.g. "--zerocopy") appears among the arguments.
-bool HasFlag(int argc, char** argv, const char* flag);
 
 // --- Shared receive loops ---
 //

@@ -17,15 +17,14 @@
 // ledger: exactly one kConnDb charge per packet that consulted the DB and
 // one kConnGc charge per background sweep.
 //
-// `--check` (and every pfbench sweep) runs the CI gate: capacity 64k,
-// one million distinct single-packet flows, per-packet demux work within
-// 2x of the steady-state (conn-hit) value, emergency mode engaging and
-// disengaging with every transition counted, and the identity + metrics
-// reconciliation exact in every cell.
+// Every run also runs the CI gate: capacity 64k, one million distinct
+// single-packet flows, per-packet demux work within 2x of the steady-state
+// (conn-hit) value, emergency mode engaging and disengaging with every
+// transition counted, and the identity + metrics reconciliation exact in
+// every cell.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -370,12 +369,7 @@ LedgerSample RunLedgerCell(bool refuse, std::vector<std::string>& failures) {
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
-  bool check = pfbench::CaptureActive();  // sweeps always run the gates
-  if (pfbench::HasFlag(argc, argv, "--check")) {
-    check = true;
-  }
-
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   const double nan = std::nan("");
   std::vector<std::string> failures;
 
@@ -416,45 +410,37 @@ static int BenchMain(int argc, char** argv) {
                       "same identity; refused flows stay on the stateless walk", "count",
                       refuse_rows);
 
-  if (check) {
-    const bool flood_ok = RunCheckCell(failures);
-    pfbench::ReportCheck("micro_flood.flood_2x_and_drain", flood_ok);
+  const bool flood_ok = RunCheckCell(failures);
+  pfbench::ReportCheck("micro_flood.flood_2x_and_drain", flood_ok);
 
-    const size_t before_ledger = failures.size();
-    std::vector<pfbench::Row> ledger_rows;
-    for (const bool refuse : {false, true}) {
-      const LedgerSample s = RunLedgerCell(refuse, failures);
-      const char* mode = refuse ? "refuse" : "shed";
-      char label[64];
-      std::snprintf(label, sizeof(label), "%s lookups", mode);
-      ledger_rows.push_back({label, nan, static_cast<double>(s.lookups)});
-      std::snprintf(label, sizeof(label), "%s hits", mode);
-      ledger_rows.push_back({label, nan, static_cast<double>(s.hits)});
-      std::snprintf(label, sizeof(label), "%s created", mode);
-      ledger_rows.push_back({label, nan, static_cast<double>(s.created)});
-      std::snprintf(label, sizeof(label), "%s gc sweeps", mode);
-      ledger_rows.push_back({label, nan, static_cast<double>(s.gc_sweeps)});
-    }
-    pfbench::PrintTable("Flood through the simulated kernel (ledger-reconciled)",
-                        "one kConnDb charge per lookup, one kConnGc per sweep", "count",
-                        ledger_rows);
-    pfbench::ReportCheck("micro_flood.ledger_reconciles",
-                         failures.size() == before_ledger);
-    pfbench::ReportCheck("micro_flood.identity_and_metrics_exact", failures.empty());
-    if (!failures.empty()) {
-      for (const std::string& f : failures) {
-        std::fprintf(stderr, "micro_flood: %s\n", f.c_str());
-      }
-      std::printf("check FAILED\n");
-      return 1;
-    }
-    std::printf("check passed\n");
-  } else if (!failures.empty()) {
+  const size_t before_ledger = failures.size();
+  std::vector<pfbench::Row> ledger_rows;
+  for (const bool refuse : {false, true}) {
+    const LedgerSample s = RunLedgerCell(refuse, failures);
+    const char* mode = refuse ? "refuse" : "shed";
+    char label[64];
+    std::snprintf(label, sizeof(label), "%s lookups", mode);
+    ledger_rows.push_back({label, nan, static_cast<double>(s.lookups)});
+    std::snprintf(label, sizeof(label), "%s hits", mode);
+    ledger_rows.push_back({label, nan, static_cast<double>(s.hits)});
+    std::snprintf(label, sizeof(label), "%s created", mode);
+    ledger_rows.push_back({label, nan, static_cast<double>(s.created)});
+    std::snprintf(label, sizeof(label), "%s gc sweeps", mode);
+    ledger_rows.push_back({label, nan, static_cast<double>(s.gc_sweeps)});
+  }
+  pfbench::PrintTable("Flood through the simulated kernel (ledger-reconciled)",
+                      "one kConnDb charge per lookup, one kConnGc per sweep", "count",
+                      ledger_rows);
+  pfbench::ReportCheck("micro_flood.ledger_reconciles", failures.size() == before_ledger);
+  pfbench::ReportCheck("micro_flood.identity_and_metrics_exact", failures.empty());
+  if (!failures.empty()) {
     for (const std::string& f : failures) {
       std::fprintf(stderr, "micro_flood: %s\n", f.c_str());
     }
+    std::printf("check FAILED\n");
     return 1;
   }
+  std::printf("check passed\n");
   return 0;
 }
 

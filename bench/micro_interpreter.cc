@@ -11,15 +11,14 @@
 // Rows land in the observatory's `wall` tolerance class ("ns"-leading unit),
 // so the baseline gate only enforces them on Release, sanitizer-free hosts.
 //
-// `--check` (and any pfbench sweep) evaluates the ahead-of-time regression
-// gate: on the long-filter shapes, kFast must stay at least 1.5x faster than
-// kChecked. The gate is enforced only on a sanitizer-free Release-family
-// build; elsewhere the ratios print as informational.
+// Every run evaluates the ahead-of-time regression gate: on the long-filter
+// shapes, kFast must stay at least 1.5x faster than kChecked. The gate is
+// enforced only on a sanitizer-free Release-family build; elsewhere the
+// ratios print as informational.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -147,14 +146,7 @@ struct Shape {
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
-  bool check = pfbench::CaptureActive();  // sweeps always evaluate the gates
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    }
-  }
-
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   const std::vector<Shape> shapes = {
       {"fig38 hit", pf::PaperFig38Filter(), &MatchingPacket(), false},
       {"fig39 hit", pf::PaperFig39Filter(), &MatchingPacket(), false},
@@ -205,36 +197,31 @@ static int BenchMain(int argc, char** argv) {
       "Long shapes gate kFast against kChecked: 'len 101 const' is pure "
       "instruction dispatch, 'conj 21 hit' a packet load and compare per term.");
 
-  if (check) {
-    // Wall-clock ratios are only meaningful on an optimized, sanitizer-free
-    // build; under -O0 or ASan/UBSan the interpreters' bounds checks and
-    // shadow traffic dominate, so the gate would measure the sanitizer.
-    const std::string build = pfbench::BuildTypeName();
-    const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
-                                build == "MinSizeRel";
-    const bool enforce = release_family && pfbench::SanitizerFlags().empty();
-    bool ok = true;
-    for (const Ratio& r : gate) {
-      const double speedup = r.fast_ns > 0 ? r.checked_ns / r.fast_ns : 0;
-      std::printf("check: %-14s kChecked = %.1f ns, kFast = %.1f ns, speedup = %.2fx "
-                  "(need >= 1.5x)%s\n",
-                  r.shape.c_str(), r.checked_ns, r.fast_ns, speedup,
-                  enforce ? "" : " [informational: non-Release or sanitized build]");
-      if (enforce) {
-        std::string slug = r.shape;
-        for (char& c : slug) {
-          if (c == ' ') c = '_';
-        }
-        pfbench::ReportCheck("micro_interpreter.fast_1_5x." + slug, speedup >= 1.5, speedup);
-        ok = ok && speedup >= 1.5;
+  // Under -O0 or ASan/UBSan the interpreters' bounds checks and shadow
+  // traffic dominate, so the gate would measure the build.
+  const bool enforce =
+      pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
+  bool ok = true;
+  for (const Ratio& r : gate) {
+    const double speedup = r.fast_ns > 0 ? r.checked_ns / r.fast_ns : 0;
+    std::printf("check: %-14s kChecked = %.1f ns, kFast = %.1f ns, speedup = %.2fx "
+                "(need >= 1.5x)%s\n",
+                r.shape.c_str(), r.checked_ns, r.fast_ns, speedup,
+                enforce ? "" : " [informational: non-Release or sanitized build]");
+    if (enforce) {
+      std::string slug = r.shape;
+      for (char& c : slug) {
+        if (c == ' ') c = '_';
       }
+      pfbench::ReportCheck("micro_interpreter.fast_1_5x." + slug, speedup >= 1.5, speedup);
+      ok = ok && speedup >= 1.5;
     }
-    if (!ok) {
-      std::printf("check FAILED\n");
-      return 1;
-    }
-    std::printf("check passed\n");
   }
+  if (!ok) {
+    std::printf("check FAILED\n");
+    return 1;
+  }
+  std::printf("check passed\n");
   return 0;
 }
 

@@ -15,7 +15,11 @@
 // kTree and kIndexed stay nearly flat too: the demux walk visits only the
 // candidates the tree or index hands back (DESIGN.md §4).
 //
-// `--check` exits non-zero unless kIndexed at 256 ports is at least 5x
+// §3.2's priority argument (DESIGN.md §7, ablation 3) rides along: 32 ports
+// under kFast with the one busy filter applied first, last, or last with
+// busy-reordering left to promote it.
+//
+// Every run exits non-zero unless kIndexed at 256 ports is at least 5x
 // cheaper than kFast at 256 ports — the CI regression gate for this
 // optimization — and, on sanitizer-free Release-family builds, unless
 // kIndexed's wall ns/packet at 1024 ports (flow cache off) is within 2x of
@@ -25,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,25 +42,30 @@ namespace {
 
 constexpr int kPortCounts[] = {1, 4, 16, 64, 256, 1024};
 
+// The priority ablation's port count, and its warm-up: two of the demux's
+// 256-packet busy-reorder intervals, so a reordering rig is measured in its
+// settled order.
+constexpr int kPriorityPorts = 32;
+constexpr int kPriorityWarmup = 512;
+
+uint8_t EqualPriority(int /*socket*/) { return 10; }
+
 struct WorkSample {
   double work_per_packet = 0;  // insns + tree probes + index probes
   double wall_ns_per_packet = 0;
   double cache_hit_rate = 0;
 };
 
-// `ports` open ports, one Pup-socket filter each (1-deep queues, no
-// reader), and the rotating packet set, warmed up.
+// Open ports with one Pup-socket filter each (1-deep queues, no reader),
+// and the packet set the timed loop rotates over, warmed up.
 struct Rig {
+  // The sweep: `ports` equal-priority ports, traffic spread over all of them.
   Rig(pf::Strategy strategy, int ports, bool flow_cache) {
     filter.SetStrategy(strategy);
     if (!flow_cache) {
       filter.SetFlowCacheCapacity(0);
     }
-    for (int socket = 1; socket <= ports; ++socket) {
-      const pf::PortId port = filter.OpenPort();
-      filter.SetFilter(port, pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), 10));
-      filter.SetQueueLimit(port, 1);
-    }
+    Bind(ports, EqualPriority);
     // Pre-build the rotating packet set once so packet construction stays
     // out of the timed loop.
     const int distinct = ports < 64 ? ports : 64;
@@ -69,8 +77,25 @@ struct Rig {
     }
     // One warm-up round: builds the tree/index and (with the cache on)
     // seeds every distinct flow.
-    for (const auto& packet : packets) {
-      filter.Demux(packet);
+    Run(1);
+  }
+
+  // The priority ablation: kPriorityPorts ports under kFast, socket s at
+  // `priority(s)`, every packet to `target`.
+  Rig(uint8_t (*priority)(int socket), uint32_t target, bool busy_reordering) {
+    filter.SetStrategy(pf::Strategy::kFast);
+    filter.SetBusyReordering(busy_reordering);
+    Bind(kPriorityPorts, priority);
+    packets.push_back(pftest::MakePupFrame(8, target));
+    Run(kPriorityWarmup);
+  }
+
+  void Bind(int ports, uint8_t (*priority)(int socket)) {
+    for (int socket = 1; socket <= ports; ++socket) {
+      const pf::PortId port = filter.OpenPort();
+      filter.SetFilter(port,
+                       pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), priority(socket)));
+      filter.SetQueueLimit(port, 1);
     }
   }
 
@@ -92,10 +117,9 @@ struct Rig {
   std::vector<std::vector<uint8_t>> packets;
 };
 
-// Demux ~512 frames (target socket rotating over every port) and report the
-// structural work per packet.
-WorkSample Measure(pf::Strategy strategy, int ports, bool flow_cache) {
-  Rig rig(strategy, ports, flow_cache);
+// Demux ~512 frames, rotating over the rig's packet set, and report the
+// structural work, wall clock and flow-cache hit rate per packet.
+WorkSample Measure(Rig&& rig) {
   const pf::ExecTelemetry before = rig.filter.global_stats().exec;
   const uint64_t hits_before = rig.filter.flow_cache_stats().hits;
   const int distinct = static_cast<int>(rig.packets.size());
@@ -208,14 +232,7 @@ bool VerifyDropAccounting() {
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
-  bool check = pfbench::CaptureActive();  // sweeps always evaluate the gates
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    }
-  }
-
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   const double nan = std::nan("");
   std::vector<pfbench::Row> work_rows;
   std::vector<pfbench::Row> wall_rows;
@@ -224,7 +241,7 @@ static int BenchMain(int argc, char** argv) {
 
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     for (const int ports : kPortCounts) {
-      const WorkSample sample = Measure(strategy, ports, /*flow_cache=*/false);
+      const WorkSample sample = Measure(Rig(strategy, ports, /*flow_cache=*/false));
       char label[64];
       std::snprintf(label, sizeof(label), "%-10s %5d ports", pf::ToString(strategy).c_str(),
                     ports);
@@ -248,53 +265,78 @@ static int BenchMain(int argc, char** argv) {
 
   // The flow cache on top of the index: repeated flows skip the walk.
   std::vector<pfbench::Row> cache_rows;
+  std::vector<pfbench::Row> cache_wall_rows;
   for (const int ports : kPortCounts) {
-    const WorkSample sample = Measure(pf::Strategy::kIndexed, ports, /*flow_cache=*/true);
+    const WorkSample sample = Measure(Rig(pf::Strategy::kIndexed, ports, /*flow_cache=*/true));
     char label[64];
     std::snprintf(label, sizeof(label), "indexed+cache %5d ports (%.0f%% hits)", ports,
                   sample.cache_hit_rate * 100);
     cache_rows.push_back({label, nan, sample.work_per_packet});
+    cache_wall_rows.push_back({label, nan, sample.wall_ns_per_packet});
   }
   pfbench::PrintTable("kIndexed with the flow verdict cache",
                       "established flows re-confirm one filter and skip the walk",
                       "insns+probes/packet", cache_rows);
+  pfbench::PrintTable("kIndexed with the flow verdict cache, wall clock (host CPU, informational)",
+                      "same sweep as above", "ns/packet", cache_wall_rows);
 
-  if (check) {
-    const double ratio = indexed_at_256 > 0 ? fast_at_256 / indexed_at_256 : 0;
-    std::printf("check: kFast@256 = %.2f, kIndexed@256 = %.2f, ratio = %.1fx (need >= 5x)\n",
-                fast_at_256, indexed_at_256, ratio);
-    pfbench::ReportCheck("micro_scaling.indexed_5x_cheaper", ratio >= 5.0, ratio);
-    if (ratio < 5.0) {
-      std::printf("check FAILED\n");
-      return 1;
-    }
-    // Wall-clock ratios only mean something on an optimized, sanitizer-free
-    // build (the micro_interpreter gate's rule).
-    const std::string build = pfbench::BuildTypeName();
-    const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
-                                build == "MinSizeRel";
-    const bool enforce = release_family && pfbench::SanitizerFlags().empty();
-    const Slope slope = IndexedHostSlope();
-    const double growth = slope.many_ports_ns / slope.one_port_ns;
-    std::printf("check: kIndexed wall, flow cache off: 1 port = %.1f ns, 1024 ports = %.1f ns, "
-                "growth = %.2fx (need <= 2x)%s\n",
-                slope.one_port_ns, slope.many_ports_ns, growth,
-                enforce ? "" : " [informational: non-Release or sanitized build]");
-    if (enforce) {
-      pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0, growth);
-      if (growth > 2.0) {
-        std::printf("check FAILED\n");
-        return 1;
-      }
-    }
-    const bool drops_ok = VerifyDropAccounting();
-    pfbench::ReportCheck("micro_scaling.drop_accounting", drops_ok);
-    if (!drops_ok) {
-      std::printf("check FAILED\n");
-      return 1;
-    }
-    std::printf("check passed\n");
+  // §3.2: "the interpreter may occasionally reorder such filters to place
+  // the busier ones first".
+  struct PriorityCase {
+    const char* label;
+    uint8_t (*priority)(int socket);
+    uint32_t target;
+    bool busy_reordering;
+  };
+  const PriorityCase priority_cases[] = {
+      {"match first", [](int socket) { return static_cast<uint8_t>(255 - socket); }, 1, false},
+      {"match last", [](int socket) { return static_cast<uint8_t>(socket); }, 1, false},
+      {"match last + busy reordering", EqualPriority, kPriorityPorts, true},
+  };
+  std::vector<pfbench::Row> priority_rows;
+  std::vector<pfbench::Row> priority_wall_rows;
+  for (const PriorityCase& c : priority_cases) {
+    const WorkSample sample = Measure(Rig(c.priority, c.target, c.busy_reordering));
+    priority_rows.push_back({c.label, nan, sample.work_per_packet});
+    priority_wall_rows.push_back({c.label, nan, sample.wall_ns_per_packet});
   }
+  pfbench::PrintTable("Priority ordering, 32 ports under kFast",
+                      "§3.2: busy filter first vs last, and busy-reordering", "insns+probes/packet",
+                      priority_rows);
+  pfbench::PrintTable("Priority ordering, 32 ports under kFast, wall clock (host CPU, "
+                      "informational)",
+                      "same cases as above", "ns/packet", priority_wall_rows);
+
+  const double ratio = indexed_at_256 > 0 ? fast_at_256 / indexed_at_256 : 0;
+  std::printf("check: kFast@256 = %.2f, kIndexed@256 = %.2f, ratio = %.1fx (need >= 5x)\n",
+              fast_at_256, indexed_at_256, ratio);
+  pfbench::ReportCheck("micro_scaling.indexed_5x_cheaper", ratio >= 5.0, ratio);
+  if (ratio < 5.0) {
+    std::printf("check FAILED\n");
+    return 1;
+  }
+  const bool enforce =
+      pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
+  const Slope slope = IndexedHostSlope();
+  const double growth = slope.many_ports_ns / slope.one_port_ns;
+  std::printf("check: kIndexed wall, flow cache off: 1 port = %.1f ns, 1024 ports = %.1f ns, "
+              "growth = %.2fx (need <= 2x)%s\n",
+              slope.one_port_ns, slope.many_ports_ns, growth,
+              enforce ? "" : " [informational: non-Release or sanitized build]");
+  if (enforce) {
+    pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0, growth);
+    if (growth > 2.0) {
+      std::printf("check FAILED\n");
+      return 1;
+    }
+  }
+  const bool drops_ok = VerifyDropAccounting();
+  pfbench::ReportCheck("micro_scaling.drop_accounting", drops_ok);
+  if (!drops_ok) {
+    std::printf("check FAILED\n");
+    return 1;
+  }
+  std::printf("check passed\n");
   return 0;
 }
 

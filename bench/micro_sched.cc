@@ -14,7 +14,7 @@
 // to back; a cell's ratio (reference ns / Simulator ns) is the median of
 // the per-round ratios, and the table shows each side's fastest run.
 //
-// `--check` gates each shape's geometric-mean ratio over the three depths:
+// Every run gates each shape's geometric-mean ratio over the three depths:
 // callbacks >= 1.10, resumes >= 1.20 (enforced on sanitizer-free
 // Release-family builds; informational elsewhere, where it measures the
 // sanitizer or -O0). Each bound sits 7-10% under the lowest of 65 runs,
@@ -191,9 +191,7 @@ void Measure(Cell* cell) {
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
-  const bool check = pfbench::HasFlag(argc, argv, "--check") || pfbench::CaptureActive();
-
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   struct ShapeGate {
     const char* name;
     Shape shape;
@@ -219,13 +217,8 @@ static int BenchMain(int argc, char** argv) {
                       "key heap over a callback slab vs a std::function priority queue",
                       "ns/event", rows);
 
-  if (!check) {
-    return 0;
-  }
-  const std::string build = pfbench::BuildTypeName();
-  const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
-                              build == "MinSizeRel";
-  const bool enforce = release_family && pfbench::SanitizerFlags().empty();
+  const bool enforce =
+      pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
   bool ok = true;
   for (size_t g = 0; g < std::size(gates); ++g) {
     const ShapeGate& gate = gates[g];
@@ -241,7 +234,7 @@ static int BenchMain(int argc, char** argv) {
                 gate.min_ratio,
                 enforce ? "" : " [informational: non-Release or sanitized build]");
     if (!agree) {
-      std::fprintf(stderr, "micro_sched --check FAILED: %s: the Simulator and the reference "
+      std::fprintf(stderr, "micro_sched FAILED: %s: the Simulator and the reference "
                            "end at different simulated times\n",
                    gate.name);
     }

@@ -7,7 +7,7 @@
 //   * ring descriptors posted/reaped (ring mode only),
 //   * bulk throughput.
 //
-// `--check` turns the run into a regression gate (wired into ctest and CI):
+// Every run is also a regression gate (wired into ctest and CI):
 //   1. ring-mode charged copy cost must be at least 2x lower than legacy —
 //      the tentpole claim that mapped descriptors eliminate the read-time
 //      copy on the bulk path;
@@ -153,10 +153,7 @@ FcsCost MeasureFcs() {
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
-  const bool check =
-      pfbench::HasFlag(argc, argv, "--check") || pfbench::CaptureActive();
-
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   pf::PacketBuf::ResetStats();
   const ModeSnapshot legacy = RunBulk(/*ring_slots=*/0);
   const ModeSnapshot ring = RunBulk(/*ring_slots=*/128);
@@ -180,10 +177,6 @@ static int BenchMain(int argc, char** argv) {
   std::printf("    copy-cost reduction: %.1fx; COW clones on the clean path: %llu\n",
               ring.copy_ms > 0 ? legacy.copy_ms / ring.copy_ms : 0.0,
               (unsigned long long)buf_stats.cow_copies);
-
-  if (!check) {
-    return 0;
-  }
 
   std::vector<std::string> failures;
   if (!(legacy.copy_ms >= 2.0 * ring.copy_ms)) {
@@ -211,16 +204,13 @@ static int BenchMain(int argc, char** argv) {
     failures.push_back("clean path took copy-on-write clones");
   }
   for (const std::string& failure : failures) {
-    std::fprintf(stderr, "micro_zerocopy --check FAILED: %s\n", failure.c_str());
+    std::fprintf(stderr, "micro_zerocopy FAILED: %s\n", failure.c_str());
   }
   pfbench::ReportCheck("micro_zerocopy.zero_copy_gates", failures.empty());
 
-  // Check 5. Wall-clock ratios only mean something on an optimized,
-  // sanitizer-free build (the micro_interpreter gate's rule).
-  const std::string build = pfbench::BuildTypeName();
-  const bool release_family = build == "Release" || build == "RelWithDebInfo" ||
-                              build == "MinSizeRel";
-  const bool enforce = release_family && pfbench::SanitizerFlags().empty();
+  // Check 5: the FCS host cost, a wall-clock ratio.
+  const bool enforce =
+      pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
   const FcsCost fcs = MeasureFcs();
   const double ratio = fcs.sliced_ns_per_byte / fcs.bytewise_ns_per_byte;
   std::printf("    FCS on a 1514-byte frame: Crc32 %.3f ns/byte, bytewise reference %.3f "
@@ -229,18 +219,18 @@ static int BenchMain(int argc, char** argv) {
               enforce ? "" : " [informational: non-Release or sanitized build]");
   bool fcs_ok = fcs.agree;
   if (!fcs.agree) {
-    std::fprintf(stderr, "micro_zerocopy --check FAILED: Crc32 disagrees with the bytewise "
+    std::fprintf(stderr, "micro_zerocopy FAILED: Crc32 disagrees with the bytewise "
                          "reference\n");
   }
   if (enforce && !(ratio <= 1.0 / 3.0)) {
-    std::fprintf(stderr, "micro_zerocopy --check FAILED: Crc32 costs more than 1/3 of the "
+    std::fprintf(stderr, "micro_zerocopy FAILED: Crc32 costs more than 1/3 of the "
                          "bytewise reference per byte\n");
     fcs_ok = false;
   }
   pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok, ratio);
 
   if (failures.empty() && fcs_ok) {
-    std::printf("    --check: all zero-copy, reconciliation and FCS gates hold\n");
+    std::printf("    all zero-copy, reconciliation and FCS gates hold\n");
     return 0;
   }
   return 1;

@@ -1,26 +1,35 @@
-// pfbench: the performance-observatory runner (DESIGN.md §14).
+// pfbench: the performance-observatory runner (DESIGN.md §14), and the one
+// executable that runs registered benches.
 //
-// Sweeps every registered bench (the §6 tables, sec_6_1, figs 2/3, and the
-// plain micro benches — see PFBENCH_MAIN in bench/harness.h) in one process
-// and writes a single schema-versioned BENCH_<git-sha>.json capturing, per
-// bench: every printed table row (stable ids), cost-ledger totals, metric
-// counters, --check gate outcomes, host wall-clock (steady_clock, warmup +
-// trimmed-median repetitions), and getrusage deltas (pfobs::HostStats).
+// `pfbench <id> [args...]` runs the one registered bench named <id> (the §6
+// tables, sec_6_1, figs 2/3, the micro benches — see PFBENCH_MAIN in
+// bench/harness.h) with its own arguments and its normal stdout, and exits
+// with its exit code; an unknown id exits 2. Every bench evaluates its gates
+// on every run, so this is also how ctest runs each bench's gate.
 //
-// The committed reference lives in bench/baselines/; pfbench_compare (or
-// `pfbench --compare <baseline>`) diffs a fresh run against it with
-// per-class tolerances and exits non-zero on regression. ctest runs this as
+// With no id it sweeps every registered bench in one process and writes a
+// single schema-versioned BENCH_<git-sha>.json capturing, per bench: every
+// printed table row (stable ids), cost-ledger totals, metric counters, gate
+// outcomes, host wall-clock (steady_clock, warmup + trimmed-median
+// repetitions), and getrusage deltas (pfobs::HostStats).
+//
+// The committed reference lives in bench/baselines/; `--compare` diffs a run
+// against it with per-class tolerances — the fresh sweep, or with `--fresh`
+// an existing run document — and exits 1 on regression. ctest runs this as
 // pfbench_baseline_check; CI's perf-gate job uploads the JSON as the trend
 // artifact.
 //
 // Flags:
-//   --out PATH       output file (*.json) or directory (default: '.', or
-//                    $PF_BENCH_JSON when set; file name BENCH_<sha>.json)
-//   --compare FILE   after the sweep, diff against this baseline and exit
-//                    non-zero on regression
+//   --out PATH       output file (*.json) or directory (default: '.'; file
+//                    name BENCH_<sha>.json)
+//   --compare FILE   diff against this baseline; exit 1 on regression, 2 when
+//                    it cannot be read
+//   --fresh FILE     compare this run document instead of sweeping
+//   --perturb PCT    self-test: scale every fresh number by (1 + PCT/100)
+//                    before comparing — pfbench_perturb_check proves a +20%
+//                    shift trips the gate
+//   --gate-host MODE auto (default: from the fresh run's build meta), on, off
 //   --only SUBSTR    run only benches whose id contains SUBSTR (repeatable)
-//   --obs-overhead   shorthand for --only obs_overhead: just the
-//                    instrumentation-tax report
 //   --reps N         timed repetitions per bench (default 3, trimmed median)
 //   --warmup N       untimed warmup runs per bench (default 1)
 //   --wall-tol X     wall-clock ratio tolerance for --compare (default 5.0)
@@ -216,8 +225,11 @@ PFBENCH_MAIN("obs_overhead", ObsOverheadMain)
 // --- The sweep --------------------------------------------------------------
 
 struct Options {
-  std::string out;
+  std::string out = ".";
   std::string compare_baseline;
+  std::string fresh;
+  double perturb = 0;
+  std::string gate_host = "auto";
   std::vector<std::string> only;
   int reps = 3;
   int warmup = 1;
@@ -238,12 +250,26 @@ bool ParseOptions(int argc, char** argv, Options* options) {
       const char* v = value();
       if (v == nullptr) return false;
       options->compare_baseline = v;
+    } else if (std::strcmp(argv[i], "--fresh") == 0) {
+      const char* v = value();
+      if (v == nullptr) return false;
+      options->fresh = v;
+    } else if (std::strcmp(argv[i], "--perturb") == 0) {
+      const char* v = value();
+      if (v == nullptr) return false;
+      options->perturb = std::atof(v);
+    } else if (std::strcmp(argv[i], "--gate-host") == 0) {
+      const char* v = value();
+      if (v == nullptr) return false;
+      options->gate_host = v;
+      if (options->gate_host != "auto" && options->gate_host != "on" &&
+          options->gate_host != "off") {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--only") == 0) {
       const char* v = value();
       if (v == nullptr) return false;
       options->only.push_back(v);
-    } else if (std::strcmp(argv[i], "--obs-overhead") == 0) {
-      options->only.push_back("obs_overhead");
     } else if (std::strcmp(argv[i], "--reps") == 0) {
       const char* v = value();
       if (v == nullptr || std::atoi(v) < 1) return false;
@@ -268,7 +294,8 @@ bool ParseOptions(int argc, char** argv, Options* options) {
       return false;
     }
   }
-  return true;
+  // --fresh compares an existing run, so it needs a baseline to compare to.
+  return options->fresh.empty() || !options->compare_baseline.empty();
 }
 
 bool Selected(const Options& options, const std::string& id) {
@@ -323,9 +350,7 @@ struct RepResult {
 };
 
 RepResult RunOnce(const pfbench::BenchEntry& bench, bool verbose) {
-  // No flags: benches detect the active capture themselves (CaptureActive)
-  // and switch their --check gates and optional extra rows on, so the sweep
-  // always records gate outcomes and the fullest row set.
+  // No arguments: every bench has one configuration, gates included.
   std::string prog = "pfbench:" + bench.id;
   char* argv[] = {prog.data(), nullptr};
   RepResult rep;
@@ -439,26 +464,83 @@ RunBench Summarize(const std::string& id, const std::vector<RepResult>& reps) {
 }
 
 std::string OutputPath(const Options& options, const std::string& sha) {
-  std::string out = options.out;
-  if (out.empty()) {
-    const char* env = std::getenv("PF_BENCH_JSON");
-    out = env != nullptr ? env : ".";
-  }
+  const std::string& out = options.out;
   if (out.size() > 5 && out.compare(out.size() - 5, 5, ".json") == 0) {
     return out;
   }
   return out + "/BENCH_" + sha + ".json";
 }
 
+// `pfbench <id> [args...]`: the bench's own command line.
+int RunSingle(int argc, char** argv) {
+  for (const pfbench::BenchEntry& bench : pfbench::RegisteredBenches()) {
+    if (bench.id == argv[0]) {
+      return bench.fn(argc, argv);
+    }
+  }
+  std::fprintf(stderr, "pfbench: no bench named '%s' (pfbench --list shows them)\n", argv[0]);
+  return 2;
+}
+
+// The one reader for baseline and fresh run documents; names the problem
+// on stderr when `path` cannot be read or parsed.
+bool ReadRunDoc(const std::string& path, RunDoc* doc) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "pfbench: cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    text.append(buf, n);
+  }
+  std::fclose(f);
+  std::string error;
+  if (!pfbench::RunDocFromString(text, doc, &error)) {
+    std::fprintf(stderr, "pfbench: %s does not parse: %s\n", path.c_str(), error.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Diffs `fresh` against `baseline` with the tolerances and host-gate mode
+// the options name; 1 on regression, else 0.
+int Compare(const Options& options, const RunDoc& baseline, RunDoc fresh) {
+  if (options.perturb != 0) {
+    std::fprintf(stderr, "pfbench: self-test, perturbing fresh run by %+.1f%%\n",
+                 options.perturb);
+    pfbench::Perturb(&fresh, options.perturb);
+  }
+  pfbench::CompareOptions copts;
+  copts.wall_tol = options.wall_tol;
+  copts.obs_tol = options.obs_tol;
+  copts.gate_host = options.gate_host == "auto"
+                        ? pfbench::HostGatesEnforced(fresh.build_type, fresh.sanitizers)
+                        : options.gate_host == "on";
+  const pfbench::CompareResult result = pfbench::CompareRuns(baseline, fresh, copts);
+  std::fputs(result.report.c_str(), stdout);
+  std::printf("pfbench --compare: %d regression(s), %d improvement(s), %d warning(s)\n",
+              result.regressions, result.improvements, result.warnings);
+  return result.regressions > 0 ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
+    return RunSingle(argc - 1, argv + 1);
+  }
   Options options;
   if (!ParseOptions(argc, argv, &options)) {
     std::fprintf(stderr,
-                 "usage: pfbench [--out FILE|DIR] [--compare BASELINE.json]\n"
-                 "               [--only SUBSTR]... [--obs-overhead] [--reps N] [--warmup N]\n"
-                 "               [--wall-tol X] [--obs-tol X] [--verbose] [--list]\n");
+                 "usage: pfbench BENCH_ID [bench args...]\n"
+                 "       pfbench [--out FILE|DIR] [--compare BASELINE.json] [--only SUBSTR]...\n"
+                 "               [--reps N] [--warmup N] [--wall-tol X] [--obs-tol X]\n"
+                 "               [--gate-host auto|on|off] [--perturb PCT] [--verbose] [--list]\n"
+                 "       pfbench --compare BASELINE.json --fresh RUN.json [--perturb PCT]\n"
+                 "               [--gate-host auto|on|off] [--wall-tol X] [--obs-tol X]\n");
     return 2;
   }
   const std::vector<pfbench::BenchEntry> benches = pfbench::RegisteredBenches();
@@ -467,6 +549,19 @@ int main(int argc, char** argv) {
       std::printf("%s\n", bench.id.c_str());
     }
     return 0;
+  }
+
+  // Read the baseline before sweeping: an unreadable one fails in seconds.
+  RunDoc baseline;
+  if (!options.compare_baseline.empty() && !ReadRunDoc(options.compare_baseline, &baseline)) {
+    return 2;
+  }
+  if (!options.fresh.empty()) {
+    RunDoc fresh;
+    if (!ReadRunDoc(options.fresh, &fresh)) {
+      return 2;
+    }
+    return Compare(options, baseline, std::move(fresh));
   }
 
   RunDoc doc;
@@ -535,36 +630,7 @@ int main(int argc, char** argv) {
   }
 
   if (!options.compare_baseline.empty()) {
-    std::FILE* bf = std::fopen(options.compare_baseline.c_str(), "rb");
-    if (bf == nullptr) {
-      std::fprintf(stderr, "pfbench: cannot read baseline %s\n",
-                   options.compare_baseline.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), bf)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(bf);
-    RunDoc baseline;
-    std::string error;
-    if (!pfbench::RunDocFromString(text, &baseline, &error)) {
-      std::fprintf(stderr, "pfbench: baseline does not parse: %s\n", error.c_str());
-      return 1;
-    }
-    pfbench::CompareOptions copts;
-    copts.wall_tol = options.wall_tol;
-    copts.obs_tol = options.obs_tol;
-    copts.gate_host = doc.sanitizers.empty() && (doc.build_type == "Release" ||
-                                                 doc.build_type == "RelWithDebInfo" ||
-                                                 doc.build_type == "MinSizeRel");
-    const pfbench::CompareResult result = pfbench::CompareRuns(baseline, doc, copts);
-    std::fputs(result.report.c_str(), stdout);
-    std::printf("pfbench --compare: %d regression(s), %d improvement(s), %d warning(s)\n",
-                result.regressions, result.improvements, result.warnings);
-    return result.regressions > 0 ? 1 : 0;
+    return Compare(options, baseline, std::move(doc));
   }
   return 0;
 }

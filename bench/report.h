@@ -1,12 +1,12 @@
 // The performance observatory's run document (DESIGN.md §14).
 //
 // A RunDoc is one pfbench sweep: every registered bench's tables (with
-// stable row ids), cost-ledger totals, metric counters, --check gate
-// outcomes, host wall-clock, and getrusage numbers, under a schema-versioned
-// envelope stamped with the build identity. bench/pfbench.cc produces one
-// per run (BENCH_<git-sha>.json), bench/baselines/ holds the committed
-// reference, pfbench_compare diffs the two, and tests/bench_json_test
-// round-trips the schema.
+// stable row ids), cost-ledger totals, metric counters, gate outcomes,
+// host wall-clock, and getrusage numbers, under a schema-versioned envelope
+// stamped with the build identity. bench/pfbench.cc produces one per run
+// (BENCH_<git-sha>.json), bench/baselines/ holds the committed reference,
+// `pfbench --compare` diffs the two, and tests/bench_json_test round-trips
+// the schema.
 //
 // Tolerance classes — how a row is allowed to move against the baseline:
 //   * exact — numbers derived from the simulated cost model. Deterministic
@@ -91,9 +91,10 @@ struct CompareOptions {
   double wall_tol = 5.0;   // wall rows fail above baseline * wall_tol
   double obs_tol = 2.0;    // obs rows fail above baseline * obs_tol ...
   double obs_floor = 1.5;  // ... unless the fresh tax ratio is below this
-  // Gate wall/obs classes. pfbench_compare sets this from the fresh run's
-  // meta: Debug or sanitized builds report host numbers but don't gate them
-  // (the same ctest entry must pass under the ASan CI job).
+  // Gate wall/obs classes. `pfbench --compare` sets this from the fresh
+  // run's meta (HostGatesEnforced): Debug or sanitized builds report host
+  // numbers but don't gate them (the same ctest entry must pass under the
+  // ASan CI job).
   bool gate_host = true;
 };
 

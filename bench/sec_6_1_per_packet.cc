@@ -36,14 +36,14 @@ struct ProfileResult {
   double ip_full_ms = 0;
   double ip_layer_ms = 0;
   // Mean kernel CPU over *all* received packets (ledger grand total), the
-  // figure the --zerocopy delivery-mode comparison reports.
+  // figure the delivery-mode comparison reports.
   double kernel_ms_per_packet = 0;
 };
 
 // Runs `packets` frames against the receiver; fraction by type per the
 // paper's profile. If `fixed_socket` > 0, all traffic is Pup to that socket
 // (for the linear-model sweep). `ring`/`poll` select the DESIGN.md §13
-// delivery modes for the --zerocopy comparison.
+// delivery modes.
 ProfileResult RunProfile(int packets, int fixed_socket = 0, bool ring = false,
                          bool poll = false) {
   pfsim::Simulator sim;
@@ -191,7 +191,7 @@ ProfileResult RunProfile(int packets, int fixed_socket = 0, bool ring = false,
 
 }  // namespace
 
-static int BenchMain(int argc, char** argv) {
+static int BenchMain(int /*argc*/, char** /*argv*/) {
   const ProfileResult mixed = RunProfile(2000);
 
   pfbench::PrintTable(
@@ -219,17 +219,14 @@ static int BenchMain(int argc, char** argv) {
       "    (a mismatching fig. 3-9-style predicate costs 2 instructions thanks to the\n"
       "    short-circuit CAND; the paper's 0.122 ms average reflects longer filters.)\n");
 
-  if (pfbench::HasFlag(argc, argv, "--zerocopy") || pfbench::CaptureActive()) {
-    // DESIGN.md §13 delivery modes over the same mixed profile: the ring
-    // removes the read-time copy, poll mode batches interrupt work.
-    const ProfileResult ring = RunProfile(2000, 0, /*ring=*/true);
-    const ProfileResult ring_poll = RunProfile(2000, 0, /*ring=*/true, /*poll=*/true);
-    std::printf(
-        "    zero-copy delivery, mean kernel CPU per received packet (all traffic):\n"
-        "      legacy read(): %.3f ms   ring: %.3f ms   ring + poll: %.3f ms\n",
-        mixed.kernel_ms_per_packet, ring.kernel_ms_per_packet,
-        ring_poll.kernel_ms_per_packet);
-  }
+  // DESIGN.md §13 delivery modes over the same mixed profile: the ring
+  // removes the read-time copy, poll mode batches interrupt work.
+  const ProfileResult ring = RunProfile(2000, 0, /*ring=*/true);
+  const ProfileResult ring_poll = RunProfile(2000, 0, /*ring=*/true, /*poll=*/true);
+  std::printf(
+      "    zero-copy delivery, mean kernel CPU per received packet (all traffic):\n"
+      "      legacy read(): %.3f ms   ring: %.3f ms   ring + poll: %.3f ms\n",
+      mixed.kernel_ms_per_packet, ring.kernel_ms_per_packet, ring_poll.kernel_ms_per_packet);
   return 0;
 }
 

@@ -17,9 +17,9 @@
 // Every cell derives its impairment seed from a base seed, printed on any
 // failure; `--seed 0x...` (optionally with `--cell NAME`) replays exactly
 // that state. `--check` runs the grid at reduced iterations and exits
-// non-zero on any violation — the CI gate (ctest label: chaos). With
-// PF_BENCH_JSON set, per-cell completion times are exported like every
-// other bench.
+// non-zero on any violation — the CI gate (ctest label: chaos). The soak
+// has its own flags and no baseline entry, so it is its own executable
+// rather than a pfbench bench.
 //
 // `--delivery=ring` (optionally with `--poll`) reruns the whole grid with
 // shared-memory ring delivery / poll-mode receive on every machine

@@ -1,10 +1,12 @@
 // Table 6-8: "Per-packet cost of user-level demultiplexing" — elapsed time
 // to receive a packet when demultiplexing is done in the kernel (packet
 // filter, fig. 2-2) vs. in a user process forwarding through a pipe
-// (fig. 2-1). No batching.
+// (fig. 2-1). No batching. Four more rows measure kernel demultiplexing
+// over the DESIGN.md §13 delivery modes (shared-memory ring, ring + poll).
 //
-// With `--trace=<file.json>` the kernel-demux 128-byte run is repeated with
-// a TraceSession attached and the resulting Chrome trace_event JSON written
+// With `--trace=<file.json>` (`pfbench table_6_08_demux_latency
+// --trace=<file.json>`) the kernel-demux 128-byte run is repeated with a
+// TraceSession attached and the resulting Chrome trace_event JSON written
 // to <file.json> (load it in Perfetto / chrome://tracing).
 #include <cmath>
 #include <cstring>
@@ -18,14 +20,11 @@ static int BenchMain(int argc, char** argv) {
   using pfbench::RecvConfig;
 
   std::string trace_path;
-  bool zerocopy = pfbench::CaptureActive();  // sweeps record the full row set
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--zerocopy") == 0) {
-      zerocopy = true;  // extra DESIGN.md §13 delivery-mode rows
     } else {
-      std::fprintf(stderr, "usage: %s [--trace=<file.json>] [--zerocopy]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--trace=<file.json>]\n", argv[0]);
       return 2;
     }
   }
@@ -39,29 +38,26 @@ static int BenchMain(int argc, char** argv) {
   RecvConfig user1500 = kernel1500;
   user1500.user_demux = true;
 
-  std::vector<pfbench::Row> rows = {
+  RecvConfig ring128 = kernel128;
+  ring128.ring_slots = 128;
+  RecvConfig ring1500 = kernel1500;
+  ring1500.ring_slots = 128;
+  RecvConfig ring_poll128 = ring128;
+  ring_poll128.poll = true;
+  RecvConfig ring_poll1500 = ring1500;
+  ring_poll1500.poll = true;
+
+  const double nan = std::nan("");
+  const std::vector<pfbench::Row> rows = {
       {"128 bytes, demux in kernel", 2.3, MeasureReceivePerPacketMs(kernel128)},
       {"128 bytes, demux in user process", 5.0, MeasureReceivePerPacketMs(user128)},
       {"1500 bytes, demux in kernel", 4.0, MeasureReceivePerPacketMs(kernel1500)},
       {"1500 bytes, demux in user process", 9.0, MeasureReceivePerPacketMs(user1500)},
+      {"128 bytes, kernel + ring", nan, MeasureReceivePerPacketMs(ring128)},
+      {"128 bytes, kernel + ring + poll", nan, MeasureReceivePerPacketMs(ring_poll128)},
+      {"1500 bytes, kernel + ring", nan, MeasureReceivePerPacketMs(ring1500)},
+      {"1500 bytes, kernel + ring + poll", nan, MeasureReceivePerPacketMs(ring_poll1500)},
   };
-  if (zerocopy) {
-    RecvConfig ring128 = kernel128;
-    ring128.ring_slots = 128;
-    RecvConfig ring1500 = kernel1500;
-    ring1500.ring_slots = 128;
-    RecvConfig ring_poll128 = ring128;
-    ring_poll128.poll = true;
-    RecvConfig ring_poll1500 = ring1500;
-    ring_poll1500.poll = true;
-    const double nan = std::nan("");
-    rows.push_back({"128 bytes, kernel + ring", nan, MeasureReceivePerPacketMs(ring128)});
-    rows.push_back(
-        {"128 bytes, kernel + ring + poll", nan, MeasureReceivePerPacketMs(ring_poll128)});
-    rows.push_back({"1500 bytes, kernel + ring", nan, MeasureReceivePerPacketMs(ring1500)});
-    rows.push_back(
-        {"1500 bytes, kernel + ring + poll", nan, MeasureReceivePerPacketMs(ring_poll1500)});
-  }
   pfbench::PrintTable(
       "Table 6-8: Per-packet cost of user-level demultiplexing",
       "elapsed receive time, no batching, §6.5.3", "(ms)", rows);
