@@ -76,9 +76,7 @@ struct FloodRig {
 
   double Work() const {
     const pf::ExecTelemetry& exec = filter.global_stats().exec;
-    return static_cast<double>(exec.insns_executed) +
-           static_cast<double>(exec.tree_probes) +
-           static_cast<double>(exec.index_probes);
+    return static_cast<double>(exec.insns_executed) + static_cast<double>(exec.index_probes);
   }
 
   pf::ConnDB* db() { return filter.conndb(); }

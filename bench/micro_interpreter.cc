@@ -4,7 +4,7 @@
 //   * kChecked vs kFast: run-time checking vs ahead-of-time validation and
 //     bind-time pre-decode (no per-instruction word splitting, literal
 //     fetches or stack checks),
-//   * kTree / kIndexed: one decision-tree walk / hash probe where eligible,
+//   * kIndexed: the §7 decision table as one hash probe where eligible,
 //   * short-circuit operators (fig. 3-8 vs fig. 3-9 on hit/miss traffic),
 //   * filter length sweep (the table 6-10 shape in nanoseconds).
 //

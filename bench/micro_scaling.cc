@@ -4,16 +4,15 @@
 // order, so demux cost grows linearly in the number of ports. This bench
 // sweeps 1 -> 1024 open ports (one Pup-socket filter each, traffic rotating
 // across all sockets) and reports the per-packet demux *work* — filter
-// instructions + decision-tree probes + index probes, the structural count
-// the kernel cost model charges from — for every engine strategy.
+// instructions + index probes, the structural count the kernel cost model
+// charges from — for every engine strategy.
 //
-// Expected shape: kChecked/kFast grow linearly (half the bound
-// set runs per packet on average), kTree grows with tree depth, and
-// kIndexed stays flat: a constant number of hash probes plus one
-// re-confirmed filter, independent of port count. With the flow cache on,
-// repeated flows skip even the index probes' bucket scan. On the host clock
-// kTree and kIndexed stay nearly flat too: the demux walk visits only the
-// candidates the tree or index hands back (DESIGN.md §4).
+// Expected shape: kChecked/kFast grow linearly (half the bound set runs
+// per packet on average), and kIndexed stays flat: a constant number of
+// hash probes plus one re-confirmed filter, independent of port count.
+// With the flow cache on, repeated flows skip even the index probes' bucket
+// scan. On the host clock kIndexed stays nearly flat too: the demux walk
+// visits only the candidates the index hands back (DESIGN.md §4).
 //
 // §3.2's priority argument (DESIGN.md §7, ablation 3) rides along: 32 ports
 // under kFast with the one busy filter applied first, last, or last with
@@ -51,7 +50,7 @@ constexpr int kPriorityWarmup = 512;
 uint8_t EqualPriority(int /*socket*/) { return 10; }
 
 struct WorkSample {
-  double work_per_packet = 0;  // insns + tree probes + index probes
+  double work_per_packet = 0;  // insns + index probes
   double wall_ns_per_packet = 0;
   double cache_hit_rate = 0;
 };
@@ -75,7 +74,7 @@ struct Rig {
       const uint32_t socket = static_cast<uint32_t>(((i * ports) / distinct) + 1);
       packets.push_back(pftest::MakePupFrame(8, socket));
     }
-    // One warm-up round: builds the tree/index and (with the cache on)
+    // One warm-up round: builds the index and (with the cache on)
     // seeds every distinct flow.
     Run(1);
   }
@@ -130,7 +129,6 @@ WorkSample Measure(Rig&& rig) {
   const pf::ExecTelemetry& after = rig.filter.global_stats().exec;
   const double delta_work =
       static_cast<double>(after.insns_executed - before.insns_executed) +
-      static_cast<double>(after.tree_probes - before.tree_probes) +
       static_cast<double>(after.index_probes - before.index_probes);
   sample.work_per_packet = delta_work / total;
   sample.cache_hit_rate =

@@ -37,8 +37,7 @@ struct FilterEvalAccounting {
 
 // One profiled run (PR 4 tentpole): the engine's per-pc profile against the
 // Ledger's kFilterEval slot. The attribution identity is exact:
-//   kFilterEval total == filter_apply * runs
-//                      + filter_insn  * (charged_insns + tree_probes)
+//   kFilterEval total == filter_apply * runs + filter_insn * charged_insns
 // because the Ledger charges FilterCost(exec) per packet from the same
 // telemetry the profiler folds in (index probes are charged separately, as
 // kIndexProbe).
@@ -170,8 +169,7 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
     const ProfiledRun run = MeasureProfiled(21, strategy);
     const int64_t attributed_ns =
         costs.filter_apply.count() * static_cast<int64_t>(run.totals.runs) +
-        costs.filter_insn.count() *
-            static_cast<int64_t>(run.totals.charged_insns + run.totals.tree_probes);
+        costs.filter_insn.count() * static_cast<int64_t>(run.totals.charged_insns);
     bool ok = attributed_ns == run.ledger_total_ns && run.hottest_pc >= 0;
     if (!have_reference) {
       reference = run;
@@ -182,12 +180,11 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
     attributed = attributed && ok;
     std::printf(
         "      %-10s passes=%llu runs=%llu hit-insns=%llu charged-insns=%llu "
-        "tree-probes=%llu | attributed %.3f ms vs ledger %.3f ms, hot pc %d  [%s]\n",
+        "| attributed %.3f ms vs ledger %.3f ms, hot pc %d  [%s]\n",
         pf::ToString(strategy).c_str(), (unsigned long long)run.totals.passes,
         (unsigned long long)run.totals.runs, (unsigned long long)run.totals.hit_insns,
-        (unsigned long long)run.totals.charged_insns, (unsigned long long)run.totals.tree_probes,
-        attributed_ns / 1e6, run.ledger_total_ns / 1e6, run.hottest_pc,
-        ok ? "exact" : "MISMATCH");
+        (unsigned long long)run.totals.charged_insns, attributed_ns / 1e6,
+        run.ledger_total_ns / 1e6, run.hottest_pc, ok ? "exact" : "MISMATCH");
   }
   pfbench::ReportCheck("table_6_10.profiler_attribution", attributed);
   if (!attributed) {

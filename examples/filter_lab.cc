@@ -1,9 +1,9 @@
 // filter_lab: an interactive tour of the filter language itself — no
 // simulator, just the pure pf core. Builds the paper's fig. 3-8 and
 // fig. 3-9 programs plus v2-extension examples, disassembles them, runs
-// them through every pf::Engine execution strategy, and shows the
-// decision-tree compiler collapsing a 32-filter set into a handful of
-// probes.
+// them through every pf::Engine execution strategy, and shows the kIndexed
+// decision table collapsing a 32-filter set into a handful of probes and
+// one re-confirmed filter run.
 #include <cstdio>
 
 #include "src/net/pup_endpoint.h"
@@ -79,23 +79,33 @@ int main() {
   Show("indirect push: word at computed byte offset 2+4 == 0x0032 (PupType 50)",
        v2.Build(10), pup35, "a Pup frame of type 50");
 
-  std::printf("=== Decision-tree compilation (sec. 7's 'decision table') ===\n\n");
+  std::printf("=== The decision table (sec. 7), as the kIndexed hash dispatch ===\n\n");
   pf::PacketFilter sequential;
-  pf::PacketFilter tree;
-  tree.SetStrategy(pf::Strategy::kTree);
+  pf::PacketFilter indexed;
+  indexed.SetStrategy(pf::Strategy::kIndexed);
+  indexed.SetFlowCacheCapacity(0);  // show the table itself, not the flow cache
+  pf::PortId last_port = 0;  // both filters open the same port ids
   for (uint32_t socket = 1; socket <= 32; ++socket) {
     const pf::Program filter = pfnet::MakePupSocketFilter(socket, 10);
-    sequential.SetFilter(sequential.OpenPort(), filter);
-    tree.SetFilter(tree.OpenPort(), filter);
+    last_port = sequential.OpenPort();
+    sequential.SetFilter(last_port, filter);
+    indexed.SetFilter(indexed.OpenPort(), filter);
   }
   const auto packet = pftest::MakePupFrame(8, 32);  // matches the last filter
   const auto seq_result = sequential.Demux(packet);
-  const auto tree_result = tree.Demux(packet);
+  const auto indexed_result = indexed.Demux(packet);
+  const pf::Engine& engine = indexed.engine();
   std::printf("32 active socket filters, packet for the last-tested socket:\n");
   std::printf("  sequential: %u filters interpreted, %llu instructions\n",
               seq_result.exec.filters_run, (unsigned long long)seq_result.exec.insns_executed);
-  std::printf("  tree:       %u node probes (%zu nodes total), same delivery\n",
-              tree_result.exec.tree_probes, tree.engine().tree_nodes());
+  std::printf("  indexed:    %zu discriminating words, %zu of 32 filters in the table;\n"
+              "              %u probes + %llu instructions (%u filter re-confirmed), %s\n",
+              engine.index_width(), engine.index_entries(), indexed_result.exec.index_probes,
+              (unsigned long long)indexed_result.exec.insns_executed,
+              indexed_result.exec.filters_run,
+              indexed.QueueLength(last_port) == 1 && sequential.QueueLength(last_port) == 1
+                  ? "same delivery"
+                  : "DELIVERY DIFFERS");
 
   std::printf("\n=== Cross-compilation to classic BPF (DESIGN.md sec. 15) ===\n\n");
   // The conjunction subset cross-compiles to classic BPF — the lineage this

@@ -17,7 +17,7 @@
 //                      one-sample series goes to stdout, machine-readable)
 //   --interval-ms N    sampling/render period in simulated ms (default 10)
 //   --duration-ms N    traffic duration in simulated ms (default 100)
-//   --strategy S       checked|fast|tree|indexed (default indexed)
+//   --strategy S       checked|fast|indexed (default indexed)
 //   --loss P           drop each frame with probability P at the medium
 //   --ring N           shared-memory ring delivery, N slots (DESIGN.md §13)
 //   --csv PATH         write the sampled time series as CSV
@@ -424,7 +424,7 @@ int main(int argc, char** argv) {
   if (!ParseOptions(argc, argv, &options)) {
     std::fprintf(stderr,
                  "usage: pfstat [--once] [--interval-ms N] [--duration-ms N]\n"
-                 "              [--strategy checked|fast|tree|indexed]\n"
+                 "              [--strategy checked|fast|indexed]\n"
                  "              [--loss P] [--ring N] [--csv PATH] [--json PATH|-]\n"
                  "              [--flight-json PATH] [--trend BENCH.json]\n"
                  "              [--top] [--top-k N] [--conn] [--pcapng PATH]\n");

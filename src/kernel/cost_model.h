@@ -53,7 +53,7 @@ struct CostModel {
 
   // Hash-dispatch index (Strategy::kIndexed): one discriminating-word probe
   // is a load + mask + hash mix — the same order of work as one filter
-  // instruction or tree probe.
+  // instruction.
   pfsim::Duration index_probe = pfsim::Microseconds(25);
   // One flow-verdict-cache lookup in Demux (hash of an already-computed
   // signature): cheaper than a filter instruction.
@@ -119,12 +119,12 @@ struct CostModel {
     return checksum_per_byte * static_cast<int64_t>(bytes);
   }
   // Charges exactly what the engine reports having done: per-program
-  // overhead for each sequentially interpreted filter, per-instruction cost
-  // for interpreted instructions and tree probes alike (a probe is one
-  // masked-compare, the same work as one filter instruction).
+  // overhead for each interpreted filter, per-instruction cost for each
+  // interpreted instruction. Index probes are charged separately
+  // (index_probe).
   pfsim::Duration FilterCost(const pf::ExecTelemetry& exec) const {
     return filter_apply * static_cast<int64_t>(exec.filters_run) +
-           filter_insn * static_cast<int64_t>(exec.insns_executed + exec.tree_probes);
+           filter_insn * static_cast<int64_t>(exec.insns_executed);
   }
 };
 

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "src/pf/decision_tree.h"
+#include "src/pf/conjunction.h"
 
 namespace pf {
 

@@ -12,7 +12,7 @@
 //
 // Scope: CompileToBpf() handles the canonical conjunction subset (the
 // shape ExtractConjunction recognizes — the paper's own examples, and what
-// the tree/index/compiled backends optimize). Each field test lowers to
+// the kIndexed dispatch index covers). Each field test lowers to
 //
 //     ldh [2*word]        ; the 16-bit packet word, network order
 //     and #mask           ; omitted when the test is unmasked

@@ -5,8 +5,8 @@
 // `PUSHWORD+1, PUSHLIT | EQ, 2` becomes `b.PushWord(1).LitOp(BinaryOp::kEq, 2)`.
 //
 // Higher-level helpers (WordEquals, MaskedWordEquals, and their
-// short-circuit forms) emit the canonical conjunction shape the
-// decision-tree compiler (decision_tree.h) knows how to extract.
+// short-circuit forms) emit the canonical conjunction shape that
+// ExtractConjunction (conjunction.h) recognizes and kIndexed dispatches on.
 #ifndef SRC_PF_BUILDER_H_
 #define SRC_PF_BUILDER_H_
 

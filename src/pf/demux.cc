@@ -453,12 +453,11 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   }
 
   if (!served) {
-    // One engine pass per packet: under kTree its construction walks the
-    // tree once for every conjunction filter; under kIndexed it probes the
-    // hash index once. Either way the walk visits only the candidates —
-    // ports in priority order whose filter could accept — and the
-    // strategies evaluate lazily, so breaking out early skips the
-    // remaining filters' work.
+    // One engine pass per packet: under kIndexed its construction probes
+    // the hash index once. The walk visits only the candidates — ports in
+    // priority order whose filter could accept — and the strategies
+    // evaluate lazily, so breaking out early skips the remaining filters'
+    // work.
     Engine::MatchPass pass = engine_.Match(packet);
     uint32_t accepts = 0;
     PortState* claimer = nullptr;

@@ -207,7 +207,7 @@ class PacketFilter {
   // The table's counters; they span the filter's lifetime (both
   // configurations), so they never decrease.
   const ConnDB::Stats& flow_cache_stats() const { return flows_.stats(); }
-  // The engine executing this demultiplexer's filters (tree introspection,
+  // The engine executing this demultiplexer's filters (index introspection,
   // bound-program lookup).
   const Engine& engine() const { return engine_; }
   // Periodically move busier filters first within equal priority (§3.2).

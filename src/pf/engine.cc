@@ -15,8 +15,6 @@ std::string ToString(Strategy strategy) {
       return "checked";
     case Strategy::kFast:
       return "fast";
-    case Strategy::kTree:
-      return "tree";
     case Strategy::kIndexed:
       return "indexed";
   }
@@ -105,9 +103,12 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
 // kFast's whole per-filter cost is this loop. [[gnu::flatten]] inlines
 // EvalBinaryOp at -O2 as well as -O3, and the instruction count stays in a
 // local rather than in the returned ExecResult (which may live in the
-// caller's memory), so no instruction pays for a call or a store.
-[[gnu::flatten]] ExecResult InterpretPredecoded(std::span<const PredecodedInsn> insns,
-                                                std::span<const uint8_t> packet) {
+// caller's memory), so no instruction pays for a call or a store. The
+// 64-byte alignment pins where the loop sits in a cache line: without it,
+// editing unrelated code earlier in this file moved the loop and changed
+// kFast's conj 21 hit time by ~25% in micro_interpreter.
+[[gnu::flatten, gnu::aligned(64)]] ExecResult InterpretPredecoded(
+    std::span<const PredecodedInsn> insns, std::span<const uint8_t> packet) {
   if (insns.empty()) {
     // An empty filter accepts every packet, as in the interpreters.
     return ExecResult{.accept = true};
@@ -204,8 +205,7 @@ void Engine::RecordPass(const ExecTelemetry& telemetry) {
   StrategyMetrics& metrics = strategy_metrics_[static_cast<size_t>(strategy_)];
   metrics.passes->Add();
   metrics.filters_run->Add(telemetry.filters_run);
-  const uint64_t work =
-      telemetry.insns_executed + telemetry.tree_probes + telemetry.index_probes;
+  const uint64_t work = telemetry.insns_executed + telemetry.index_probes;
   metrics.insns->Add(work);
   metrics.insns_per_pass->Record(static_cast<int64_t>(work));
 }
@@ -266,7 +266,7 @@ void Engine::AssignRanks() {
     all_ranks_.push_back(rank);
   }
   ranks_dirty_ = false;
-  dirty_ = true;  // the tree and index hold ranks
+  dirty_ = true;  // the index holds ranks
 }
 
 void Engine::Rebuild() {
@@ -280,13 +280,7 @@ void Engine::Rebuild() {
     AssignRanks();
   }
   dirty_ = false;
-  uncovered_ranks_.clear();
-  prune_min_packet_bytes_ = 0;
-  RebuildTree();
   RebuildIndex();
-  std::sort(uncovered_ranks_.begin(), uncovered_ranks_.end());
-  tree_hits_.reserve(filters_.size());
-  merged_.reserve(filters_.size());
 }
 
 const ValidatedProgram* Engine::Find(Key key) const {
@@ -319,7 +313,6 @@ const ProgramProfile* Engine::Profile(Key key) const {
 
 ProfileTotals Engine::profile_totals() const {
   ProfileTotals totals;
-  totals.tree_probes = profiled_tree_probes_;
   totals.index_probes = profiled_index_probes_;
   for (const auto& [key, binding] : filters_) {
     if (binding.profile == nullptr) {
@@ -334,7 +327,6 @@ ProfileTotals Engine::profile_totals() const {
 }
 
 void Engine::ResetProfiles() {
-  profiled_tree_probes_ = 0;
   profiled_index_probes_ = 0;
   for (auto& [key, binding] : filters_) {
     if (binding.profile != nullptr) {
@@ -344,6 +336,8 @@ void Engine::ResetProfiles() {
 }
 
 void Engine::RebuildIndex() {
+  uncovered_ranks_.clear();
+  prune_min_packet_bytes_ = 0;
   index_pairs_.clear();
   index_hashes_.clear();
   index_ranks_.clear();
@@ -353,8 +347,8 @@ void Engine::RebuildIndex() {
   }
 
   // Count how many conjunction filters test each (word, mask) pair; the
-  // pairs tested by the *most* filters discriminate best (same heuristic as
-  // DecisionTree::BuildNode). std::map keeps the choice deterministic.
+  // pairs tested by the *most* filters discriminate best. std::map keeps the
+  // choice deterministic.
   std::map<FieldTestKey, size_t> counts;
   bool all_conjunctions = true;
   for (const auto& [key, binding] : filters_) {
@@ -436,6 +430,8 @@ void Engine::RebuildIndex() {
     index_hashes_.push_back(bucket);
     index_ranks_.push_back(rank);
   }
+  std::sort(uncovered_ranks_.begin(), uncovered_ranks_.end());
+  merged_.reserve(filters_.size());
 }
 
 bool Engine::index_covers_all() {
@@ -463,51 +459,25 @@ std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) 
   return HashIndexWords(packet);
 }
 
-void Engine::RebuildTree() {
-  std::vector<std::pair<uint32_t, std::vector<FieldTest>>> compiled;
-  if (strategy_ == Strategy::kTree) {
-    for (const auto& [key, binding] : filters_) {
-      if (!binding.conjunction.has_value()) {
-        uncovered_ranks_.push_back(binding.rank);
-        continue;
-      }
-      compiled.emplace_back(binding.rank, *binding.conjunction);
-      prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(*binding.conjunction));
-    }
-  }
-  tree_.Build(std::move(compiled));
-}
-
 Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
   Refresh();
   MatchPass pass(this, packet);
   pass.walk_ = all_ranks_;
-  if (!(tree_in_use() || index_in_use()) || packet.size() < prune_min_packet_bytes_) {
+  if (!index_in_use() || packet.size() < prune_min_packet_bytes_) {
     // Nothing prunes, or a pruned filter could have reported kOutOfPacket
     // on this packet: every filter runs, so statuses stay exact.
     return pass;
   }
-  std::span<const uint32_t> hits;
-  if (tree_in_use()) {
-    tree_hits_.clear();
-    tree_.Match(packet, &tree_hits_, &pass.telemetry_.tree_probes);
-    std::sort(tree_hits_.begin(), tree_hits_.end());
-    hits = tree_hits_;
-    pass.tree_answers_ = true;
-    if (profiling_) {
-      profiled_tree_probes_ += pass.telemetry_.tree_probes;
-    }
-  } else {
-    // Cannot fail: every indexed word fits in prune_min_packet_bytes_.
-    const auto [first, last] =
-        std::equal_range(index_hashes_.begin(), index_hashes_.end(), *HashIndexWords(packet));
-    pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
-    hits = std::span<const uint32_t>(index_ranks_)
-               .subspan(static_cast<size_t>(first - index_hashes_.begin()),
-                        static_cast<size_t>(last - first));
-    if (profiling_) {
-      profiled_index_probes_ += pass.telemetry_.index_probes;
-    }
+  // Cannot fail: every indexed word fits in prune_min_packet_bytes_.
+  const auto [first, last] =
+      std::equal_range(index_hashes_.begin(), index_hashes_.end(), *HashIndexWords(packet));
+  pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
+  const std::span<const uint32_t> hits =
+      std::span<const uint32_t>(index_ranks_)
+          .subspan(static_cast<size_t>(first - index_hashes_.begin()),
+                   static_cast<size_t>(last - first));
+  if (profiling_) {
+    profiled_index_probes_ += pass.telemetry_.index_probes;
   }
   if (uncovered_ranks_.empty() || hits.empty()) {
     pass.live_ = hits.empty() ? std::span<const uint32_t>(uncovered_ranks_) : hits;
@@ -543,18 +513,16 @@ Verdict Engine::MatchPass::Test(Key /*key*/, const Binding* binding) {
 }
 
 Verdict Engine::MatchPass::Evaluate(const Binding& binding, bool live) {
-  if (!live || (tree_answers_ && binding.conjunction.has_value())) {
-    // Pruned — some discriminating test mismatched on a packet long enough
-    // that the program itself would have rejected cleanly — or answered by
-    // the tree walk. Either way the filter does no work and has no status.
+  if (!live) {
+    // Pruned: some discriminating test mismatched on a packet long enough
+    // that the program itself would have rejected cleanly, so the filter
+    // does no work and has no status.
     if (engine_->profiling_ && binding.profile != nullptr) {
       // Replay (uncharged) so per-pc hit counts match a sequential run.
       binding.profile->RecordExec(InterpretPredecoded(binding.decoded, packet_),
                                   /*charged=*/false);
     }
-    Verdict verdict;
-    verdict.accept = live;
-    return verdict;
+    return Verdict{};
   }
   ++telemetry_.filters_run;
   const ExecResult exec = engine_->strategy_ == Strategy::kChecked

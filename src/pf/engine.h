@@ -18,24 +18,20 @@
 //     validated program it returns the same ExecResult as
 //     InterpretChecked, bit for bit.
 //
-// *Which* filters run — four named strategies:
+// *Which* filters run — three named strategies:
 //   * kChecked — the priority walk over every candidate, checked (§4).
 //   * kFast    — the same walk, pre-decoded (§7 validate-ahead).
-//   * kTree    — the active conjunction-shaped filters are compiled into
-//                one decision tree; one walk yields every verdict (§7's
-//                "decision table"). Non-conjunction filters run pre-decoded
-//                within the same pass; packets too short to load every tree
-//                word take a sequential pass, as under kIndexed.
-//   * kIndexed — a hash dispatch index over the conjunction-shaped filters:
-//                Bind() time chooses a small set of discriminating
-//                (word, mask) pairs shared across the bound set; Match()
-//                hashes those words' masked values once and only the
-//                filters in the matching bucket are (re-)executed. The
-//                index is a pruner, never an oracle — a bucket hit is
-//                always re-confirmed by running the filter itself, so hash
-//                collisions cannot mis-deliver. Filters outside the
-//                conjunction subset, and packets too short to load every
-//                indexed word, fall back to the sequential pass.
+//   * kIndexed — §7's "decision table" as a hash dispatch index over the
+//                conjunction-shaped filters (conjunction.h): rebuild time
+//                chooses a small set of discriminating (word, mask) pairs
+//                shared across the bound set; Match() hashes those words'
+//                masked values once and only the filters in the matching
+//                bucket are (re-)executed. The index is a pruner, never an
+//                oracle — a bucket hit is always re-confirmed by running
+//                the filter itself, so hash collisions cannot mis-deliver
+//                and every accept comes from a filter run. Filters outside
+//                the conjunction subset, and packets too short to load
+//                every indexed word, fall back to the sequential pass.
 //                Common-case cost is O(index width), independent of
 //                bound_count().
 //
@@ -46,11 +42,10 @@
 // ranks that can possibly accept — and answers per-filter verdicts lazily,
 // so a caller that stops after the first accepting filter (fig. 4-1's claim
 // rule) pays nothing for the filters it never asks about. Sequential
-// strategies make every rank a candidate; kTree and kIndexed hand back only
-// the filters their walk or bucket let through, merged with the filters
-// they cannot prune (DESIGN.md §4). Each pass accumulates an ExecTelemetry
-// — the single struct the kernel Ledger and the §6 benchmarks charge costs
-// from.
+// strategies make every rank a candidate; kIndexed hands back only the
+// filters its bucket lets through, merged with the filters it cannot prune
+// (DESIGN.md §4). Each pass accumulates an ExecTelemetry — the single
+// struct the kernel Ledger and the §6 benchmarks charge costs from.
 #ifndef SRC_PF_ENGINE_H_
 #define SRC_PF_ENGINE_H_
 
@@ -63,7 +58,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/pf/decision_tree.h"
+#include "src/pf/conjunction.h"
 #include "src/pf/interpreter.h"
 #include "src/pf/profile.h"
 #include "src/pf/program.h"
@@ -74,12 +69,11 @@ namespace pf {
 enum class Strategy : uint8_t {
   kChecked = 0,  // §4 priority walk, per-instruction checking
   kFast,         // §7 priority walk, validated ahead and pre-decoded
-  kTree,         // §7 decision-tree compilation of the conjunction subset
-  kIndexed,      // hash dispatch on shared discriminating words + re-confirm
+  kIndexed,      // §7 decision table: hash dispatch on shared words + re-confirm
 };
 
 inline constexpr Strategy kAllStrategies[] = {Strategy::kChecked, Strategy::kFast,
-                                              Strategy::kTree, Strategy::kIndexed};
+                                              Strategy::kIndexed};
 inline constexpr size_t kStrategyCount = sizeof(kAllStrategies) / sizeof(kAllStrategies[0]);
 
 std::string ToString(Strategy strategy);
@@ -90,13 +84,12 @@ std::string ToString(Strategy strategy);
 struct ExecTelemetry {
   uint32_t filters_run = 0;       // programs interpreted sequentially
   uint64_t insns_executed = 0;    // filter instructions evaluated
-  uint32_t tree_probes = 0;       // decision-tree node probes
+  uint32_t tree_probes = 0;       // always 0; perfbench/bare.cc and stack.cc still read it
   uint32_t index_probes = 0;      // discriminating-word loads for the hash index
 
   ExecTelemetry& operator+=(const ExecTelemetry& other) {
     filters_run += other.filters_run;
     insns_executed += other.insns_executed;
-    tree_probes += other.tree_probes;
     index_probes += other.index_probes;
     return *this;
   }
@@ -104,10 +97,10 @@ struct ExecTelemetry {
 
 // One filter's answer for one packet. Errors reject (§4) and are surfaced in
 // `status` so hosts can count them per port. `insns_executed` is how many
-// instructions *this* filter ran (0 when the verdict came from the decision
-// tree or an index prune); since execution is straight-line, the erroring
-// instruction of a non-kOk verdict is pc insns_executed - 1 — the flight
-// recorder's "rejecting pc".
+// instructions *this* filter ran (0 when an index prune rejected it without
+// a run); since execution is straight-line, the erroring instruction of a
+// non-kOk verdict is pc insns_executed - 1 — the flight recorder's
+// "rejecting pc".
 struct Verdict {
   bool accept = false;
   ExecStatus status = ExecStatus::kOk;
@@ -171,7 +164,7 @@ class Engine {
   // --- The bound filter set ---
   // Bind() performs every ahead-of-time step once: the program arrives
   // already validated, is pre-decoded, and its conjunction shape (if any)
-  // is extracted for kTree and kIndexed.
+  // is extracted for kIndexed.
   void Bind(Key key, ValidatedProgram program);
   bool Unbind(Key key);
   void Clear();
@@ -179,8 +172,8 @@ class Engine {
   // Ranks the bound set for the candidate walk: `order[r]` is the key tested
   // r-th. `order` must name every bound key exactly once. Until a SetOrder()
   // follows the latest Bind/Unbind, keys rank in ascending key order. An
-  // unchanged order keeps the tree and index; a changed one rebuilds them at
-  // the next Match().
+  // unchanged order keeps the index; a changed one rebuilds it at the next
+  // Match().
   void SetOrder(std::span<const Key> order);
   // The binding at `rank` in the order last set (valid until the next
   // Bind/Unbind/Clear).
@@ -190,11 +183,6 @@ class Engine {
   // The full binding (see struct Binding above), or nullptr. The pointer
   // survives re-Bind() of the same key; Unbind/Clear invalidate it.
   const Binding* FindBinding(Key key) const;
-
-  // --- Tree introspection (meaningful under kTree) ---
-  // True once a non-empty tree has been built and the strategy uses it.
-  bool tree_in_use() const { return strategy_ == Strategy::kTree && !tree_.empty(); }
-  size_t tree_nodes() const { return tree_.node_count(); }
 
   // --- Index introspection (meaningful under kIndexed) ---
   // These reflect the most recently built index; Match() and
@@ -218,11 +206,10 @@ class Engine {
 
   // --- Filter-program profiling (src/pf/profile.h) ---
   // Opt-in per-binding profiles: per-pc hit counts, exit pcs, and charged
-  // (ledger-reconcilable) instruction counts. When a strategy answers a
-  // filter without running it (kTree's walk, kIndexed's prune), the pass
-  // replays the pre-decoded program once — uncharged — so per-pc *hit*
-  // counts are identical across every strategy. Off (the default) the cost
-  // is a single branch per filter test.
+  // (ledger-reconcilable) instruction counts. When kIndexed prunes a filter
+  // without running it, the pass replays the pre-decoded program once —
+  // uncharged — so per-pc *hit* counts are identical across every strategy.
+  // Off (the default) the cost is a single branch per filter test.
   void SetProfiling(bool enabled);
   bool profiling() const { return profiling_; }
   // The profile collected for `key`, or nullptr (not bound, or profiling
@@ -235,20 +222,19 @@ class Engine {
   void ResetProfiles();
 
   // One packet's evaluation pass over the bound set. Match() front-loads
-  // the kTree walk or the kIndexed probe; Test() is lazy. At most one pass
-  // per Engine may be live at a time (it borrows the engine's candidate
-  // buffers), Bind/Unbind/Clear/SetOrder invalidate it, and the packet
-  // bytes must outlive the pass (it holds a span, not a copy).
+  // the kIndexed probe; Test() is lazy. At most one pass per Engine may be
+  // live at a time (it borrows the engine's candidate buffers),
+  // Bind/Unbind/Clear/SetOrder invalidate it, and the packet bytes must
+  // outlive the pass (it holds a span, not a copy).
   class MatchPass {
    public:
     // The ranks a first-accept walk must test, ascending. Every rank is a
     // candidate under the sequential strategies, on packets shorter than
-    // the tree's or index's words (kOutOfPacket statuses stay exact), and
-    // while profiling (pruned filters are replayed, uncharged). Otherwise
-    // only the tree's matches or the index bucket, merged with the filters
-    // the tree or index does not cover: a filter left out would have
-    // returned Verdict{} with no work and no status, so skipping it changes
-    // nothing observable.
+    // the index's words (kOutOfPacket statuses stay exact), and while
+    // profiling (pruned filters are replayed, uncharged). Otherwise only the
+    // index bucket, merged with the filters the index does not cover: a
+    // filter left out would have returned Verdict{} with no work and no
+    // status, so skipping it changes nothing observable.
     std::span<const uint32_t> candidates() const { return walk_; }
     // Verdict for the filter at `rank` (a member of candidates()).
     Verdict TestRank(uint32_t rank);
@@ -265,18 +251,17 @@ class Engine {
     MatchPass(const Engine* engine, std::span<const uint8_t> packet)
         : engine_(engine), packet_(packet) {}
     bool Live(uint32_t rank) const;
-    // `live` = the tree or index let this filter through (or nothing prunes).
+    // `live` = the index let this filter through (or nothing prunes).
     Verdict Evaluate(const Binding& binding, bool live);
 
     const Engine* engine_;
     std::span<const uint8_t> packet_;
     ExecTelemetry telemetry_;
     std::span<const uint32_t> walk_;  // what candidates() hands back
-    // When pruning_: the ranks the tree or index let through, merged with
-    // the ones it does not cover (ascending); every other rank rejects.
+    // When pruning_: the ranks the index let through, merged with the ones
+    // it does not cover (ascending); every other rank rejects.
     std::span<const uint32_t> live_;
     bool pruning_ = false;
-    bool tree_answers_ = false;  // kTree walk: a live conjunction accepts
   };
 
   MatchPass Match(std::span<const uint8_t> packet);
@@ -292,16 +277,14 @@ class Engine {
   static constexpr size_t kMaxIndexWords = 4;
 
   void AssignRanks();
-  // Rebuilds the rank-dependent structures (tree, index) for the current
-  // strategy if a Bind/Unbind/SetOrder/strategy
-  // change made them stale.
+  // Rebuilds the rank-dependent index for the current strategy if a
+  // Bind/Unbind/SetOrder/strategy change made it stale.
   void Refresh() {
     if (dirty_) {
       Rebuild();
     }
   }
   void Rebuild();
-  void RebuildTree();
   void RebuildIndex();
   // FNV-1a over the discriminating words' masked values (the index bucket
   // key); nullopt when the packet is too short to load every word.
@@ -318,7 +301,6 @@ class Engine {
   bool profiling_ = false;
   // Probe work performed while profiling (accumulated by Match); the
   // per-binding instruction counts live in Binding::profile.
-  uint64_t profiled_tree_probes_ = 0;
   uint64_t profiled_index_probes_ = 0;
   pfobs::MetricsRegistry* metrics_registry_ = nullptr;
   StrategyMetrics strategy_metrics_[kStrategyCount];
@@ -331,21 +313,17 @@ class Engine {
   std::vector<const Binding*> ranked_;   // rank -> binding
   std::vector<uint32_t> all_ranks_;      // 0 .. bound_count()-1
 
-  // --- Candidate pruning (kTree and kIndexed) ---
-  // Ranks of the bindings the tree or index does not cover, ascending: they
-  // are candidates on every packet.
+  // --- Hash dispatch index (kIndexed) ---
+  // Ranks of the bindings the index does not cover, ascending: they are
+  // candidates on every packet.
   std::vector<uint32_t> uncovered_ranks_;
-  // Every covered filter's word references fit in a packet of at least this
+  // Every indexed filter's word references fit in a packet of at least this
   // many bytes; shorter packets take the sequential fallback so pruning
   // can never hide a kOutOfPacket status a sequential run would report.
   size_t prune_min_packet_bytes_ = 0;
-  // Per-pass scratch, reserved at rebuild so passes never allocate.
-  std::vector<uint32_t> tree_hits_;   // the tree walk's ranks, then sorted
-  std::vector<uint32_t> merged_;      // hits merged with uncovered_ranks_
-
-  DecisionTree tree_;  // over ranks
-
-  // --- Hash dispatch index (kIndexed) ---
+  // Per-pass scratch, reserved at rebuild so passes never allocate: the
+  // bucket merged with uncovered_ranks_.
+  std::vector<uint32_t> merged_;
   std::vector<FieldTestKey> index_pairs_;  // the discriminating words, sorted
   // One entry per indexed filter, sorted by (bucket hash, rank): a bucket is
   // a run of equal hashes, its ranks ascending.

@@ -9,16 +9,15 @@
 // lets every Engine strategy feed the *same* profile:
 //
 //   * hits    — "equivalent executions": how often this pc would have run
-//               under the §4 sequential interpreter. When kTree answers a
-//               conjunction filter from the decision-tree walk, or kIndexed
-//               prunes a filter via the hash index, the engine replays the
+//               under the §4 sequential interpreter. When kIndexed prunes a
+//               filter via the hash index, the engine replays the
 //               pre-decoded program once (uncharged) so the per-pc hit
-//               counts stay identical across all four strategies.
+//               counts stay identical across all three strategies.
 //   * charged — executions the cost Ledger actually paid for (the filter
 //               really was interpreted). Cost attribution uses this count:
-//               filter_apply * runs + filter_insn * (sum of charged +
-//               profiled tree probes) reconciles exactly with the
-//               Cost::kFilterEval ledger total (asserted in table_6_10).
+//               filter_apply * runs + filter_insn * (sum of charged)
+//               reconciles exactly with the Cost::kFilterEval ledger total
+//               (asserted in table_6_10).
 //
 // pc means *instruction index* (PUSHLIT's literal word is folded into its
 // instruction), matching Predecode() and the disassembler's line numbers.
@@ -54,8 +53,8 @@ struct ProgramProfile {
   uint64_t errors = 0;   // passes that ended in a non-kOk status
 
   // Folds one finished execution into the profile. `charged` says whether
-  // the engine really interpreted the program (vs. replaying it to mirror a
-  // tree/index-provided verdict). Execution is straight-line, so `exec`
+  // the engine really interpreted the program (vs. replaying it to mirror an
+  // index prune). Execution is straight-line, so `exec`
   // fully determines which pcs ran and where the pass exited.
   void RecordExec(const ExecResult& exec, bool charged);
 
@@ -73,14 +72,12 @@ struct ProgramProfile {
 // the passes' behalf while profiling was on. The reconciliation identity
 // (see table_6_10):
 //
-//   kFilterEval total == filter_apply * runs
-//                      + filter_insn  * (charged_insns + tree_probes)
+//   kFilterEval total == filter_apply * runs + filter_insn * charged_insns
 struct ProfileTotals {
   uint64_t passes = 0;
   uint64_t runs = 0;
   uint64_t hit_insns = 0;
   uint64_t charged_insns = 0;
-  uint64_t tree_probes = 0;   // decision-tree probes while profiling
   uint64_t index_probes = 0;  // hash-index word loads while profiling
 };
 

@@ -38,7 +38,7 @@ struct ValidationResult {
   ValidationError error = ValidationError::kNone;
   size_t error_word = 0;  // word offset of the offending instruction
 
-  // Metadata for the fast interpreter and the decision-tree compiler:
+  // Metadata about the program's shape:
   size_t instruction_count = 0;
   uint32_t max_stack_depth = 0;
   uint8_t max_word_index = 0;    // highest PUSHWORD operand (0 if none)

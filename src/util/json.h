@@ -2,11 +2,11 @@
 //
 // The repo emits machine-readable JSON from several places (bench harness,
 // pfbench, sampler, flight recorder) and — since the performance observatory
-// (DESIGN.md §14) — also *consumes* it: pfbench_compare diffs a fresh bench
-// run against a committed baseline, pfstat --trend summarizes a trend file,
-// and tests/bench_json_test round-trips the schema. This is a deliberately
-// small recursive-descent parser for that tooling: full JSON syntax, DOM
-// values, no streaming, no SAX, not tuned for huge documents.
+// (DESIGN.md §14) — also *consumes* it: `pfbench --compare` diffs a fresh
+// bench run against a committed baseline, pfstat --trend summarizes a trend
+// file, and tests/bench_json_test round-trips the schema. This is a
+// deliberately small recursive-descent parser for that tooling: full JSON
+// syntax, DOM values, no streaming, no SAX, not tuned for huge documents.
 #ifndef SRC_UTIL_JSON_H_
 #define SRC_UTIL_JSON_H_
 

@@ -96,7 +96,7 @@ TEST(DemuxTest, DeliverToLowerProducesCopies) {
 TEST(DemuxTest, DeliverToLowerOrderingIsStrategyIndependent) {
   // The fig. 4-1 walk order (priority desc, then open order) is policy and
   // must not depend on how filters are *executed* or which candidates the
-  // tree or index hands back: no strategy may reorder claims or copies.
+  // index hands back: no strategy may reorder claims or copies.
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     PacketFilter filter;
     filter.SetStrategy(strategy);
@@ -346,6 +346,41 @@ TEST(DemuxTest, StrategySwitchableAtRuntime) {
     filter.Demux(pftest::MakePupFrame(8, 35));
   }
   EXPECT_EQ(filter.QueueLength(port), std::size(pf::kAllStrategies));
+}
+
+// A frame too short to load the index's words takes the sequential pass:
+// fig. 3-9 reads word 8 first, so on a 10-byte Pup frame it stops with
+// kOutOfPacket and the unclaimed frame is a short_packet drop — exactly what
+// kChecked reports — not a clean no_match from a pruned filter.
+TEST(DemuxTest, ShortFrameTakesTheSequentialPassUnderIndexed) {
+  PacketFilter checked;
+  PacketFilter indexed;
+  checked.SetStrategy(pf::Strategy::kChecked);
+  indexed.SetStrategy(pf::Strategy::kIndexed);
+  const PortId checked_port = checked.OpenPort();
+  const PortId indexed_port = indexed.OpenPort();
+  ASSERT_TRUE(checked.SetFilter(checked_port, pf::PaperFig39Filter()).ok);
+  ASSERT_TRUE(indexed.SetFilter(indexed_port, pf::PaperFig39Filter()).ok);
+
+  std::vector<uint8_t> runt = pftest::MakePupFrame(8, 35);
+  runt.resize(10);
+  checked.Demux(runt);
+  const pf::DemuxResult got = indexed.Demux(runt);
+  EXPECT_FALSE(got.accepted);
+  EXPECT_EQ(got.exec.index_probes, 0u);  // no probe: the filter ran
+  EXPECT_EQ(got.exec.filters_run, 1u);
+  EXPECT_EQ(indexed.Stats(indexed_port)->filter_errors,
+            checked.Stats(checked_port)->filter_errors);
+  EXPECT_EQ(indexed.Stats(indexed_port)->filter_errors, 1u);
+  const auto short_packet = static_cast<size_t>(pf::DropReason::kShortPacket);
+  EXPECT_EQ(indexed.global_stats().drops_by_reason, checked.global_stats().drops_by_reason);
+  EXPECT_EQ(indexed.global_stats().drops_by_reason[short_packet], 1u);
+
+  // A full frame probes the index, and its claimer still runs.
+  const pf::DemuxResult full = indexed.Demux(pftest::MakePupFrame(8, 35));
+  EXPECT_TRUE(full.accepted);
+  EXPECT_GT(full.exec.index_probes, 0u);
+  EXPECT_EQ(full.exec.filters_run, 1u);
 }
 
 TEST(DemuxTest, GlobalStatsAccumulate) {

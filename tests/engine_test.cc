@@ -1,9 +1,11 @@
 // pf::Engine tests: strategy selection, bind-time pre-decoding, per-pass
 // telemetry, lazy evaluation, the kIndexed hash dispatch index — and the
 // cross-strategy parity property: randomized programs (conjunction-shaped
-// and not) against randomized packets must produce identical verdicts
-// under all four strategies.
+// and not) against randomized packets must produce identical verdicts and
+// statuses under all three strategies.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/pf/builder.h"
 #include "src/pf/engine.h"
@@ -109,7 +111,7 @@ TEST(EngineTest, LazyEvaluationSkipsUntestedFilters) {
 }
 
 TEST(EngineTest, EveryStrategyRunsANonConjunctionOnce) {
-  // Fig. 3-8 tests ranges, so neither the tree nor the index covers it:
+  // Fig. 3-8 tests ranges, so the index does not cover it:
   // every strategy interprets it exactly once, doing kChecked's work.
   const auto packet = pftest::MakePupFrame(50, 35);
   const uint32_t checked_insns =
@@ -121,32 +123,8 @@ TEST(EngineTest, EveryStrategyRunsANonConjunctionOnce) {
     EXPECT_TRUE(engine.RunOne(kKey, packet, &telemetry).accept) << pf::ToString(strategy);
     EXPECT_EQ(telemetry.filters_run, 1u) << pf::ToString(strategy);
     EXPECT_EQ(telemetry.insns_executed, checked_insns) << pf::ToString(strategy);
-    EXPECT_EQ(telemetry.tree_probes + telemetry.index_probes, 0u) << pf::ToString(strategy);
+    EXPECT_EQ(telemetry.index_probes, 0u) << pf::ToString(strategy);
   }
-}
-
-TEST(EngineTest, TreeStrategyFallsBackForNonConjunctions) {
-  Engine engine(Strategy::kTree);
-  engine.Bind(1, *ValidatedProgram::Create(pf::PaperFig38Filter()));  // ranges: not eligible
-  engine.Bind(2, *ValidatedProgram::Create(pf::PaperFig39Filter()));  // conjunction
-  const auto packet = pftest::MakePupFrame(50, 35);
-  Engine::MatchPass pass = engine.Match(packet);
-  EXPECT_TRUE(pass.Test(1).accept);
-  EXPECT_TRUE(pass.Test(2).accept);
-  EXPECT_TRUE(engine.tree_in_use());
-  EXPECT_GT(pass.telemetry().tree_probes, 0u);   // the walk answered filter 2
-  EXPECT_EQ(pass.telemetry().filters_run, 1u);   // only filter 1 was interpreted
-}
-
-TEST(EngineTest, StrategySwitchRebuildsTree) {
-  Engine engine(Strategy::kFast);
-  engine.Bind(kKey, *ValidatedProgram::Create(pf::PaperFig39Filter()));
-  EXPECT_FALSE(engine.tree_in_use());
-  engine.set_strategy(Strategy::kTree);
-  (void)engine.Match(pftest::MakePupFrame(8, 35));
-  EXPECT_TRUE(engine.tree_in_use());
-  engine.set_strategy(Strategy::kFast);
-  EXPECT_FALSE(engine.tree_in_use());
 }
 
 // --- kIndexed hash dispatch index ---
@@ -224,6 +202,34 @@ TEST(EngineIndexTest, NonConjunctionFiltersFallBackButConjunctionsStayIndexed) {
   EXPECT_TRUE(pass.Test(2).accept);   // bucket hit, re-confirmed
   EXPECT_FALSE(pass.Test(3).accept);  // pruned
   EXPECT_EQ(pass.telemetry().filters_run, 2u);
+}
+
+// An accept-all filter (the empty conjunction) tests no word, so it has no
+// bucket: it stays a candidate on every packet, beside the indexed filters.
+TEST(EngineIndexTest, MatchAllFilterStaysACandidate) {
+  Engine engine(Strategy::kIndexed);
+  engine.Bind(1, *ValidatedProgram::Create(Program{}));
+  engine.Bind(2, *ValidatedProgram::Create(SocketConjunction(35)));
+  const auto packet = pftest::MakePupFrame(50, 36);  // misses the socket filter
+  Engine::MatchPass pass = engine.Match(packet);
+  EXPECT_TRUE(engine.index_in_use());
+  EXPECT_EQ(engine.index_entries(), 1u);
+  EXPECT_EQ(pass.candidates().size(), 1u);
+  EXPECT_TRUE(pass.Test(1).accept);
+  EXPECT_FALSE(pass.Test(2).accept);
+  EXPECT_EQ(pass.telemetry().filters_run, 1u);  // only the accept-all ran
+}
+
+TEST(EngineIndexTest, StrategySwitchRebuildsIndex) {
+  Engine engine(Strategy::kFast);
+  engine.Bind(kKey, *ValidatedProgram::Create(pf::PaperFig39Filter()));
+  (void)engine.Match(pftest::MakePupFrame(8, 35));
+  EXPECT_FALSE(engine.index_in_use());
+  engine.set_strategy(Strategy::kIndexed);
+  (void)engine.Match(pftest::MakePupFrame(8, 35));
+  EXPECT_TRUE(engine.index_in_use());
+  engine.set_strategy(Strategy::kFast);
+  EXPECT_FALSE(engine.index_in_use());
 }
 
 TEST(EngineIndexTest, SignatureIsStablePerFlowAndDistinguishesFlows) {
@@ -327,7 +333,7 @@ Program RandomWalkProgram(pfutil::Rng* rng) {
   return b.Build(static_cast<uint8_t>(rng->Below(4)));
 }
 
-// A random canonical conjunction (the tree-eligible shape).
+// A random canonical conjunction (the indexable shape).
 Program RandomConjunction(pfutil::Rng* rng) {
   FilterBuilder b;
   const int tests = static_cast<int>(rng->Range(1, 3));
@@ -355,6 +361,7 @@ TEST(EngineParityProperty, AllStrategiesAgreeOnRandomPrograms) {
   pfutil::Rng rng(0xe2617e);
   int conjunctions = 0;
   int errors_seen = 0;
+  int pruned = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const Program program = rng.Chance(0.5) ? RandomConjunction(&rng) : RandomWalkProgram(&rng);
     const auto validated = ValidatedProgram::Create(program);
@@ -381,36 +388,33 @@ TEST(EngineParityProperty, AllStrategiesAgreeOnRandomPrograms) {
       errors_seen += checked.status != ExecStatus::kOk ? 1 : 0;
       for (size_t s = 1; s < std::size(pf::kAllStrategies); ++s) {
         const Strategy strategy = pf::kAllStrategies[s];
-        EXPECT_EQ(verdicts[s].accept, checked.accept)
-            << "trial " << trial << " packet " << p << " strategy " << pf::ToString(strategy);
-        // The sequential backends must also agree on the error status and
-        // on work done. A conjunction answered by the tree walk reports no
-        // status (a failed test is just a non-match). kIndexed reports
-        // *exact* statuses even for pruned filters (short packets take its
-        // sequential fallback), but a pruned filter executes no
-        // instructions, so insns only match when it cannot prune.
-        if (strategy == Strategy::kIndexed) {
-          EXPECT_EQ(verdicts[s].status, checked.status)
-              << "trial " << trial << " packet " << p << " strategy " << pf::ToString(strategy);
-          if (!conjunction_shaped) {
-            EXPECT_EQ(telemetry[s].insns_executed, telemetry[0].insns_executed)
-                << "trial " << trial << " packet " << p << " strategy "
-                << pf::ToString(strategy);
-          }
-        } else if (strategy != Strategy::kTree || !conjunction_shaped) {
-          EXPECT_EQ(verdicts[s].status, checked.status)
-              << "trial " << trial << " packet " << p << " strategy " << pf::ToString(strategy);
-          EXPECT_EQ(telemetry[s].insns_executed, telemetry[0].insns_executed)
-              << "trial " << trial << " packet " << p << " strategy " << pf::ToString(strategy);
+        SCOPED_TRACE("trial " + std::to_string(trial) + " packet " + std::to_string(p) +
+                     " strategy " + pf::ToString(strategy));
+        // Every strategy reports kChecked's exact accept and status: kIndexed
+        // sends packets too short for its words down the sequential path.
+        EXPECT_EQ(verdicts[s].accept, checked.accept);
+        EXPECT_EQ(verdicts[s].status, checked.status);
+        // Work matches wherever the filter ran. Only kIndexed may prune, only
+        // a conjunction, and a pruned filter is a clean reject.
+        if (telemetry[s].filters_run == 1) {
+          EXPECT_EQ(telemetry[s].insns_executed, telemetry[0].insns_executed);
+        } else {
+          ++pruned;
+          EXPECT_EQ(strategy, Strategy::kIndexed);
+          EXPECT_TRUE(conjunction_shaped);
+          EXPECT_EQ(telemetry[s].insns_executed, 0u);
+          EXPECT_FALSE(checked.accept);
+          EXPECT_EQ(checked.status, ExecStatus::kOk);
         }
       }
     }
   }
-  // The generator must exercise both sides of the conjunction split and the
-  // error paths, or the property is vacuous.
+  // The generator must exercise both sides of the conjunction split, the
+  // error paths and the prune, or the property is vacuous.
   EXPECT_GT(conjunctions, 50);
   EXPECT_LT(conjunctions, 350);
   EXPECT_GT(errors_seen, 0);
+  EXPECT_GT(pruned, 0);
 }
 
 // The tentpole's correctness property: with a whole *set* of filters bound

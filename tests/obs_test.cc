@@ -584,9 +584,9 @@ TEST(ObsReconcileTest, FilterEvalHistogramMatchesLedger) {
   EXPECT_EQ(hist->sum(), machine.ledger().total(Cost::kFilterEval).count());
   EXPECT_GT(hist->count(), 0u);
   // The other strategies' histograms exist but stay empty.
-  const pfobs::Histogram* tree = machine.metrics().FindHistogram("pf.filter_eval.tree");
-  ASSERT_NE(tree, nullptr);
-  EXPECT_EQ(tree->count(), 0u);
+  const pfobs::Histogram* indexed = machine.metrics().FindHistogram("pf.filter_eval.indexed");
+  ASSERT_NE(indexed, nullptr);
+  EXPECT_EQ(indexed->count(), 0u);
 
   // SnapshotText/SnapshotJson bundle ledger + registry; spot-check both.
   const std::string text = machine.SnapshotText();

@@ -91,7 +91,7 @@ TEST(ProfileTest, AnnotatedDumpRejectsForeignProfile) {
 
 // The acceptance bar for the profiler: per-pc *hit* counts (equivalent
 // sequential executions) are identical whichever strategy produced them,
-// because kTree's walk answers and kIndexed's prunes are replayed uncharged.
+// because kIndexed's prunes are replayed uncharged.
 // The flow verdict cache is disabled: cache-served packets legitimately skip
 // the walk, which is exactly the strategy-dependence this test must exclude.
 TEST(ProfileTest, AllStrategiesProduceIdenticalHitCounts) {
@@ -247,7 +247,6 @@ TEST(ProfileTest, DisabledProfilingIsFreeAndNull) {
   // units are identical with it on, off, or never enabled.
   EXPECT_EQ(exec_off.filters_run, exec_on.filters_run);
   EXPECT_EQ(exec_off.insns_executed, exec_on.insns_executed);
-  EXPECT_EQ(exec_off.tree_probes, exec_on.tree_probes);
   EXPECT_EQ(exec_off.index_probes, exec_on.index_probes);
   EXPECT_EQ(accepted_off, accepted_on);
   EXPECT_TRUE(null_off);  // no profile objects exist when off

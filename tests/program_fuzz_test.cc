@@ -12,12 +12,14 @@
 // * On every validated program, the pre-decoded interpreter returns the
 //   same ExecResult as InterpretChecked(), field for field, and the CSPF ->
 //   BPF cross-compiler (where it applies) returns the same verdict.
-// * Sets of 1..4 generated programs (conjunctions mixed in, so the tree and
-//   the index prune) bound into an Engine under each of the four strategies
-//   return the same accept and status per filter; a filter a strategy
-//   actually ran returns kChecked's Verdict exactly; a profiled twin reports
-//   the same verdicts and telemetry; and the per-pc profile hits and exits
-//   are identical across strategies (charged counts too, for kFast).
+// * Sets of 1..4 generated programs (conjunctions mixed in, so the index
+//   prunes) bound into an Engine under each of the three strategies return
+//   kChecked's accept and status per filter; a filter a strategy ran returns
+//   kChecked's Verdict exactly, and one it did not run (a kIndexed prune) is
+//   a clean reject that kChecked also rejected with kOk; a profiled twin
+//   reports the same verdicts and telemetry; and the per-pc profile hits
+//   and exits are identical across strategies (charged counts too, for
+//   kFast).
 //
 // Time-boxed: the first seed always runs to completion and must cover
 // every opcode, action, validation error and execution status; further
@@ -78,7 +80,7 @@ struct Coverage {
   bool v2 = false;
   bool max_length = false;             // a valid program of kMaxProgramWords words
   bool max_depth = false;              // a valid program reaching kMaxStackDepth
-  int pruned = 0;                      // filters a tree or index pass did not run
+  int pruned = 0;                      // filters an index pass did not run
 
   void Expect() const {
     for (const BinaryOp op : kV1Ops) {
@@ -210,8 +212,7 @@ Program Mutate(pfutil::Rng* rng, Program program) {
   return program;
 }
 
-// A canonical conjunction over the front words: what the tree and the
-// index cover.
+// A canonical conjunction over the front words: what the index covers.
 Program RandomConjunction(pfutil::Rng* rng) {
   pf::FilterBuilder b;
   const int tests = static_cast<int>(rng->Range(1, 3));
@@ -364,19 +365,22 @@ void CheckFilterSet(pfutil::Rng* rng, Coverage* coverage) {
         const Verdict& want = reference[key];
         EXPECT_EQ(verdict.accept, want.accept);
         EXPECT_EQ(verdict.status, want.status);
-        if (strategy == Strategy::kFast) {
-          EXPECT_TRUE(ran);
-        }
         if (ran) {
           EXPECT_EQ(verdict.short_circuited, want.short_circuited);
           EXPECT_EQ(verdict.insns_executed, want.insns_executed);
         } else {
+          // Only the index prunes, and only a filter that would have
+          // rejected cleanly: no accept comes from anything but a run.
+          EXPECT_EQ(strategy, Strategy::kIndexed);
+          EXPECT_FALSE(want.accept);
+          EXPECT_EQ(want.status, ExecStatus::kOk);
+          EXPECT_FALSE(verdict.short_circuited);
+          EXPECT_EQ(verdict.insns_executed, 0u);
           ++coverage->pruned;
         }
       }
       EXPECT_EQ(twin.telemetry().filters_run, pass.telemetry().filters_run);
       EXPECT_EQ(twin.telemetry().insns_executed, pass.telemetry().insns_executed);
-      EXPECT_EQ(twin.telemetry().tree_probes, pass.telemetry().tree_probes);
       EXPECT_EQ(twin.telemetry().index_probes, pass.telemetry().index_probes);
     }
   }

@@ -13,9 +13,9 @@
 //   step: accepts == enqueued + dropped on every port, the fast-path table's
 //   partition identity, and monotonic fast-path hit counters.
 //
-// * The candidate walk: kIndexed and kTree demuxes, which test only the
-//   ports their index bucket or tree walk lets through, and a kChecked twin
-//   that tests every port must all match a naive fig. 4-1 reference model
+// * The candidate walk: a kIndexed demux, which tests only the ports its
+//   index bucket lets through, and a kChecked twin that tests every port
+//   must both match a naive fig. 4-1 reference model
 //   packet for packet (per-port accept/enqueue/drop/error counters, queue
 //   lengths, drop reasons), under rebinds, priority flips, copy-all flips,
 //   busy reordering, queue limits, port churn and truncated frames. A
@@ -324,10 +324,10 @@ TEST(ReconfigDifferentialTest, FastPathMatchesTheWalkUnderRandomReconfiguration)
 
 // --- The candidate walk against the full fig. 4-1 walk ---
 
-// A pool mixing what the index and the tree can prune with what they
-// cannot: Pup-socket conjunctions (indexable: they test every
-// discriminating pair), a conjunction on the EtherType alone (tree-covered
-// but not indexable), accept-alls, fig. 3-8's range test and an indirect
+// A pool mixing what the index can prune with what it cannot: Pup-socket
+// conjunctions (indexable: they test every discriminating pair), a
+// conjunction on the EtherType alone (indexable only when the index probes
+// the EtherType alone), accept-alls, fig. 3-8's range test and an indirect
 // load (non-conjunctions), a conjunction reaching far into the frame (raises
 // the short-packet fallback threshold) and a division that can fail at run
 // time (kDivideByZero statuses).
@@ -510,7 +510,6 @@ class WalkTwins {
   explicit WalkTwins(uint64_t seed) : rng_(seed) {
     checked().SetStrategy(pf::Strategy::kChecked);
     indexed().SetStrategy(pf::Strategy::kIndexed);
-    tree().SetStrategy(pf::Strategy::kTree);
     profiled().SetStrategy(pf::Strategy::kIndexed);
     checked().SetProfiling(true);
     profiled().SetProfiling(true);
@@ -598,7 +597,7 @@ class WalkTwins {
       SCOPED_TRACE("packet " + std::to_string(i));
       const std::vector<uint8_t> packet = RandomWalkPacket(rng_);
       const uint32_t copies = model_.Demux(packet);
-      std::array<pf::DemuxResult, 4> got;
+      std::array<pf::DemuxResult, 3> got;
       for (size_t f = 0; f < filters_.size(); ++f) {
         got[f] = filters_[f].Demux(packet);
       }
@@ -611,11 +610,10 @@ class WalkTwins {
       // Profiling walks every port and replays the pruned ones uncharged:
       // the charged work must not notice.
       const pf::ExecTelemetry& plain = got[1].exec;
-      const pf::ExecTelemetry& traced = got[3].exec;
+      const pf::ExecTelemetry& traced = got[2].exec;
       ASSERT_EQ(traced.filters_run, plain.filters_run);
       ASSERT_EQ(traced.insns_executed, plain.insns_executed);
       ASSERT_EQ(traced.index_probes, plain.index_probes);
-      ASSERT_EQ(traced.tree_probes, plain.tree_probes);
       if (rng_.Chance(0.3) && model_.ports().count(port) != 0) {  // readers drain at random
         const size_t n = rng_.Range(1, 4);
         size_t& queued = model_.port(port).queued;
@@ -634,8 +632,7 @@ class WalkTwins {
 
   PacketFilter& checked() { return filters_[0]; }
   PacketFilter& indexed() { return filters_[1]; }
-  PacketFilter& tree() { return filters_[2]; }
-  PacketFilter& profiled() { return filters_[3]; }
+  PacketFilter& profiled() { return filters_[2]; }
 
   template <typename F>
   void ForAll(F&& f) {
@@ -700,8 +697,8 @@ class WalkTwins {
   pfutil::Rng rng_;
   uint64_t op_range_ = 0;
   NaiveWalk model_;
-  // kChecked (profiled), kIndexed, kTree, kIndexed profiled.
-  std::array<PacketFilter, 4> filters_;
+  // kChecked (profiled), kIndexed, kIndexed profiled.
+  std::array<PacketFilter, 3> filters_;
 };
 
 TEST(ReconfigDifferentialTest, CandidateWalkMatchesCheckedUnderRandomReconfiguration) {

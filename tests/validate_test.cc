@@ -1,5 +1,5 @@
 // Validator tests: every rejection class of §7's ahead-of-time checking,
-// plus the metadata the fast interpreter and tree compiler consume.
+// plus the program-shape metadata it reports.
 #include <gtest/gtest.h>
 
 #include "src/pf/builder.h"
