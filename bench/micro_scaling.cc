@@ -18,11 +18,19 @@
 // under kFast with the one busy filter applied first, last, or last with
 // busy-reordering left to promote it.
 //
+// So does §3's "a new filter can be bound at any time": the host cost of one
+// write — SetFilter on one port plus the first Demux after it, where a lazy
+// rebuild would land — at 16, 256 and 1024 kIndexed ports, re-binding the
+// port's own program or flipping its priority. A write patches the priority
+// order and the index in place (DESIGN.md §4), so a rebind costs about the
+// same at every port count.
+//
 // Every run exits non-zero unless kIndexed at 256 ports is at least 5x
 // cheaper than kFast at 256 ports — the CI regression gate for this
 // optimization — and, on sanitizer-free Release-family builds, unless
 // kIndexed's wall ns/packet at 1024 ports (flow cache off) is within 2x of
-// its 1-port value (informational elsewhere, where wall ratios measure the
+// its 1-port value and a rebind at 1024 ports costs at most 4x a rebind at
+// 16 ports (both informational elsewhere, where wall ratios measure the
 // sanitizer or -O0 rather than the walk).
 #include <algorithm>
 #include <chrono>
@@ -95,6 +103,7 @@ struct Rig {
       filter.SetFilter(port,
                        pfnet::MakePupSocketFilter(static_cast<uint32_t>(socket), priority(socket)));
       filter.SetQueueLimit(port, 1);
+      ids.push_back(port);
     }
   }
 
@@ -112,7 +121,29 @@ struct Rig {
            (static_cast<double>(rounds) * static_cast<double>(packets.size()));
   }
 
+  // Writes `writes` times to the middle port's filter, each write followed
+  // by one Demux of a frame it accepts; returns wall ns per write. A
+  // rebind re-binds the port's own program; a reprioritize flips its
+  // priority between 11 and 10 (an even count ends where it started).
+  double Write(bool reprioritize, int writes) {
+    const size_t middle = ids.size() / 2;
+    const auto socket = static_cast<uint32_t>(middle + 1);
+    const pf::Program same = pfnet::MakePupSocketFilter(socket, 10);
+    const pf::Program raised = pfnet::MakePupSocketFilter(socket, 11);
+    const std::vector<uint8_t> packet = pftest::MakePupFrame(8, socket);
+    const auto start = std::chrono::steady_clock::now();
+    for (int w = 0; w < writes; ++w) {
+      filter.SetFilter(ids[middle], reprioritize && w % 2 == 0 ? raised : same);
+      filter.Demux(packet);
+    }
+    const auto end = std::chrono::steady_clock::now();
+    return static_cast<double>(
+               std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count()) /
+           writes;
+  }
+
   pf::PacketFilter filter;
+  std::vector<pf::PortId> ids;
   std::vector<std::vector<uint8_t>> packets;
 };
 
@@ -156,6 +187,34 @@ Slope IndexedHostSlope() {
         slope.many_ports_ns, many.Run(kPacketsPerRun / static_cast<int>(many.packets.size())));
   }
   return slope;
+}
+
+constexpr int kWritePortCounts[] = {16, 256, 1024};
+
+struct WriteCost {
+  double rebind_ns = 1e300;
+  double reprioritize_ns = 1e300;
+};
+
+// The fastest of interleaved 64-write runs per port count (kIndexed, flow
+// cache off), so host noise hits every port count alike.
+std::vector<WriteCost> WriteCosts() {
+  constexpr int kReps = 15;
+  constexpr int kWrites = 64;
+  std::vector<Rig> rigs;
+  rigs.reserve(std::size(kWritePortCounts));  // a Rig is never moved
+  for (const int ports : kWritePortCounts) {
+    rigs.emplace_back(pf::Strategy::kIndexed, ports, /*flow_cache=*/false);
+  }
+  std::vector<WriteCost> costs(rigs.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < rigs.size(); ++i) {
+      costs[i].rebind_ns = std::min(costs[i].rebind_ns, rigs[i].Write(false, kWrites));
+      costs[i].reprioritize_ns =
+          std::min(costs[i].reprioritize_ns, rigs[i].Write(true, kWrites));
+    }
+  }
+  return costs;
 }
 
 // Drop accounting (PR 4): over a full run that loses packets every way the
@@ -305,6 +364,23 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
                       "informational)",
                       "same cases as above", "ns/packet", priority_wall_rows);
 
+  // §3: "a new filter can be bound at any time".
+  const std::vector<WriteCost> writes = WriteCosts();
+  std::vector<pfbench::Row> write_rows;
+  for (size_t i = 0; i < writes.size(); ++i) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "rebind %d ports", kWritePortCounts[i]);
+    write_rows.push_back({label, nan, writes[i].rebind_ns});
+  }
+  for (size_t i = 0; i < writes.size(); ++i) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "reprioritize %d ports", kWritePortCounts[i]);
+    write_rows.push_back({label, nan, writes[i].reprioritize_ns});
+  }
+  pfbench::PrintTable("Reconfiguration cost vs open ports, kIndexed (host CPU)",
+                      "§3: SetFilter on one port + the first Demux after it", "ns/write",
+                      write_rows);
+
   const double ratio = indexed_at_256 > 0 ? fast_at_256 / indexed_at_256 : 0;
   std::printf("check: kFast@256 = %.2f, kIndexed@256 = %.2f, ratio = %.1fx (need >= 5x)\n",
               fast_at_256, indexed_at_256, ratio);
@@ -324,6 +400,18 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   if (enforce) {
     pfbench::ReportCheck("micro_scaling.indexed_host_slope_2x", growth <= 2.0, growth);
     if (growth > 2.0) {
+      std::printf("check FAILED\n");
+      return 1;
+    }
+  }
+  const double write_growth = writes.back().rebind_ns / writes.front().rebind_ns;
+  std::printf("check: rebind wall, kIndexed: 16 ports = %.0f ns, 1024 ports = %.0f ns, "
+              "growth = %.2fx (need <= 4x)%s\n",
+              writes.front().rebind_ns, writes.back().rebind_ns, write_growth,
+              enforce ? "" : " [informational: non-Release or sanitized build]");
+  if (enforce) {
+    pfbench::ReportCheck("micro_scaling.reconfig_flat", write_growth <= 4.0, write_growth);
+    if (write_growth > 4.0) {
       std::printf("check FAILED\n");
       return 1;
     }

@@ -17,6 +17,16 @@ ConnDB::Config CacheConfig(size_t capacity) {
   return config;
 }
 
+// Conndb serve-soundness: the FlowSignature hashes the first
+// kFlowSignaturePrefix bytes, so stored verdicts are only trustworthy when
+// every bound filter's verdict is a function of that prefix — no indirect
+// addressing, and no word read at or past the prefix boundary (16-bit
+// words: word index w reads bytes 2w..2w+1).
+bool ConnServable(const ValidationResult& meta) {
+  return !meta.uses_indirect &&
+         2 * (static_cast<size_t>(meta.max_word_index) + 1) <= pfobs::kFlowSignaturePrefix;
+}
+
 }  // namespace
 
 PacketFilter::PacketFilter(DeviceInfo info)
@@ -43,9 +53,12 @@ PortId PacketFilter::OpenPort() {
 }
 
 bool PacketFilter::ClosePort(PortId id) {
-  if (ports_.erase(id) == 0) {
+  const auto it = ports_.find(id);
+  if (it == ports_.end()) {
     return false;
   }
+  unservable_ports_ -= it->second->has_filter && it->second->unservable ? 1 : 0;
+  ports_.erase(it);
   engine_.Unbind(id);
   order_dirty_ = true;
   return true;
@@ -63,15 +76,58 @@ ValidationResult PacketFilter::SetFilter(PortId id, Program program) {
     return meta;  // keep the previous filter
   }
   auto validated = ValidatedProgram::Create(std::move(program));
+  const bool rebind = port->has_filter;
+  const uint8_t old_priority = port->priority;
+  unservable_ports_ -= rebind && port->unservable ? 1 : 0;
   port->has_filter = true;
   port->priority = validated->priority();
+  port->unservable = !ConnServable(meta);
+  unservable_ports_ += port->unservable ? 1 : 0;
   engine_.Bind(id, std::move(*validated));
-  order_dirty_ = true;
+  if (!rebind || order_dirty_ || busy_reordering_) {
+    // A new member of the walk, a rebuild already pending, or an order that
+    // reads live accept counts: the next Demux rebuilds the order.
+    order_dirty_ = true;
+    return meta;
+  }
+  // A re-bind: the engine kept the binding (so port->binding) and its rank,
+  // so at most this one port moves in the walk.
+  if (port->priority != old_priority) {
+    Reposition(port);
+  }
+  ++conn_epoch_;
   return meta;
+}
+
+void PacketFilter::Reposition(PortState* port) {
+  const auto from = ordered_.begin() + port->binding->rank;
+  assert(*from == port);
+  order_keys_.erase(order_keys_.begin() + (from - ordered_.begin()));
+  ordered_.erase(from);
+  const auto to = std::lower_bound(ordered_.begin(), ordered_.end(), port,
+                                   [this](const PortState* a, const PortState* b) {
+                                     return WalksBefore(*a, *b);
+                                   });
+  order_keys_.insert(order_keys_.begin() + (to - ordered_.begin()), port->id);
+  ordered_.insert(to, port);
+  engine_.SetOrder(order_keys_);
+}
+
+bool PacketFilter::WalksBefore(const PortState& a, const PortState& b) const {
+  if (a.priority != b.priority) {
+    return a.priority > b.priority;  // decreasing priority (fig. 4-1)
+  }
+  if (busy_reordering_ && a.stats.accepts != b.stats.accepts) {
+    // §3.2: "the interpreter may occasionally reorder such filters to
+    // place the busier ones first".
+    return a.stats.accepts > b.stats.accepts;
+  }
+  return a.open_seq < b.open_seq;
 }
 
 void PacketFilter::ClearFilter(PortId id) {
   if (PortState* port = Find(id)) {
+    unservable_ports_ -= port->has_filter && port->unservable ? 1 : 0;
     port->has_filter = false;
     port->priority = 0;
     engine_.Unbind(id);
@@ -113,11 +169,17 @@ uint8_t PacketFilter::PortPriority(PortId id) const {
 }
 
 void PacketFilter::SetBusyReordering(bool enabled) {
+  if (busy_reordering_ == enabled) {
+    return;  // no-op: keep the order and the stored flow verdicts
+  }
   busy_reordering_ = enabled;
   order_dirty_ = true;
 }
 
 void PacketFilter::SetStrategy(Strategy strategy) {
+  if (strategy == engine_.strategy()) {
+    return;  // no-op: keep the index and the stored flow verdicts
+  }
   engine_.set_strategy(strategy);
   // Strategy changes rebuild the engine's index, so cached signatures no
   // longer mean anything.
@@ -168,7 +230,7 @@ void PacketFilter::ConfigureFlows(bool tracking, const ConnDB::Config& config) {
   flows_.Reconfigure(config);
   AttachFlowMetrics();
   // Entries keyed under the other configuration must not be served. (No
-  // order rebuild: conn_servable_ is kept current in both configurations,
+  // order rebuild: conn_servable() is kept current by every write,
   // and a rebuild would re-sort busy ports when the walk alone would not.)
   ++conn_epoch_;
 }
@@ -224,40 +286,17 @@ void PacketFilter::RebuildOrder() {
     }
   }
   std::sort(ordered_.begin(), ordered_.end(), [this](const PortState* a, const PortState* b) {
-    if (a->priority != b->priority) {
-      return a->priority > b->priority;  // decreasing priority (fig. 4-1)
-    }
-    if (busy_reordering_ && a->stats.accepts != b->stats.accepts) {
-      // §3.2: "the interpreter may occasionally reorder such filters to
-      // place the busier ones first".
-      return a->stats.accepts > b->stats.accepts;
-    }
-    return a->open_seq < b->open_seq;
+    return WalksBefore(*a, *b);
   });
   // The engine ranks its candidates in this order, so the walk can map a
   // rank straight back to ordered_[rank].
-  std::vector<Engine::Key> keys;
-  keys.reserve(ordered_.size());
-  for (const PortState* port : ordered_) {
-    keys.push_back(port->id);
+  order_keys_.resize(ordered_.size());
+  for (size_t rank = 0; rank < ordered_.size(); ++rank) {
+    order_keys_[rank] = ordered_[rank]->id;
   }
-  engine_.SetOrder(keys);
+  engine_.SetOrder(order_keys_);
   for (uint32_t rank = 0; rank < ordered_.size(); ++rank) {
     ordered_[rank]->binding = engine_.BindingAt(rank);
-  }
-  // Conndb serve-soundness: the FlowSignature hashes the first
-  // kFlowSignaturePrefix bytes, so stored verdicts are only trustworthy
-  // when every bound filter's verdict is a function of that prefix — no
-  // indirect addressing, and no word read at or past the prefix boundary
-  // (16-bit words: word index w reads bytes 2w..2w+1).
-  conn_servable_ = true;
-  for (const PortState* port : ordered_) {
-    const ValidationResult& meta = port->binding->program.meta();
-    if (meta.uses_indirect ||
-        2 * (static_cast<size_t>(meta.max_word_index) + 1) > pfobs::kFlowSignaturePrefix) {
-      conn_servable_ = false;
-      break;
-    }
   }
   order_dirty_ = false;
 }
@@ -419,7 +458,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   // is the FlowSignature under tracking, the index signature otherwise.
   std::optional<uint64_t> key;
   if (tracking_) {
-    if (conn_servable_ && !ordered_.empty()) {
+    if (conn_servable() && !ordered_.empty()) {
       key = SigOf(packet);
     }
   } else if (flow_cache_capacity_ > 0 && engine_.index_covers_all()) {

@@ -250,9 +250,9 @@ class PacketFilter {
   const ConnDB* conndb() const { return tracking_ ? &flows_ : nullptr; }
   uint64_t conn_epoch() const { return conn_epoch_; }
   // True when the current filter set's verdicts are all determined by the
-  // hashed prefix (recomputed by RebuildOrder; meaningless until the first
-  // Demux after a binding change).
-  bool conn_servable() const { return conn_servable_; }
+  // hashed prefix. Always current: every write keeps the count of bound
+  // filters that fail the test.
+  bool conn_servable() const { return unservable_ports_ == 0; }
 
   // --- Filter extensions (ext.h) ---
   // Attaches per-port accept-path policy: the extension inspects every
@@ -275,6 +275,9 @@ class PacketFilter {
     uint64_t open_seq = 0;  // application order among equal priorities
     bool has_filter = false;
     uint8_t priority = 0;   // cached from the bound program for ordering
+    // The bound filter reads past the FlowSignature prefix or indirectly
+    // (counted in unservable_ports_; meaningful while has_filter).
+    bool unservable = false;
     bool deliver_to_lower = false;
     bool timestamps = false;
     size_t queue_limit = kDefaultQueueLimit;
@@ -298,6 +301,12 @@ class PacketFilter {
   PortState* Find(PortId id);
   const PortState* Find(PortId id) const;
   void RebuildOrder();
+  // The fig. 4-1 walk order: priority desc, [busy: accepts desc], open order.
+  bool WalksBefore(const PortState& a, const PortState& b) const;
+  // Moves a re-bound port whose priority changed to its new place in
+  // ordered_ and hands the order to the engine, which re-ranks only what
+  // moved. Needs a current order and busy reordering off.
+  void Reposition(PortState* port);
   // Switches the fast-path table between its two configurations.
   void ConfigureFlows(bool tracking, const ConnDB::Config& config);
   // Re-registers the fast-path table's metrics under its configuration's
@@ -323,7 +332,7 @@ class PacketFilter {
   DeviceInfo info_;
   Engine engine_;
   std::unordered_map<PortId, std::unique_ptr<PortState>> ports_;
-  // By (priority desc, open_seq asc); index = the engine's rank.
+  // By WalksBefore; index = the engine's rank.
   std::vector<PortState*> ordered_;
   bool order_dirty_ = false;
   bool busy_reordering_ = false;
@@ -336,7 +345,7 @@ class PacketFilter {
   bool tracking_ = false;
   size_t flow_cache_capacity_ = kDefaultFlowCacheCapacity;
   uint64_t conn_epoch_ = 1;
-  bool conn_servable_ = false;
+  size_t unservable_ports_ = 0;  // bound filters that are not conn-servable
 
   // Flight recorder (null = disabled, the default).
   std::unique_ptr<DropRecorder> recorder_;
@@ -363,9 +372,12 @@ class PacketFilter {
   DemuxMetrics metrics_;
 
   // The flow-state fast path: one table, in the verdict-cache
-  // configuration unless tracking_. Last, so that the per-packet fields
-  // above share as few cache lines as they did without it.
+  // configuration unless tracking_. After the per-packet fields above, so
+  // that they share as few cache lines as they did without it.
   ConnDB flows_;
+
+  // Write-path state, off the per-packet cache lines.
+  std::vector<Engine::Key> order_keys_;  // ordered_'s port ids, for SetOrder
 };
 
 }  // namespace pf

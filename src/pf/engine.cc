@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <map>
 
 #include "src/util/byte_order.h"
 
@@ -33,6 +32,19 @@ uint64_t MixIndexHash(uint64_t hash, uint16_t value) {
   hash = (hash ^ static_cast<uint64_t>(value & 0xff)) * kFnvPrime;
   hash = (hash ^ static_cast<uint64_t>(value >> 8)) * kFnvPrime;
   return hash;
+}
+
+// True when `a` and `b` test the same (word, mask) pairs in the same
+// order: then the pair counts, the discriminating pairs and whether the
+// filter is indexed are all unchanged, and only its bucket can move. Both
+// not conjunctions counts as the same shape (the filter stays uncovered).
+bool SamePairs(const std::optional<std::vector<FieldTest>>& a,
+               const std::optional<std::vector<FieldTest>>& b) {
+  if (!a.has_value() || !b.has_value()) {
+    return a.has_value() == b.has_value();
+  }
+  return std::equal(a->begin(), a->end(), b->begin(), b->end(),
+                    [](const FieldTest& x, const FieldTest& y) { return KeyOf(x) == KeyOf(y); });
 }
 
 // The shortest packet that holds every word `tests` reads.
@@ -226,15 +238,48 @@ void Engine::Bind(Key key, ValidatedProgram program) {
     binding.profile = std::make_unique<ProgramProfile>();
     binding.profile->pc.resize(binding.decoded.size());
   }
-  filters_.insert_or_assign(key, std::move(binding));
-  dirty_ = true;
-  ranks_dirty_ = true;
+  const auto it = filters_.find(key);
+  if (it == filters_.end()) {
+    CountPairs(binding.conjunction, +1);
+    filters_.emplace(key, std::move(binding));
+    dirty_ = true;
+    ranks_dirty_ = true;
+    return;
+  }
+  // Re-Bind: same key, same rank.
+  Binding& slot = it->second;
+  binding.rank = slot.rank;
+  if (!SamePairs(slot.conjunction, binding.conjunction)) {
+    CountPairs(slot.conjunction, -1);
+    CountPairs(binding.conjunction, +1);
+    dirty_ = true;
+  } else if (strategy_ == Strategy::kIndexed && !dirty_ && slot.conjunction.has_value() &&
+             !slot.conjunction->empty()) {
+    // Same pairs: the index keeps its shape, and an indexed filter moves
+    // at most from its old bucket to its new one.
+    const std::optional<uint64_t> from = BucketOf(*slot.conjunction);
+    if (from.has_value()) {
+      const uint64_t to = *BucketOf(*binding.conjunction);
+      if (to != *from) {
+        const size_t at = IndexSlot(*from, binding.rank);
+        index_hashes_.erase(index_hashes_.begin() + static_cast<ptrdiff_t>(at));
+        index_ranks_.erase(index_ranks_.begin() + static_cast<ptrdiff_t>(at));
+        const size_t into = IndexSlot(to, binding.rank);
+        index_hashes_.insert(index_hashes_.begin() + static_cast<ptrdiff_t>(into), to);
+        index_ranks_.insert(index_ranks_.begin() + static_cast<ptrdiff_t>(into), binding.rank);
+      }
+    }
+  }
+  slot = std::move(binding);
 }
 
 bool Engine::Unbind(Key key) {
-  if (filters_.erase(key) == 0) {
+  const auto it = filters_.find(key);
+  if (it == filters_.end()) {
     return false;
   }
+  CountPairs(it->second.conjunction, -1);
+  filters_.erase(it);
   dirty_ = true;
   ranks_dirty_ = true;
   return true;
@@ -242,17 +287,67 @@ bool Engine::Unbind(Key key) {
 
 void Engine::Clear() {
   filters_.clear();
+  pair_counts_.clear();
   dirty_ = true;
   ranks_dirty_ = true;
   Refresh();
 }
 
 void Engine::SetOrder(std::span<const Key> order) {
-  if (!ranks_dirty_ && std::equal(order.begin(), order.end(), order_.begin(), order_.end())) {
+  if (ranks_dirty_) {
+    // The key set changed: the index is stale anyway, rank from scratch.
+    order_.assign(order.begin(), order.end());
+    AssignRanks();
     return;
   }
-  order_.assign(order.begin(), order.end());
-  AssignRanks();
+  assert(order.size() == order_.size());
+  // Only [lo, hi) moved; it holds the same keys as before, so their old
+  // ranks are a permutation of [lo, hi).
+  const auto n = static_cast<uint32_t>(order.size());
+  uint32_t lo = 0;
+  while (lo < n && order[lo] == order_[lo]) {
+    ++lo;
+  }
+  if (lo == n) {
+    return;
+  }
+  uint32_t hi = n;
+  while (order[hi - 1] == order_[hi - 1]) {
+    --hi;
+  }
+  rank_remap_.resize(hi - lo);
+  for (uint32_t rank = lo; rank < hi; ++rank) {
+    Binding& binding = filters_.at(order[rank]);
+    assert(binding.rank >= lo && binding.rank < hi);
+    rank_remap_[binding.rank - lo] = rank;
+    binding.rank = rank;
+    ranked_[rank] = &binding;
+    order_[rank] = order[rank];
+  }
+  if (!dirty_) {
+    RemapIndexRanks(lo, hi);
+  }
+}
+
+void Engine::RemapIndexRanks(uint32_t lo, uint32_t hi) {
+  // One insertion pass per list, remapping as it goes. Outside the moved
+  // window nothing changed, so the data is nearly sorted already. Hashes
+  // never move: within the index only ranks of one bucket trade places.
+  const auto patch = [&](std::vector<uint32_t>& ranks, const std::vector<uint64_t>* buckets) {
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      const uint32_t rank = ranks[i] >= lo && ranks[i] < hi ? rank_remap_[ranks[i] - lo] : ranks[i];
+      size_t j = i;
+      for (; j > 0 && ranks[j - 1] > rank; --j) {
+        if (buckets != nullptr && (*buckets)[j - 1] != (*buckets)[i]) {
+          break;
+        }
+        ranks[j] = ranks[j - 1];
+      }
+      ranks[j] = rank;
+    }
+  };
+  patch(index_ranks_, &index_hashes_);
+  patch(uncovered_ranks_, nullptr);
 }
 
 void Engine::AssignRanks() {
@@ -266,7 +361,6 @@ void Engine::AssignRanks() {
     all_ranks_.push_back(rank);
   }
   ranks_dirty_ = false;
-  dirty_ = true;  // the index holds ranks
 }
 
 void Engine::Rebuild() {
@@ -335,6 +429,53 @@ void Engine::ResetProfiles() {
   }
 }
 
+void Engine::CountPairs(const std::optional<std::vector<FieldTest>>& tests, int delta) {
+  if (!tests.has_value()) {
+    return;
+  }
+  for (auto test = tests->begin(); test != tests->end(); ++test) {
+    const FieldTestKey pair = KeyOf(*test);
+    if (std::any_of(tests->begin(), test,
+                    [&](const FieldTest& prior) { return KeyOf(prior) == pair; })) {
+      continue;  // each pair counts once per filter
+    }
+    auto it = std::lower_bound(
+        pair_counts_.begin(), pair_counts_.end(), pair,
+        [](const std::pair<FieldTestKey, uint32_t>& entry, const FieldTestKey& key) {
+          return entry.first < key;
+        });
+    if (delta > 0) {
+      if (it == pair_counts_.end() || !(it->first == pair)) {
+        it = pair_counts_.insert(it, {pair, 0});
+      }
+      ++it->second;
+    } else if (--it->second == 0) {
+      pair_counts_.erase(it);
+    }
+  }
+}
+
+std::optional<uint64_t> Engine::BucketOf(const std::vector<FieldTest>& tests) const {
+  uint64_t bucket = kFnvOffset;
+  for (const FieldTestKey& pair : index_pairs_) {
+    const auto it = std::find_if(tests.begin(), tests.end(),
+                                 [&](const FieldTest& t) { return KeyOf(t) == pair; });
+    if (it == tests.end()) {
+      return std::nullopt;
+    }
+    bucket = MixIndexHash(bucket, static_cast<uint16_t>(it->value & it->mask));
+  }
+  return bucket;
+}
+
+size_t Engine::IndexSlot(uint64_t hash, uint32_t rank) const {
+  const auto [first, last] = std::equal_range(index_hashes_.begin(), index_hashes_.end(), hash);
+  const auto ranks = index_ranks_.begin();
+  return static_cast<size_t>(std::lower_bound(ranks + (first - index_hashes_.begin()),
+                                              ranks + (last - index_hashes_.begin()), rank) -
+                             ranks);
+}
+
 void Engine::RebuildIndex() {
   uncovered_ranks_.clear();
   prune_min_packet_bytes_ = 0;
@@ -342,89 +483,41 @@ void Engine::RebuildIndex() {
   index_hashes_.clear();
   index_ranks_.clear();
   index_covers_all_ = false;
-  if (strategy_ != Strategy::kIndexed || filters_.empty()) {
-    return;
-  }
-
-  // Count how many conjunction filters test each (word, mask) pair; the
-  // pairs tested by the *most* filters discriminate best. std::map keeps the
-  // choice deterministic.
-  std::map<FieldTestKey, size_t> counts;
-  bool all_conjunctions = true;
-  for (const auto& [key, binding] : filters_) {
-    if (!binding.conjunction.has_value()) {
-      all_conjunctions = false;
-      continue;
-    }
-    for (const FieldTest& test : *binding.conjunction) {
-      // Count each pair once per filter even if tested twice.
-      bool first = true;
-      for (const FieldTest& prior : *binding.conjunction) {
-        if (&prior == &test) {
-          break;
-        }
-        if (KeyOf(prior) == KeyOf(test)) {
-          first = false;
-          break;
-        }
-      }
-      if (first) {
-        ++counts[KeyOf(test)];
-      }
-    }
-  }
-  if (counts.empty()) {
-    return;  // only accept-alls / non-conjunctions bound: nothing to probe
+  if (strategy_ != Strategy::kIndexed || pair_counts_.empty()) {
+    return;  // no conjunction tests a pair: nothing to probe
   }
   // From here on every binding is either indexed or uncovered.
-  size_t max_count = 0;
-  for (const auto& [pair, n] : counts) {
+  uint32_t max_count = 0;
+  for (const auto& [pair, n] : pair_counts_) {
     max_count = std::max(max_count, n);
   }
-  for (const auto& [pair, n] : counts) {
+  for (const auto& [pair, n] : pair_counts_) {
     if (n == max_count && index_pairs_.size() < kMaxIndexWords) {
       index_pairs_.push_back(pair);
-    }
-  }
-
-  // The signature fully determines every filter's verdict iff every filter
-  // is a conjunction and every tested pair is among the probed ones.
-  index_covers_all_ = all_conjunctions;
-  for (const auto& [pair, n] : counts) {
-    if (std::find(index_pairs_.begin(), index_pairs_.end(), pair) == index_pairs_.end()) {
-      index_covers_all_ = false;
-      break;
     }
   }
 
   // A filter joins the index iff it tests every discriminating pair: its
   // bucket key is the hash of its expected masked values in pair order.
   // Empty conjunctions (accept-all) match every packet and stay uncovered.
+  bool all_conjunctions = true;
   std::vector<std::pair<uint64_t, uint32_t>> entries;  // (bucket, rank)
   for (const auto& [key, binding] : filters_) {
-    if (!binding.conjunction.has_value() || binding.conjunction->empty()) {
+    all_conjunctions = all_conjunctions && binding.conjunction.has_value();
+    const std::optional<uint64_t> bucket =
+        binding.conjunction.has_value() && !binding.conjunction->empty()
+            ? BucketOf(*binding.conjunction)
+            : std::nullopt;
+    if (!bucket.has_value()) {
       uncovered_ranks_.push_back(binding.rank);
       continue;
     }
-    const std::vector<FieldTest>& tests = *binding.conjunction;
-    uint64_t bucket = kFnvOffset;
-    bool indexable = true;
-    for (const FieldTestKey& pair : index_pairs_) {
-      const auto it = std::find_if(tests.begin(), tests.end(),
-                                   [&](const FieldTest& t) { return KeyOf(t) == pair; });
-      if (it == tests.end()) {
-        indexable = false;
-        break;
-      }
-      bucket = MixIndexHash(bucket, static_cast<uint16_t>(it->value & it->mask));
-    }
-    if (!indexable) {
-      uncovered_ranks_.push_back(binding.rank);
-      continue;
-    }
-    entries.emplace_back(bucket, binding.rank);
-    prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(tests));
+    entries.emplace_back(*bucket, binding.rank);
+    prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(*binding.conjunction));
   }
+  // The signature fully determines every filter's verdict iff every filter
+  // is a conjunction and every tested pair is among the probed ones.
+  index_covers_all_ = all_conjunctions && index_pairs_.size() == pair_counts_.size();
   std::sort(entries.begin(), entries.end());
   for (const auto& [bucket, rank] : entries) {
     index_hashes_.push_back(bucket);

@@ -55,6 +55,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -133,7 +134,7 @@ class Engine {
   // port, refreshed when it rebuilds its priority order) and hand it back
   // to MatchPass::Test(), skipping the per-(packet, key) hash lookup. A
   // handle stays valid until its key is Unbind()ed or Clear() runs;
-  // re-Bind()ing the same key updates it in place.
+  // re-Bind()ing the same key updates it in place and keeps its rank.
   struct Binding {
     ValidatedProgram program;
     std::vector<PredecodedInsn> decoded;
@@ -164,16 +165,24 @@ class Engine {
   // --- The bound filter set ---
   // Bind() performs every ahead-of-time step once: the program arrives
   // already validated, is pre-decoded, and its conjunction shape (if any)
-  // is extracted for kIndexed.
+  // is extracted for kIndexed. Binding a new key changes the key set: it
+  // ranks after a SetOrder() and the index rebuilds at the next Match().
+  // Re-binding a bound key is a patch, not a rebuild: the binding keeps
+  // its rank, and under kIndexed a conjunction that tests the same
+  // (word, mask) pairs as before at most moves its one index entry to its
+  // new bucket; only a change of shape rebuilds the index.
   void Bind(Key key, ValidatedProgram program);
   bool Unbind(Key key);
   void Clear();
   size_t bound_count() const { return filters_.size(); }
   // Ranks the bound set for the candidate walk: `order[r]` is the key tested
   // r-th. `order` must name every bound key exactly once. Until a SetOrder()
-  // follows the latest Bind/Unbind, keys rank in ascending key order. An
-  // unchanged order keeps the index; a changed one rebuilds it at the next
-  // Match().
+  // follows the latest new-key Bind or Unbind, keys rank in ascending key
+  // order. Over an unchanged key set the index is patched, never rebuilt:
+  // only the keys between the first and the last position where `order`
+  // differs from the current order are re-ranked, and the index's ranks
+  // are remapped in one pass (an unchanged order costs one comparison per
+  // key).
   void SetOrder(std::span<const Key> order);
   // The binding at `rank` in the order last set (valid until the next
   // Bind/Unbind/Clear).
@@ -185,8 +194,9 @@ class Engine {
   const Binding* FindBinding(Key key) const;
 
   // --- Index introspection (meaningful under kIndexed) ---
-  // These reflect the most recently built index; Match() and
-  // IndexSignature() rebuild it lazily after Bind/Unbind/set_strategy.
+  // These reflect the current index; Match() and IndexSignature() rebuild
+  // it lazily after a new-key Bind, an Unbind, a re-Bind that changed a
+  // conjunction's shape, or set_strategy.
   bool index_in_use() const { return strategy_ == Strategy::kIndexed && !index_ranks_.empty(); }
   // Number of discriminating (word, mask) pairs probed per packet.
   size_t index_width() const { return index_pairs_.size(); }
@@ -277,8 +287,8 @@ class Engine {
   static constexpr size_t kMaxIndexWords = 4;
 
   void AssignRanks();
-  // Rebuilds the rank-dependent index for the current strategy if a
-  // Bind/Unbind/SetOrder/strategy change made it stale.
+  // Rebuilds the index for the current strategy if a key-set, shape or
+  // strategy change made it stale.
   void Refresh() {
     if (dirty_) {
       Rebuild();
@@ -289,6 +299,18 @@ class Engine {
   // FNV-1a over the discriminating words' masked values (the index bucket
   // key); nullopt when the packet is too short to load every word.
   std::optional<uint64_t> HashIndexWords(std::span<const uint8_t> packet) const;
+  // The bucket a conjunction's expected values hash to, or nullopt when it
+  // does not test every discriminating pair (it stays uncovered).
+  std::optional<uint64_t> BucketOf(const std::vector<FieldTest>& tests) const;
+  // Adds `delta` (+1 or -1) to the count of every distinct pair `tests`
+  // examines.
+  void CountPairs(const std::optional<std::vector<FieldTest>>& tests, int delta);
+  // Where (hash, rank) sits, or belongs, in the sorted index arrays.
+  size_t IndexSlot(uint64_t hash, uint32_t rank) const;
+  // SetOrder's patch: maps every index rank in [lo, hi) through
+  // rank_remap_ and restores ascending ranks within each bucket and across
+  // uncovered_ranks_.
+  void RemapIndexRanks(uint32_t lo, uint32_t hi);
 
   struct StrategyMetrics {
     pfobs::Counter* passes = nullptr;
@@ -306,7 +328,9 @@ class Engine {
   StrategyMetrics strategy_metrics_[kStrategyCount];
   std::unordered_map<Key, Binding> filters_;
   bool dirty_ = false;        // Refresh() pending
-  bool ranks_dirty_ = false;  // Bind/Unbind since the last SetOrder
+  // A new-key Bind or an Unbind since the last SetOrder; implies dirty_,
+  // so the index is rebuilt after the ranks are assigned afresh.
+  bool ranks_dirty_ = false;
 
   // --- Priority order ---
   std::vector<Key> order_;               // rank -> key
@@ -330,6 +354,14 @@ class Engine {
   std::vector<uint64_t> index_hashes_;
   std::vector<uint32_t> index_ranks_;
   bool index_covers_all_ = false;
+
+  // --- Write-path state, off the per-packet cache lines ---
+  // How many bound conjunctions test each (word, mask) pair (a filter that
+  // tests a pair twice counts once), sorted by pair: the pairs tested by
+  // the most filters discriminate best. Kept current by Bind/Unbind under
+  // every strategy, so a rebuild starts from the counts.
+  std::vector<std::pair<FieldTestKey, uint32_t>> pair_counts_;
+  std::vector<uint32_t> rank_remap_;  // SetOrder scratch: old rank - lo -> new rank
 };
 
 // Bind-time pre-decode of a validated program (exposed for tests and the

@@ -336,6 +336,32 @@ TEST(DemuxTest, RebindKeepingTheOrderKeepsCandidatesOnTheirPorts) {
   }
 }
 
+// conn_servable() is kept current by every write: the in-place re-bind as
+// well as the writes that rebuild the order.
+TEST(DemuxTest, ConnServableFollowsEveryWrite) {
+  PacketFilter filter;
+  const PortId a = filter.OpenPort();
+  const PortId b = filter.OpenPort();
+  FilterBuilder past_prefix;
+  past_prefix.WordEquals(static_cast<uint8_t>(pfobs::kFlowSignaturePrefix / 2 + 2), 0xabab);
+  const Program unservable = past_prefix.Build(10);
+  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
+  ASSERT_TRUE(filter.SetFilter(b, SocketFilter(36, 10)).ok);
+  filter.Demux(pftest::MakePupFrame(8, 35));  // the order is current: re-binds patch it
+  EXPECT_TRUE(filter.conn_servable());
+  ASSERT_TRUE(filter.SetFilter(a, unservable).ok);
+  EXPECT_FALSE(filter.conn_servable());
+  ASSERT_TRUE(filter.SetFilter(b, unservable).ok);
+  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
+  EXPECT_FALSE(filter.conn_servable());  // b still reads past the prefix
+  filter.ClearFilter(b);
+  EXPECT_TRUE(filter.conn_servable());
+  ASSERT_TRUE(filter.SetFilter(b, unservable).ok);
+  EXPECT_FALSE(filter.conn_servable());
+  ASSERT_TRUE(filter.ClosePort(b));
+  EXPECT_TRUE(filter.conn_servable());
+}
+
 TEST(DemuxTest, StrategySwitchableAtRuntime) {
   PacketFilter filter;
   const PortId port = filter.OpenPort();
@@ -517,6 +543,36 @@ TEST(DemuxFlowCacheTest, PriorityChangeInvalidates) {
   filter.Demux(pftest::MakePupFrame(8, 35));
   EXPECT_EQ(filter.QueueLength(low), 2u);
   EXPECT_EQ(filter.QueueLength(high), 1u);
+}
+
+// Setting a strategy or busy reordering to its current value changes
+// nothing the walk does, so it must not stale stored flow verdicts: an
+// established flow keeps hitting, in both fast-path configurations.
+TEST(DemuxFlowCacheTest, NoOpSettersKeepStoredVerdicts) {
+  for (const bool tracking : {false, true}) {
+    SCOPED_TRACE(tracking ? "conn tracking" : "verdict cache");
+    PacketFilter filter;
+    filter.SetStrategy(pf::Strategy::kIndexed);
+    if (tracking) {
+      filter.EnableConnTracking();
+    }
+    const PortId a = filter.OpenPort();
+    const PortId b = filter.OpenPort();
+    ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
+    ASSERT_TRUE(filter.SetFilter(b, SocketFilter(36, 10)).ok);
+    const auto hits = [&] {
+      const pf::DemuxResult r = filter.Demux(pftest::MakePupFrame(8, 35));
+      return r.cache_hit || r.conn_hit;
+    };
+    EXPECT_FALSE(hits());  // establishes the flow
+    EXPECT_TRUE(hits());
+    filter.SetStrategy(pf::Strategy::kIndexed);
+    EXPECT_TRUE(hits()) << "after SetStrategy(current)";
+    filter.SetBusyReordering(false);
+    EXPECT_TRUE(hits()) << "after SetBusyReordering(current)";
+    EXPECT_EQ(filter.QueueLength(a), 4u);
+    EXPECT_EQ(filter.flow_cache_stats().stale_epoch, 0u);
+  }
 }
 
 TEST(DemuxFlowCacheTest, DeliverToLowerPortsBypassTheCache) {

@@ -2,10 +2,16 @@
 // telemetry, lazy evaluation, the kIndexed hash dispatch index — and the
 // cross-strategy parity property: randomized programs (conjunction-shaped
 // and not) against randomized packets must produce identical verdicts and
-// statuses under all three strategies.
+// statuses under all three strategies — and the patched-vs-rebuilt
+// property: an engine reconfigured in place must match a twin built from
+// scratch after every step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/pf/builder.h"
 #include "src/pf/engine.h"
@@ -460,6 +466,237 @@ TEST(EngineParityProperty, IndexedMatchesCheckedOnRandomFilterSets) {
   }
   EXPECT_GT(pruned_passes, 0);
   EXPECT_GT(errors_seen, 0);
+}
+
+// --- Patched-vs-rebuilt property ---
+
+// The (word, mask) shapes the property draws conjunctions from. A, C and
+// the accept-all share pairs; C tests A's pairs in another order (a change
+// of shape that keeps the pair set); B drops one pair and D tests only a
+// pair nobody else does.
+constexpr pf::FieldTestKey kShapeA[] = {{1, 0xffff}, {2, 0xffff}, {3, 0x00ff}};
+constexpr pf::FieldTestKey kShapeB[] = {{1, 0xffff}, {2, 0xffff}};
+constexpr pf::FieldTestKey kShapeC[] = {{2, 0xffff}, {1, 0xffff}, {3, 0x00ff}};
+constexpr pf::FieldTestKey kShapeD[] = {{4, 0xffff}};
+constexpr std::span<const pf::FieldTestKey> kShapes[] = {kShapeA, kShapeB, kShapeC, kShapeD};
+
+// A conjunction over `shape` with values drawn from {0, 1, 2}, so many
+// keys share a bucket.
+Program ShapedConjunction(std::span<const pf::FieldTestKey> shape, pfutil::Rng* rng) {
+  FilterBuilder b;
+  for (size_t i = 0; i < shape.size(); ++i) {
+    const auto value = static_cast<uint16_t>(rng->Below(3));
+    const bool last = i + 1 == shape.size();
+    if (shape[i].mask != 0xffff) {
+      last ? b.MaskedWordEquals(shape[i].word, shape[i].mask, value)
+           : b.MaskedWordEqualsShortCircuit(shape[i].word, shape[i].mask, value);
+    } else {
+      last ? b.WordEquals(shape[i].word, value) : b.WordEqualsShortCircuit(shape[i].word, value);
+    }
+  }
+  return b.Build(static_cast<uint8_t>(rng->Below(4)));
+}
+
+// Shape A 13 times in 20; B, C, D once each; a non-conjunction three times;
+// an accept-all once.
+Program ShapedProgram(pfutil::Rng* rng, size_t* shape) {
+  const uint64_t pick = rng->Below(20);
+  if (pick < 16) {
+    *shape = pick < std::size(kShapes) ? pick : 0;
+  } else if (pick < 19) {
+    *shape = std::size(kShapes);  // non-conjunction
+    return RandomWalkProgram(rng);
+  } else {
+    *shape = std::size(kShapes) + 1;  // accept-all
+    return Program{static_cast<uint8_t>(rng->Below(4)), LangVersion::kV1, {}};
+  }
+  return ShapedConjunction(kShapes[*shape], rng);
+}
+
+// Packets over the same small value set, some shorter than the index's
+// words.
+std::vector<std::vector<uint8_t>> ShapedPacketPool(pfutil::Rng* rng) {
+  std::vector<std::vector<uint8_t>> pool;
+  for (int i = 0; i < 24; ++i) {
+    const size_t bytes = i < 4 ? rng->Below(8) : rng->Range(8, 12);
+    std::vector<uint8_t> packet(bytes);
+    for (size_t b = 0; b < bytes; ++b) {
+      packet[b] = b % 2 == 0 ? 0 : static_cast<uint8_t>(rng->Below(3));  // big-endian words 0..2
+    }
+    pool.push_back(std::move(packet));
+  }
+  return pool;
+}
+
+class PatchedEngine {
+ public:
+  explicit PatchedEngine(uint64_t seed) : rng_(seed), pool_(ShapedPacketPool(&rng_)) {
+    engine_.set_strategy(Strategy::kIndexed);
+    const uint64_t keys = rng_.Range(1, 48);
+    for (uint64_t k = 0; k < keys; ++k) {
+      BindNew();
+    }
+    engine_.SetOrder(order_);
+  }
+
+  void Step() {
+    const uint64_t op = rng_.Below(16);
+    SCOPED_TRACE("op " + std::to_string(op));
+    const Engine::Key key = order_.empty() ? 0 : order_[rng_.Below(order_.size())];
+    switch (op) {
+      case 0:
+      case 1:
+        if (key != 0) {  // re-Bind keeping the bucket: same tests, new priority
+          Program program = programs_.at(key).first;
+          program.priority = static_cast<uint8_t>(rng_.Below(4));
+          Rebind(key, program, programs_.at(key).second);
+        }
+        break;
+      case 2:
+      case 3:
+      case 4:
+        if (key != 0 && programs_.at(key).second < std::size(kShapes)) {
+          // Same shape, fresh values: the bucket may move.
+          const size_t shape = programs_.at(key).second;
+          Rebind(key, ShapedConjunction(kShapes[shape], &rng_), shape);
+        }
+        break;
+      case 5:
+        if (key != 0) {  // a new shape, maybe a non-conjunction
+          size_t shape = 0;
+          const Program program = ShapedProgram(&rng_, &shape);
+          Rebind(key, program, shape);
+        }
+        break;
+      case 6:
+      case 7:
+      case 8:
+        if (order_.size() > 1) {  // one key moves
+          const size_t from = rng_.Below(order_.size());
+          const Engine::Key moved = order_[from];
+          order_.erase(order_.begin() + static_cast<ptrdiff_t>(from));
+          order_.insert(order_.begin() + static_cast<ptrdiff_t>(rng_.Below(order_.size() + 1)),
+                        moved);
+          engine_.SetOrder(order_);
+        }
+        break;
+      case 9:
+        for (size_t i = order_.size(); i > 1; --i) {  // an arbitrary permutation
+          std::swap(order_[i - 1], order_[rng_.Below(i)]);
+        }
+        engine_.SetOrder(order_);
+        break;
+      case 10:
+        if (!order_.empty() && rng_.Chance(0.5)) {  // a sub-range reversed
+          const size_t a = rng_.Below(order_.size());
+          const size_t b = rng_.Below(order_.size());
+          std::reverse(order_.begin() + static_cast<ptrdiff_t>(std::min(a, b)),
+                       order_.begin() + static_cast<ptrdiff_t>(std::max(a, b) + 1));
+        }
+        engine_.SetOrder(order_);  // sometimes unchanged
+        break;
+      case 11:
+        if (key != 0) {
+          ASSERT_TRUE(engine_.Unbind(key));
+          programs_.erase(key);
+          order_.erase(std::find(order_.begin(), order_.end(), key));
+          SetOrderOrKeyOrder();
+        }
+        break;
+      case 12:
+        if (order_.size() < 64) {
+          BindNew();
+          SetOrderOrKeyOrder();
+        }
+        break;
+      case 13:
+        engine_.set_strategy(pf::kAllStrategies[rng_.Below(pf::kStrategyCount)]);
+        break;
+      default:
+        break;  // compare only
+    }
+    Compare();
+  }
+
+ private:
+  void BindNew() {
+    const Engine::Key key = next_key_++;
+    size_t shape = 0;
+    Program program = ShapedProgram(&rng_, &shape);
+    engine_.Bind(key, *ValidatedProgram::Create(program));
+    programs_.insert_or_assign(key, std::make_pair(std::move(program), shape));
+    order_.insert(order_.begin() + static_cast<ptrdiff_t>(rng_.Below(order_.size() + 1)), key);
+  }
+
+  void Rebind(Engine::Key key, const Program& program, size_t shape) {
+    engine_.Bind(key, *ValidatedProgram::Create(program));
+    programs_.insert_or_assign(key, std::make_pair(program, shape));
+  }
+
+  // After a key-set change: hand over the new order, or leave the engine
+  // to rank by key until the next pass.
+  void SetOrderOrKeyOrder() {
+    if (rng_.Chance(0.7)) {
+      engine_.SetOrder(order_);
+    } else {
+      std::sort(order_.begin(), order_.end());
+    }
+  }
+
+  void Compare() {
+    Engine twin(engine_.strategy());
+    for (const Engine::Key key : order_) {
+      twin.Bind(key, *ValidatedProgram::Create(programs_.at(key).first));
+    }
+    twin.SetOrder(order_);
+    for (const std::vector<uint8_t>& packet : pool_) {
+      SCOPED_TRACE("packet of " + std::to_string(packet.size()) + " bytes");
+      Engine::MatchPass got = engine_.Match(packet);
+      Engine::MatchPass want = twin.Match(packet);
+      const std::vector<uint32_t> got_candidates(got.candidates().begin(),
+                                                 got.candidates().end());
+      const std::vector<uint32_t> want_candidates(want.candidates().begin(),
+                                                  want.candidates().end());
+      ASSERT_EQ(got_candidates, want_candidates);
+      for (uint32_t rank = 0; rank < order_.size(); ++rank) {
+        ASSERT_EQ(engine_.BindingAt(rank), engine_.FindBinding(order_[rank])) << "rank " << rank;
+        const Verdict g = got.Test(order_[rank]);
+        const Verdict w = want.Test(order_[rank]);
+        ASSERT_EQ(g.accept, w.accept) << "rank " << rank;
+        ASSERT_EQ(g.status, w.status) << "rank " << rank;
+      }
+      ASSERT_EQ(got.telemetry().filters_run, want.telemetry().filters_run);
+      ASSERT_EQ(got.telemetry().index_probes, want.telemetry().index_probes);
+    }
+    ASSERT_EQ(engine_.index_width(), twin.index_width());
+    ASSERT_EQ(engine_.index_entries(), twin.index_entries());
+    ASSERT_EQ(engine_.index_covers_all(), twin.index_covers_all());
+  }
+
+  pfutil::Rng rng_;
+  std::vector<std::vector<uint8_t>> pool_;
+  Engine engine_;
+  Engine::Key next_key_ = 1;
+  std::vector<Engine::Key> order_;
+  // key -> (program, index into kShapes; past the end: not a shaped conjunction)
+  std::map<Engine::Key, std::pair<Program, size_t>> programs_;
+};
+
+// Re-Binds, order changes, key-set changes and strategy flips patch the
+// priority order and the index in place; after every step the result must
+// be indistinguishable from a twin built from scratch in the same order.
+TEST(EnginePatchProperty, PatchedMatchesRebuiltUnderRandomReconfiguration) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PatchedEngine engine(seed);
+    for (int step = 0; step < 150; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      engine.Step();
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace

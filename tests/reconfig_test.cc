@@ -23,6 +23,12 @@
 //   ones) must report the same ExecTelemetry as the unprofiled one, and the
 //   same per-pc hit counts as the profiled kChecked twin.
 //
+// Each check runs twice: over up to 6 ports with every reconfiguration
+// equally likely, and over 48 ports bound up front where most writes
+// re-bind a port's own program or flip its priority (the writes the
+// demultiplexer patches in place rather than rebuilding); the 48-port
+// fast-path run keeps connection tracking on throughout.
+//
 // Time-boxed: the first seed always runs to completion; further seeds run
 // while the budget lasts (PF_RECONFIG_SECONDS, default 2 per test; raise it
 // for a soak). A failure names its seed; PF_RECONFIG_SEED=N
@@ -55,18 +61,27 @@ using pf::PortId;
 using pf::Program;
 
 constexpr int kStepsPerSeed = 400;
-constexpr size_t kMaxPorts = 6;
+
+// The two mixes every check runs under (see the top of the file).
+enum class Mix { kSmall, kLarge };
+constexpr size_t kLargePorts = 48;
 
 // A random filter from a pool that covers every fast-path gate: indexable
 // conjunctions (cache- and conn-servable), overlapping accept-alls, a
 // non-conjunction (breaks index_covers_all), a word past the FlowSignature
 // prefix (breaks conn_servable), and a word inside the prefix that short
-// frames cannot load (kOutOfPacket statuses).
-Program RandomFilter(pfutil::Rng& rng) {
+// frames cannot load (kOutOfPacket statuses). `rare_unservable` makes the
+// filter past the prefix ten times rarer, so that over 48 ports the
+// connection table is still consulted most of the time.
+Program RandomFilter(pfutil::Rng& rng, bool rare_unservable = false) {
   static constexpr uint8_t kPriorities[] = {5, 10, 10, 10, 10, 200};
   const uint8_t priority = kPriorities[rng.Below(std::size(kPriorities))];
   FilterBuilder b;
-  switch (rng.Below(9)) {
+  uint64_t kind = rng.Below(9);
+  if (kind == 7 && rare_unservable && !rng.Chance(0.1)) {
+    kind = 0;
+  }
+  switch (kind) {
     case 0:
     case 1:
     case 2: {
@@ -128,27 +143,52 @@ ConnDB::Config RandomConnConfig(pfutil::Rng& rng) {
 
 class Twins {
  public:
-  explicit Twins(uint64_t seed) : rng_(seed) {
+  Twins(uint64_t seed, Mix mix) : rng_(seed), mix_(mix) {
     walk_.SetFlowCacheCapacity(0);
     // Seeds differ in how often they reconfigure: stale-verdict bugs need
     // quiet stretches for entries to outlive a change that missed them.
     static constexpr uint64_t kOpRanges[] = {16, 64, 256};
     op_range_ = kOpRanges[rng_.Below(std::size(kOpRanges))];
-    // Start half the seeds with busy reordering on, and half with tracking.
+    // Start half the seeds with busy reordering on, and half with tracking
+    // (every 48-port seed tracks).
     if (rng_.Chance(0.5)) {
       subject_.SetBusyReordering(true);
       walk_.SetBusyReordering(true);
     }
-    if (rng_.Chance(0.5)) {
+    if (rng_.Chance(0.5) || mix_ == Mix::kLarge) {
       subject_.EnableConnTracking(RandomConnConfig(rng_));
+    }
+    if (mix_ == Mix::kLarge) {
+      for (size_t i = 0; i < kLargePorts; ++i) {
+        const PortId port = subject_.OpenPort();
+        EXPECT_EQ(walk_.OpenPort(), port);
+        const Program program = RandomFilter(rng_, /*rare_unservable=*/true);
+        subject_.SetFilter(port, program);
+        walk_.SetFilter(port, program);
+      }
     }
   }
 
-  // One random reconfiguration (op 0-12; 13 and up: none) followed by a
-  // burst of traffic.
+  // One random reconfiguration (op 0-12; 13 and up: none; under the
+  // 48-port mix, most steps re-bind a bound port's program or flip its
+  // priority instead) followed by a burst of traffic.
   void Step() {
     const std::vector<PortId> ports = subject_.Ports();
     const PortId port = ports.empty() ? 0 : ports[rng_.Below(ports.size())];
+    const pf::ValidatedProgram* bound = port == 0 ? nullptr : subject_.engine().Find(port);
+    if (mix_ == Mix::kLarge && bound != nullptr && rng_.Chance(0.6)) {
+      Program program = bound->program();
+      if (rng_.Chance(0.5)) {
+        static constexpr uint8_t kPriorities[] = {5, 10, 11, 200};
+        program.priority = kPriorities[rng_.Below(std::size(kPriorities))];
+      }
+      SCOPED_TRACE("re-bind at priority " + std::to_string(program.priority) + " on port " +
+                   std::to_string(port));
+      subject_.SetFilter(port, program);
+      walk_.SetFilter(port, program);
+      Traffic(port);
+      return;
+    }
     const uint64_t op = rng_.Below(op_range_);
     SCOPED_TRACE("op " + std::to_string(op) + " on port " + std::to_string(port) +
                  ", strategy " + pf::ToString(subject_.strategy()) +
@@ -158,7 +198,7 @@ class Twins {
       case 1:
       case 2:
         if (port != 0) {
-          const Program program = RandomFilter(rng_);
+          const Program program = RandomFilter(rng_, mix_ == Mix::kLarge);
           subject_.SetFilter(port, program);
           walk_.SetFilter(port, program);
         }
@@ -170,7 +210,7 @@ class Twins {
         }
         break;
       case 4:
-        if (ports.size() < kMaxPorts) {
+        if (ports.size() < MaxPorts()) {
           ASSERT_EQ(subject_.OpenPort(), walk_.OpenPort());
         }
         break;
@@ -205,7 +245,7 @@ class Twins {
         break;
       }
       case 10:
-        if (rng_.Chance(0.6)) {
+        if (rng_.Chance(0.6) || mix_ == Mix::kLarge) {
           subject_.EnableConnTracking(RandomConnConfig(rng_));
         } else {
           subject_.DisableConnTracking();
@@ -226,6 +266,13 @@ class Twins {
       default:
         break;  // traffic only
     }
+    Traffic(port);
+  }
+
+ private:
+  size_t MaxPorts() const { return mix_ == Mix::kLarge ? kLargePorts + 8 : 6; }
+
+  void Traffic(PortId port) {
     CheckInvariants();
     // Up to 0.3 ms between packets: conn TTLs of 1 and 5 ms expire mid-run.
     const uint64_t burst = rng_.Range(1, 40);
@@ -246,7 +293,6 @@ class Twins {
     CheckInvariants();
   }
 
- private:
   void CompareCounters() {
     const std::vector<PortId> ports = subject_.Ports();
     ASSERT_EQ(ports, walk_.Ports());
@@ -283,6 +329,7 @@ class Twins {
   }
 
   pfutil::Rng rng_;
+  Mix mix_;
   uint64_t op_range_ = 0;
   PacketFilter subject_;
   PacketFilter walk_;
@@ -290,10 +337,10 @@ class Twins {
   uint64_t last_hits_ = 0;
 };
 
-// Runs Twins(seed).Step() kStepsPerSeed times per seed, for as many seeds as
-// the time budget allows (at least one).
+// Runs T(seed, mix).Step() kStepsPerSeed times per seed, for as many seeds
+// as the time budget allows (at least one).
 template <typename T>
-void RunSeeds() {
+void RunSeeds(Mix mix) {
   const char* seconds_env = std::getenv("PF_RECONFIG_SECONDS");
   const char* seed_env = std::getenv("PF_RECONFIG_SEED");
   const double budget_s = seconds_env != nullptr ? std::atof(seconds_env) : 2.0;
@@ -305,7 +352,10 @@ void RunSeeds() {
   uint64_t seed = first_seed;
   do {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    T twins(seed);
+    T twins(seed, mix);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
     for (int step = 0; step < kStepsPerSeed; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
       twins.Step();
@@ -319,7 +369,11 @@ void RunSeeds() {
 }
 
 TEST(ReconfigDifferentialTest, FastPathMatchesTheWalkUnderRandomReconfiguration) {
-  RunSeeds<Twins>();
+  RunSeeds<Twins>(Mix::kSmall);
+}
+
+TEST(ReconfigDifferentialTest, FastPathMatchesTheWalkUnderRebindsAt48PortsWithTracking) {
+  RunSeeds<Twins>(Mix::kLarge);
 }
 
 // --- The candidate walk against the full fig. 4-1 walk ---
@@ -424,9 +478,11 @@ class NaiveWalk {
     ports_.at(id).program = std::move(program);
     dirty_ = true;
   }
+  // Setting the current value is a no-op, as in PacketFilter: it must not
+  // re-sort busy ports ahead of the next reorder interval.
   void SetBusy(bool busy) {
+    dirty_ = dirty_ || busy != busy_;
     busy_ = busy;
-    dirty_ = true;
   }
   Port& port(PortId id) { return ports_.at(id); }
   const std::map<PortId, Port>& ports() const { return ports_; }
@@ -507,7 +563,7 @@ class NaiveWalk {
 
 class WalkTwins {
  public:
-  explicit WalkTwins(uint64_t seed) : rng_(seed) {
+  WalkTwins(uint64_t seed, Mix mix) : rng_(seed), mix_(mix) {
     checked().SetStrategy(pf::Strategy::kChecked);
     indexed().SetStrategy(pf::Strategy::kIndexed);
     profiled().SetStrategy(pf::Strategy::kIndexed);
@@ -522,14 +578,25 @@ class WalkTwins {
       ForAll([](PacketFilter& f) { f.SetBusyReordering(true); });
       model_.SetBusy(true);
     }
+    if (mix_ == Mix::kLarge) {
+      for (size_t i = 0; i < kLargePorts; ++i) {
+        const PortId id = OpenEverywhere();
+        Bind(id, RandomWalkFilter(rng_, RandomPriority()));
+      }
+    }
   }
 
-  // One random reconfiguration (op 0-11; 12 and up: none) followed by a
-  // burst of traffic.
+  // One random reconfiguration (op 0-11; 12 and up: none; under the
+  // 48-port mix, most steps re-bind a bound port's program or flip its
+  // priority instead) followed by a burst of traffic.
   void Step() {
     const std::vector<PortId> ports = checked().Ports();
     const PortId port = ports.empty() ? 0 : ports[rng_.Below(ports.size())];
-    const uint64_t op = rng_.Below(op_range_);
+    uint64_t op = rng_.Below(op_range_);
+    if (mix_ == Mix::kLarge && port != 0 && model_.port(port).program.has_value() &&
+        rng_.Chance(0.6)) {
+      op = rng_.Chance(0.5) ? 4 : kRebindSame;
+    }
     SCOPED_TRACE("op " + std::to_string(op) + " on port " + std::to_string(port));
     switch (op) {
       case 0:
@@ -547,6 +614,11 @@ class WalkTwins {
           Bind(port, program);
         }
         break;
+      case kRebindSame: {
+        const Program program = *model_.port(port).program;
+        Bind(port, program);
+        break;
+      }
       case 5:
         if (port != 0) {
           ForAll([&](PacketFilter& f) { f.ClearFilter(port); });
@@ -555,12 +627,8 @@ class WalkTwins {
         break;
       case 6:
       case 7:
-        if (ports.size() < kMaxWalkPorts) {
-          const PortId id = checked().OpenPort();
-          for (size_t i = 1; i < filters_.size(); ++i) {
-            ASSERT_EQ(filters_[i].OpenPort(), id);
-          }
-          model_.Open(id);
+        if (ports.size() < (mix_ == Mix::kLarge ? kLargePorts + 8 : 10)) {
+          OpenEverywhere();
         }
         break;
       case 8:
@@ -628,7 +696,8 @@ class WalkTwins {
   }
 
  private:
-  static constexpr size_t kMaxWalkPorts = 10;
+  // Outside the random op range: re-bind the port's own program.
+  static constexpr uint64_t kRebindSame = UINT64_MAX;
 
   PacketFilter& checked() { return filters_[0]; }
   PacketFilter& indexed() { return filters_[1]; }
@@ -644,6 +713,15 @@ class WalkTwins {
   uint8_t RandomPriority() {
     static constexpr uint8_t kPriorities[] = {1, 5, 5, 5, 9, 200};
     return kPriorities[rng_.Below(std::size(kPriorities))];
+  }
+
+  PortId OpenEverywhere() {
+    const PortId id = checked().OpenPort();
+    for (size_t i = 1; i < filters_.size(); ++i) {
+      EXPECT_EQ(filters_[i].OpenPort(), id);
+    }
+    model_.Open(id);
+    return id;
   }
 
   // Binds `program` everywhere; every pool program is valid.
@@ -695,6 +773,7 @@ class WalkTwins {
   }
 
   pfutil::Rng rng_;
+  Mix mix_;
   uint64_t op_range_ = 0;
   NaiveWalk model_;
   // kChecked (profiled), kIndexed, kIndexed profiled.
@@ -702,7 +781,11 @@ class WalkTwins {
 };
 
 TEST(ReconfigDifferentialTest, CandidateWalkMatchesCheckedUnderRandomReconfiguration) {
-  RunSeeds<WalkTwins>();
+  RunSeeds<WalkTwins>(Mix::kSmall);
+}
+
+TEST(ReconfigDifferentialTest, CandidateWalkMatchesCheckedUnderRebindsAt48Ports) {
+  RunSeeds<WalkTwins>(Mix::kLarge);
 }
 
 }  // namespace
