@@ -10,8 +10,7 @@
 // Expected shape: kChecked/kFast grow linearly (half the bound set runs
 // per packet on average), and kIndexed stays flat: a constant number of
 // hash probes plus one re-confirmed filter, independent of port count.
-// With the flow cache on, repeated flows skip even the index probes' bucket
-// scan. On the host clock kIndexed stays nearly flat too: the demux walk
+// On the host clock kIndexed stays nearly flat too: the demux walk
 // visits only the candidates the index hands back (DESIGN.md §4).
 //
 // §3.2's priority argument (DESIGN.md §7, ablation 3) rides along: 32 ports
@@ -28,7 +27,7 @@
 // Every run exits non-zero unless kIndexed at 256 ports is at least 5x
 // cheaper than kFast at 256 ports — the CI regression gate for this
 // optimization — and, on sanitizer-free Release-family builds, unless
-// kIndexed's wall ns/packet at 1024 ports (flow cache off) is within 2x of
+// kIndexed's wall ns/packet at 1024 ports is within 2x of
 // its 1-port value and a rebind at 1024 ports costs at most 4x a rebind at
 // 16 ports (both informational elsewhere, where wall ratios measure the
 // sanitizer or -O0 rather than the walk).
@@ -60,18 +59,14 @@ uint8_t EqualPriority(int /*socket*/) { return 10; }
 struct WorkSample {
   double work_per_packet = 0;  // insns + index probes
   double wall_ns_per_packet = 0;
-  double cache_hit_rate = 0;
 };
 
 // Open ports with one Pup-socket filter each (1-deep queues, no reader),
 // and the packet set the timed loop rotates over, warmed up.
 struct Rig {
   // The sweep: `ports` equal-priority ports, traffic spread over all of them.
-  Rig(pf::Strategy strategy, int ports, bool flow_cache) {
+  Rig(pf::Strategy strategy, int ports) {
     filter.SetStrategy(strategy);
-    if (!flow_cache) {
-      filter.SetFlowCacheCapacity(0);
-    }
     Bind(ports, EqualPriority);
     // Pre-build the rotating packet set once so packet construction stays
     // out of the timed loop.
@@ -82,8 +77,7 @@ struct Rig {
       const uint32_t socket = static_cast<uint32_t>(((i * ports) / distinct) + 1);
       packets.push_back(pftest::MakePupFrame(8, socket));
     }
-    // One warm-up round: builds the index and (with the cache on)
-    // seeds every distinct flow.
+    // One warm-up round: builds the index.
     Run(1);
   }
 
@@ -148,10 +142,9 @@ struct Rig {
 };
 
 // Demux ~512 frames, rotating over the rig's packet set, and report the
-// structural work, wall clock and flow-cache hit rate per packet.
+// structural work and wall clock per packet.
 WorkSample Measure(Rig&& rig) {
   const pf::ExecTelemetry before = rig.filter.global_stats().exec;
-  const uint64_t hits_before = rig.filter.flow_cache_stats().hits;
   const int distinct = static_cast<int>(rig.packets.size());
   const int rounds = 512 / distinct + 1;
   const int total = rounds * distinct;
@@ -162,8 +155,6 @@ WorkSample Measure(Rig&& rig) {
       static_cast<double>(after.insns_executed - before.insns_executed) +
       static_cast<double>(after.index_probes - before.index_probes);
   sample.work_per_packet = delta_work / total;
-  sample.cache_hit_rate =
-      static_cast<double>(rig.filter.flow_cache_stats().hits - hits_before) / total;
   return sample;
 }
 
@@ -172,13 +163,13 @@ struct Slope {
   double many_ports_ns = 0;
 };
 
-// kIndexed's host-clock slope, flow cache off: the fastest of interleaved
+// kIndexed's host-clock slope: the fastest of interleaved
 // ~8k-packet runs at 1 and at 1024 ports, so host noise hits both sides.
 Slope IndexedHostSlope() {
   constexpr int kReps = 21;
   constexpr int kPacketsPerRun = 8192;
-  Rig one(pf::Strategy::kIndexed, 1, /*flow_cache=*/false);
-  Rig many(pf::Strategy::kIndexed, 1024, /*flow_cache=*/false);
+  Rig one(pf::Strategy::kIndexed, 1);
+  Rig many(pf::Strategy::kIndexed, 1024);
   Slope slope{1e300, 1e300};
   for (int rep = 0; rep < kReps; ++rep) {
     slope.one_port_ns = std::min(
@@ -196,15 +187,15 @@ struct WriteCost {
   double reprioritize_ns = 1e300;
 };
 
-// The fastest of interleaved 64-write runs per port count (kIndexed, flow
-// cache off), so host noise hits every port count alike.
+// The fastest of interleaved 64-write runs per port count (kIndexed), so
+// host noise hits every port count alike.
 std::vector<WriteCost> WriteCosts() {
   constexpr int kReps = 15;
   constexpr int kWrites = 64;
   std::vector<Rig> rigs;
   rigs.reserve(std::size(kWritePortCounts));  // a Rig is never moved
   for (const int ports : kWritePortCounts) {
-    rigs.emplace_back(pf::Strategy::kIndexed, ports, /*flow_cache=*/false);
+    rigs.emplace_back(pf::Strategy::kIndexed, ports);
   }
   std::vector<WriteCost> costs(rigs.size());
   for (int rep = 0; rep < kReps; ++rep) {
@@ -298,7 +289,7 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
 
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     for (const int ports : kPortCounts) {
-      const WorkSample sample = Measure(Rig(strategy, ports, /*flow_cache=*/false));
+      const WorkSample sample = Measure(Rig(strategy, ports));
       char label[64];
       std::snprintf(label, sizeof(label), "%-10s %5d ports", pf::ToString(strategy).c_str(),
                     ports);
@@ -319,23 +310,6 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
                      "bound set per packet, kIndexed pays a constant probe+re-confirm.");
   pfbench::PrintTable("Per-packet demux wall clock (host CPU, informational)",
                       "same sweep as above", "ns/packet", wall_rows);
-
-  // The flow cache on top of the index: repeated flows skip the walk.
-  std::vector<pfbench::Row> cache_rows;
-  std::vector<pfbench::Row> cache_wall_rows;
-  for (const int ports : kPortCounts) {
-    const WorkSample sample = Measure(Rig(pf::Strategy::kIndexed, ports, /*flow_cache=*/true));
-    char label[64];
-    std::snprintf(label, sizeof(label), "indexed+cache %5d ports (%.0f%% hits)", ports,
-                  sample.cache_hit_rate * 100);
-    cache_rows.push_back({label, nan, sample.work_per_packet});
-    cache_wall_rows.push_back({label, nan, sample.wall_ns_per_packet});
-  }
-  pfbench::PrintTable("kIndexed with the flow verdict cache",
-                      "established flows re-confirm one filter and skip the walk",
-                      "insns+probes/packet", cache_rows);
-  pfbench::PrintTable("kIndexed with the flow verdict cache, wall clock (host CPU, informational)",
-                      "same sweep as above", "ns/packet", cache_wall_rows);
 
   // §3.2: "the interpreter may occasionally reorder such filters to place
   // the busier ones first".
@@ -393,7 +367,7 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
       pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
   const Slope slope = IndexedHostSlope();
   const double growth = slope.many_ports_ns / slope.one_port_ns;
-  std::printf("check: kIndexed wall, flow cache off: 1 port = %.1f ns, 1024 ports = %.1f ns, "
+  std::printf("check: kIndexed wall: 1 port = %.1f ns, 1024 ports = %.1f ns, "
               "growth = %.2fx (need <= 2x)%s\n",
               slope.one_port_ns, slope.many_ports_ns, growth,
               enforce ? "" : " [informational: non-Release or sanitized build]");

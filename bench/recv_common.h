@@ -38,10 +38,7 @@ struct RecvConfig {
   pf::Program filter;
   // Execution strategy of the kernel demultiplexer's engine.
   pf::Strategy strategy = pf::Strategy::kFast;
-  // Enable the per-filter profiler (src/pf/profile.h) on the receiver. The
-  // flow verdict cache is disabled for profiled runs: cache-served packets
-  // skip the priority walk, which would make per-pc hit counts depend on
-  // the strategy (see DESIGN.md §11's attribution rules).
+  // Enable the per-filter profiler (src/pf/profile.h) on the receiver.
   bool profile = false;
   // Optional tracing (src/obs): attached to the receiver machine, so the
   // run emits interrupt/pf.demux/pf.read spans and per-packet flow events.
@@ -76,7 +73,6 @@ inline double MeasureReceivePerPacketMs(const RecvConfig& config) {
   }
   if (config.profile) {
     receiver.pf().core().SetProfiling(true);
-    receiver.pf().core().SetFlowCacheCapacity(0);
   }
   if (config.trace != nullptr) {
     receiver.AttachTrace(config.trace);

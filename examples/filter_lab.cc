@@ -83,7 +83,6 @@ int main() {
   pf::PacketFilter sequential;
   pf::PacketFilter indexed;
   indexed.SetStrategy(pf::Strategy::kIndexed);
-  indexed.SetFlowCacheCapacity(0);  // show the table itself, not the flow cache
   pf::PortId last_port = 0;  // both filters open the same port ids
   for (uint32_t socket = 1; socket <= 32; ++socket) {
     const pf::Program filter = pfnet::MakePupSocketFilter(socket, 10);

@@ -39,8 +39,8 @@
 //                      random-block on socket 77, and render the conndb
 //                      panel — live connections, transition counters, the
 //                      created == live+expired+evicted+refused identity,
-//                      watermark state, and verdict-cache residency —
-//                      under the port table each period
+//                      and watermark state — under the port table each
+//                      period
 //   --pcapng PATH      attach a sampled, filter-scoped capture tap (src/pf/
 //                      tap.h) at the demux-in stage — predicate: the Pup
 //                      socket-35 filter, 1-in-2 sampling, snaplen 96 — and
@@ -353,9 +353,7 @@ void RenderTopFlows(pfkern::Machine& machine, size_t k, double now_ms) {
 
 // The conndb panel (--conn): live connections with their verdicts, the
 // transition counters and their partition identity, watermark/emergency
-// state, verdict-cache residency (the pf.demux.cache.live/.capacity
-// gauges, as the table last stood in its cache configuration), and the
-// per-port extension veto counts.
+// state, and the per-port extension veto counts.
 void RenderConnPanel(pfkern::Machine& machine, double now_ms) {
   const pf::ConnDB* db = machine.pf().ConnDb();
   if (db == nullptr) {
@@ -385,12 +383,6 @@ void RenderConnPanel(pfkern::Machine& machine, double now_ms) {
               (unsigned long long)s.emergency_engaged,
               (unsigned long long)s.emergency_disengaged, (unsigned long long)s.gc_sweeps,
               (unsigned long long)s.gc_scanned, (unsigned long long)s.expired_gc);
-  const pfobs::Gauge* cache_size = machine.metrics().FindGauge("pf.demux.cache.live");
-  const pfobs::Gauge* cache_cap = machine.metrics().FindGauge("pf.demux.cache.capacity");
-  if (cache_size != nullptr && cache_cap != nullptr) {
-    std::printf(" verdict cache residency: %lld/%lld entries\n",
-                (long long)cache_size->value(), (long long)cache_cap->value());
-  }
   pf::PacketFilter& core = machine.pf().core();
   for (const pf::PortId id : core.Ports()) {
     const pf::PortExtension* ext = core.Extension(id);

@@ -55,12 +55,11 @@ struct CostModel {
   // is a load + mask + hash mix — the same order of work as one filter
   // instruction.
   pfsim::Duration index_probe = pfsim::Microseconds(25);
-  // One flow-verdict-cache lookup in Demux (hash of an already-computed
-  // signature): cheaper than a filter instruction.
+  // Never charged; kept for perfbench/bare.cc, which reads it.
   pfsim::Duration flow_cache_lookup = pfsim::Microseconds(20);
   // One connection-database operation per packet (lookup, and on a miss
-  // the establish that follows): a hash probe plus an LRU splice — the
-  // same order of work as a flow-cache lookup plus a little bookkeeping.
+  // the establish that follows): a hash probe plus an LRU splice — about
+  // one filter instruction plus a little bookkeeping.
   pfsim::Duration conn_lookup = pfsim::Microseconds(30);
   // One incremental conndb GC sweep (worker timer): a bounded slab scan.
   pfsim::Duration conn_gc_sweep = pfsim::Microseconds(100);

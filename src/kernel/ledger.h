@@ -32,7 +32,7 @@ enum class Cost : uint8_t {
   kProtocolKernel,  // kernel-resident VMTP processing
   kDisplay,         // character display (Telnet experiment, table 6-7)
   kIndexProbe,      // hash-dispatch discriminating-word probes (kIndexed)
-  kFlowCache,       // per-flow verdict-cache lookups in Demux
+  kFlowCache,       // never charged; kept for perfbench/bare.cc, its reader
   kRingPost,        // shared-memory ring: descriptor posted at demux time
   kRingReap,        // shared-memory ring: descriptor reaped by the user
   kPollLoop,        // poll-mode NIC receive: per-round + per-frame polling

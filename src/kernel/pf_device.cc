@@ -30,7 +30,6 @@ PacketFilterDevice::PacketFilterDevice(Machine* machine) : machine_(machine) {
     filter_eval_hist_[static_cast<size_t>(strategy)] =
         registry.histogram("pf.filter_eval." + pf::ToString(strategy));
   }
-  flow_cache_hist_ = registry.histogram("pf.demux.cache.lookup");
   ring_post_hist_ = registry.histogram("pf.ring.post");
   ring_reap_hist_ = registry.histogram("pf.ring.reap");
   demux_latency_hist_ = registry.histogram("pf.demux.latency");
@@ -128,13 +127,17 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t read_start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
   reads_counter_->Add();
-  PortExtra* ring_extra = Extra(port);
-  if (ring_extra != nullptr && ring_extra->ring) {
-    co_return co_await ReapRing(pid, port, ring_extra, timeout);
-  }
-  co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
-  std::vector<pf::ReceivedPacket> out;
   PortExtra* extra = Extra(port);
+  // On a ring port a read is a reap (DESIGN.md §13): it crosses into the
+  // kernel only to sleep on an empty ring, and reaps descriptors instead of
+  // copying packets out.
+  const bool ring = extra != nullptr && extra->ring;
+  bool crossed = !ring;
+  if (!ring) {
+    co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
+    extra = Extra(port);  // the port may have closed during the crossing
+  }
+  std::vector<pf::ReceivedPacket> out;
   if (extra == nullptr) {
     co_return out;
   }
@@ -158,82 +161,19 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
       break;
     }
     if (timeout.count() == 0) {
-      co_return out;  // non-blocking poll (§3.3 "immediate return")
+      // Non-blocking poll (§3.3 "immediate return"); an empty ring polls
+      // for free: no crossing, no copy.
+      co_return out;
     }
     const pfsim::Duration remaining =
         forever ? pfsim::kForever : deadline - machine_->sim()->Now();
     if (!forever && remaining.count() <= 0) {
       co_return out;  // §3: "the read call terminates and reports an error"
     }
-    machine_->MarkBlocked(pid);
-    const std::optional<char> token = co_await extra->signal.PopWithTimeout(remaining);
-    if (!token.has_value()) {
-      co_return out;  // timed out
-    }
-    woken_by_signal = true;
-  }
-
-  extra->had_queued = filter_.QueueLength(port) > 0;  // SIGIO edge re-arm
-
-  // Copy each packet out to the process (§3.3's optional timestamping was
-  // already charged at demux time).
-  std::vector<Machine::Charge> charges;
-  charges.reserve(out.size());
-  for (const pf::ReceivedPacket& packet : out) {
-    charges.emplace_back(machine_->CopyCharge(packet.bytes.size()));
-  }
-  co_await machine_->RunMulti(pid, std::move(charges));
-  read_packets_counter_->Add(out.size());
-  if (trace != nullptr) {
-    const int64_t now_ns = machine_->sim()->NowNanos();
-    const int track = machine_->trace_track();
-    trace->Complete(track, "pf", "pf.read", read_start_ns, now_ns,
-                    {{"packets", static_cast<int64_t>(out.size())},
-                     {"port", static_cast<int64_t>(port)}});
-    // Each packet's journey ends here: delivered into the user's buffer.
-    for (const pf::ReceivedPacket& packet : out) {
-      if (packet.flow_id != 0) {
-        trace->Flow(pfobs::Phase::kFlowEnd, track, now_ns, packet.flow_id);
-      }
-    }
-  }
-  co_return out;
-}
-
-pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::ReapRing(
-    int pid, pf::PortId port, PortExtra* extra, pfsim::Duration timeout) {
-  pfobs::TraceSession* trace = machine_->trace();
-  const int64_t reap_start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
-  std::vector<pf::ReceivedPacket> out;
-  const bool forever = timeout == pfsim::kForever;
-  const pfsim::TimePoint deadline = pfsim::DeadlineAfter(machine_->sim(), timeout);
-  bool woken_by_signal = false;
-  bool charged_sleep = false;
-  for (;;) {
-    if (extra->batching) {
-      out = filter_.PopBatch(port, kMaxBatch);
-    } else if (auto packet = filter_.Pop(port)) {
-      out.push_back(std::move(*packet));
-    }
-    if (!out.empty()) {
-      size_t tokens = out.size() - (woken_by_signal ? 1 : 0);
-      while (tokens-- > 0) {
-        extra->signal.TryPop();
-      }
-      break;
-    }
-    if (timeout.count() == 0) {
-      co_return out;  // an empty ring polls for free: no crossing, no copy
-    }
-    const pfsim::Duration remaining =
-        forever ? pfsim::kForever : deadline - machine_->sim()->Now();
-    if (!forever && remaining.count() <= 0) {
-      co_return out;
-    }
-    if (!charged_sleep) {
+    if (!crossed) {
       // The one crossing ring mode cannot avoid: going to sleep on an empty
       // ring is a syscall. A reaper that keeps up never pays it.
-      charged_sleep = true;
+      crossed = true;
       co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
     }
     machine_->MarkBlocked(pid);
@@ -246,24 +186,32 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::ReapRing(
 
   extra->had_queued = filter_.QueueLength(port) > 0;  // SIGIO edge re-arm
 
-  // Reap the descriptors: consumer-index updates, no copies. The bytes stay
-  // where demux posted them; the ReceivedPacket's PacketBuf view is the
-  // mapped descriptor.
+  // Copy each packet out to the process (§3.3's optional timestamping was
+  // already charged at demux time) — or, on a ring, reap its descriptor:
+  // a consumer-index update, no copy. The ReceivedPacket's PacketBuf view
+  // is the mapped descriptor.
   std::vector<Machine::Charge> charges;
   charges.reserve(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    charges.emplace_back(Cost::kRingReap, machine_->costs().ring_reap);
-    ring_reap_hist_->Record(machine_->costs().ring_reap.count());
+  for (const pf::ReceivedPacket& packet : out) {
+    if (ring) {
+      charges.emplace_back(Cost::kRingReap, machine_->costs().ring_reap);
+      ring_reap_hist_->Record(machine_->costs().ring_reap.count());
+    } else {
+      charges.emplace_back(machine_->CopyCharge(packet.bytes.size()));
+    }
   }
   co_await machine_->RunMulti(pid, std::move(charges));
-  ring_reaped_counter_->Add(out.size());
+  if (ring) {
+    ring_reaped_counter_->Add(out.size());
+  }
   read_packets_counter_->Add(out.size());
   if (trace != nullptr) {
     const int64_t now_ns = machine_->sim()->NowNanos();
     const int track = machine_->trace_track();
-    trace->Complete(track, "pf", "pf.reap", reap_start_ns, now_ns,
+    trace->Complete(track, "pf", ring ? "pf.reap" : "pf.read", read_start_ns, now_ns,
                     {{"packets", static_cast<int64_t>(out.size())},
                      {"port", static_cast<int64_t>(port)}});
+    // Each packet's journey ends here: delivered into the user's buffer.
     for (const pf::ReceivedPacket& packet : out) {
       if (packet.flow_id != 0) {
         trace->Flow(pfobs::Phase::kFlowEnd, track, now_ns, packet.flow_id);
@@ -284,15 +232,7 @@ pfsim::ValueTask<bool> PacketFilterDevice::Write(int pid, pf::PacketBuf frame) {
   writes_counter_->Add();
   std::vector<Machine::Charge> charges;
   charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  if (ring_slots_ > 0) {
-    // TX ring: the frame's block is already mapped into both domains, so
-    // write() posts a descriptor instead of copying into a kernel buffer.
-    charges.emplace_back(Cost::kRingPost, machine_->costs().ring_post);
-    ring_tx_posts_counter_->Add();
-    ring_post_hist_->Record(machine_->costs().ring_post.count());
-  } else {
-    charges.emplace_back(machine_->CopyCharge(frame.size()));
-  }
+  charges.emplace_back(TxCharge(frame.size()));
   co_await machine_->RunMulti(pid, std::move(charges));
   const bool sent = co_await machine_->TransmitBuf(pid, std::move(frame));
   if (trace != nullptr) {
@@ -303,18 +243,23 @@ pfsim::ValueTask<bool> PacketFilterDevice::Write(int pid, pf::PacketBuf frame) {
   co_return sent;
 }
 
+Machine::Charge PacketFilterDevice::TxCharge(size_t bytes) {
+  if (ring_slots_ > 0) {
+    // TX ring: the frame's block is already mapped into both domains, so
+    // write() posts a descriptor instead of copying into a kernel buffer.
+    ring_tx_posts_counter_->Add();
+    ring_post_hist_->Record(machine_->costs().ring_post.count());
+    return {Cost::kRingPost, machine_->costs().ring_post};
+  }
+  return machine_->CopyCharge(bytes);
+}
+
 pfsim::ValueTask<size_t> PacketFilterDevice::WriteMany(int pid,
                                                        std::vector<std::vector<uint8_t>> frames) {
   std::vector<Machine::Charge> charges;
   charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
   for (const auto& frame : frames) {
-    if (ring_slots_ > 0) {
-      charges.emplace_back(Cost::kRingPost, machine_->costs().ring_post);
-      ring_tx_posts_counter_->Add();
-      ring_post_hist_->Record(machine_->costs().ring_post.count());
-    } else {
-      charges.emplace_back(machine_->CopyCharge(frame.size()));
-    }
+    charges.emplace_back(TxCharge(frame.size()));
   }
   co_await machine_->RunMulti(pid, std::move(charges));
   size_t accepted = 0;
@@ -447,13 +392,6 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
       machine_->costs().index_probe * static_cast<int64_t>(result.exec.index_probes);
   if (index_cost.count() > 0) {
     charges.emplace_back(Cost::kIndexProbe, index_cost);
-  }
-  if (result.cache_lookup) {
-    const pfsim::Duration cache_cost = machine_->costs().flow_cache_lookup;
-    charges.emplace_back(Cost::kFlowCache, cache_cost);
-    // Same condition as the Ledger charge, so "pf.demux.cache.lookup"
-    // reconciles exactly with ledger.flow_cache.* (asserted in obs_test).
-    flow_cache_hist_->Record(cache_cost.count());
   }
   if (result.conn_lookup) {
     // One kConnDb charge per consulting packet (lookup, plus the establish

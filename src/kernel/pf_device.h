@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/ledger.h"
@@ -170,10 +171,9 @@ class PacketFilterDevice {
   // per-tick sweep body.
   void ArmConnGc();
   void ConnGcTick();
-  // The reap half of ring delivery (Read dispatches here for ring ports).
-  pfsim::ValueTask<std::vector<pf::ReceivedPacket>> ReapRing(int pid, pf::PortId port,
-                                                             PortExtra* extra,
-                                                             pfsim::Duration timeout);
+  // One written frame's user->kernel transfer, as Write and WriteMany
+  // charge it: a TX descriptor post on a ring device, else a copy-in.
+  std::pair<Cost, pfsim::Duration> TxCharge(size_t bytes);
 
   Machine* machine_;
   pf::PacketFilter filter_;
@@ -196,9 +196,6 @@ class PacketFilterDevice {
   pfobs::Counter* ring_reaped_counter_ = nullptr;    // RX descriptors reaped
   pfobs::Counter* ring_tx_posts_counter_ = nullptr;  // TX descriptors posted
   pfobs::Histogram* filter_eval_hist_[pf::kStrategyCount] = {};
-  // Samples the simulated flow-cache lookup cost per consulting packet;
-  // reconciles exactly with the Ledger's kFlowCache charges.
-  pfobs::Histogram* flow_cache_hist_ = nullptr;
   // One sample per descriptor posted/reaped; sums reconcile exactly with
   // ledger.ring_post.* / ledger.ring_reap.* (asserted in obs_test and the
   // micro_zerocopy --check gate).

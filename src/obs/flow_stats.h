@@ -5,9 +5,8 @@
 //
 // Design (DESIGN.md §16):
 //   * Flows are identified by a 64-bit signature the demux computes per
-//     packet (FlowSignature below, or the engine's discriminating-word
-//     index signature when it covers every filter). The table never parses
-//     headers — it accounts whatever key the caller hands it.
+//     packet (FlowSignature below). The table never parses headers — it
+//     accounts whatever key the caller hands it.
 //   * The table is bounded: at capacity, recording a new flow evicts the
 //     least-recently-touched entry (each entry carries the generation —
 //     a monotonic record count — at which it was last touched, so eviction

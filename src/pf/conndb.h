@@ -44,9 +44,8 @@
 // walk's outcome — an entry stamped with an older epoch is never served
 // (the full walk restamps it).
 //
-// The same table is PacketFilter's flow verdict cache (DESIGN.md §10): with
-// no TTL and no watermarks (ttl_ns = UINT64_MAX, high_water_pct > 100) it
-// is a plain LRU table that evicts at capacity and never refuses.
+// This is PacketFilter's one flow-state fast path: Demux consults it only
+// while connection tracking is on (PacketFilter::EnableConnTracking).
 #ifndef SRC_PF_CONNDB_H_
 #define SRC_PF_CONNDB_H_
 

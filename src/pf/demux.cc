@@ -7,16 +7,6 @@ namespace pf {
 
 namespace {
 
-// The fast-path table's verdict-cache configuration: a plain LRU table — no
-// TTL, no watermarks, no refusal (DESIGN.md §10).
-ConnDB::Config CacheConfig(size_t capacity) {
-  ConnDB::Config config;
-  config.capacity = capacity;
-  config.ttl_ns = UINT64_MAX;
-  config.high_water_pct = UINT32_MAX;  // above 100: never engages
-  return config;
-}
-
 // Conndb serve-soundness: the FlowSignature hashes the first
 // kFlowSignaturePrefix bytes, so stored verdicts are only trustworthy when
 // every bound filter's verdict is a function of that prefix — no indirect
@@ -29,8 +19,7 @@ bool ConnServable(const ValidationResult& meta) {
 
 }  // namespace
 
-PacketFilter::PacketFilter(DeviceInfo info)
-    : info_(info), flows_(CacheConfig(kDefaultFlowCacheCapacity)) {}
+PacketFilter::PacketFilter(DeviceInfo info) : info_(info) {}
 
 PacketFilter::PortState* PacketFilter::Find(PortId id) {
   const auto it = ports_.find(id);
@@ -181,17 +170,10 @@ void PacketFilter::SetStrategy(Strategy strategy) {
     return;  // no-op: keep the index and the stored flow verdicts
   }
   engine_.set_strategy(strategy);
-  // Strategy changes rebuild the engine's index, so cached signatures no
-  // longer mean anything.
+  // Verdicts do not depend on the strategy; the bump keeps the rule that
+  // every configuration change re-walks established flows free of
+  // exceptions, at the price of one walk per flow after a rare switch.
   ++conn_epoch_;
-  AttachFlowMetrics();
-}
-
-void PacketFilter::SetFlowCacheCapacity(size_t capacity) {
-  flow_cache_capacity_ = capacity;
-  if (!tracking_) {
-    flows_.Reconfigure(CacheConfig(capacity));
-  }
 }
 
 void PacketFilter::SetProfiling(bool enabled) { engine_.SetProfiling(enabled); }
@@ -219,27 +201,20 @@ std::vector<PortId> PacketFilter::Ports() const {
   return ids;
 }
 
-void PacketFilter::EnableConnTracking(ConnDB::Config config) { ConfigureFlows(true, config); }
-
-void PacketFilter::DisableConnTracking() {
-  ConfigureFlows(false, CacheConfig(flow_cache_capacity_));
-}
-
-void PacketFilter::ConfigureFlows(bool tracking, const ConnDB::Config& config) {
-  tracking_ = tracking;
+void PacketFilter::EnableConnTracking(ConnDB::Config config) {
+  tracking_ = true;
   flows_.Reconfigure(config);
-  AttachFlowMetrics();
-  // Entries keyed under the other configuration must not be served. (No
-  // order rebuild: conn_servable() is kept current by every write,
-  // and a rebuild would re-sort busy ports when the walk alone would not.)
+  flows_.AttachMetrics(registry_);
+  // Entries stored before the last disable must not be served. (No order
+  // rebuild: conn_servable() is kept current by every write, and a rebuild
+  // would re-sort busy ports when the walk alone would not.)
   ++conn_epoch_;
 }
 
-void PacketFilter::AttachFlowMetrics() {
-  // The cache configuration only runs under kIndexed; registering its
-  // metrics for every other demux would add to each machine's set-up cost.
-  const bool active = tracking_ || engine_.strategy() == Strategy::kIndexed;
-  flows_.AttachMetrics(active ? registry_ : nullptr, tracking_ ? "pf.conn" : "pf.demux.cache");
+void PacketFilter::DisableConnTracking() {
+  tracking_ = false;
+  flows_.AttachMetrics(nullptr);
+  ++conn_epoch_;
 }
 
 void PacketFilter::AttachExtension(PortId id, std::unique_ptr<PortExtension> extension) {
@@ -272,7 +247,7 @@ void PacketFilter::AttachMetrics(pfobs::MetricsRegistry* registry) {
           registry->counter("pf.drop." + ToSlug(static_cast<DropReason>(i)));
     }
   }
-  AttachFlowMetrics();
+  flows_.AttachMetrics(tracking_ ? registry : nullptr);
   engine_.AttachMetrics(registry);
 }
 
@@ -425,7 +400,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     // flow verdicts stale.
     const bool was_dirty = order_dirty_;
     std::vector<PortState*> previous;
-    if (!was_dirty && flows_.live() > 0) {
+    if (!was_dirty && tracking_ && flows_.live() > 0) {
       previous = ordered_;
     }
     RebuildOrder();
@@ -452,22 +427,15 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     }
   };
 
-  // Flow-state fast path: if the table's key determines every bound
-  // filter's verdict and this flow has an epoch-current entry, re-confirm
-  // with the stored port's own filter and skip the priority walk. The key
-  // is the FlowSignature under tracking, the index signature otherwise.
-  std::optional<uint64_t> key;
-  if (tracking_) {
-    if (conn_servable() && !ordered_.empty()) {
-      key = SigOf(packet);
-    }
-  } else if (flow_cache_capacity_ > 0 && engine_.index_covers_all()) {
-    key = engine_.IndexSignature(packet);
-  }
+  // Flow-state fast path (connection tracking): if the FlowSignature
+  // determines every bound filter's verdict and this flow has an
+  // epoch-current entry, re-confirm with the stored port's own filter and
+  // skip the priority walk.
+  result.conn_lookup = tracking_ && conn_servable() && !ordered_.empty();
+  const uint64_t key = result.conn_lookup ? SigOf(packet) : 0;
   bool served = false;
-  if (key.has_value()) {
-    (tracking_ ? result.conn_lookup : result.cache_lookup) = true;
-    const ConnDB::Entry* entry = flows_.Lookup(*key, timestamp_ns, conn_epoch_, packet.size());
+  if (result.conn_lookup) {
+    const ConnDB::Entry* entry = flows_.Lookup(key, timestamp_ns, conn_epoch_, packet.size());
     if (entry != nullptr) {
       PortState* port = Find(entry->port);
       if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
@@ -478,7 +446,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
         if (verdict.accept) {
           DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);
           result.accepted = true;
-          (tracking_ ? result.conn_hit : result.cache_hit) = true;
+          result.conn_hit = true;
           served = true;
         }
       }
@@ -486,7 +454,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
         // Key collision (the stored port's filter rejected the actual
         // bytes): the entry is wrong for this flow — drop it and take the
         // full walk.
-        flows_.Invalidate(*key);
+        flows_.Invalidate(key);
       }
     }
   }
@@ -521,8 +489,8 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     // claimed exclusively — copy-all (deliver_to_lower) deliveries must
     // keep taking the full walk. The table may refuse (emergency mode) —
     // then this flow simply keeps taking the stateless walk.
-    if (key.has_value() && accepts == 1 && !claimer->deliver_to_lower) {
-      flows_.Establish(*key, claimer->id, timestamp_ns, conn_epoch_, packet.size());
+    if (result.conn_lookup && accepts == 1 && !claimer->deliver_to_lower) {
+      flows_.Establish(key, claimer->id, timestamp_ns, conn_epoch_, packet.size());
     }
   }
 

@@ -86,12 +86,10 @@ struct DemuxResult {
   bool accepted = false;       // at least one port took the packet
   uint32_t deliveries = 0;     // copies enqueued
   uint32_t drops = 0;          // copies lost to full queues
-  // The flow-state fast path (PacketFilter, "The flow-state fast path")
-  // sets the cache_* pair in its verdict-cache configuration and the
-  // conn_* pair under connection tracking; the host charges them to
-  // different ledger categories (kFlowCache / kConnDb).
-  bool cache_lookup = false;   // the flow verdict cache was consulted
-  bool cache_hit = false;      // delivery served from the cache (re-confirmed)
+  bool cache_lookup = false;   // always false; read only by perfbench/bare.cc
+  bool cache_hit = false;      // always false; read only by perfbench/bare.cc
+  // Connection tracking (PacketFilter::EnableConnTracking) sets this pair;
+  // the host charges each lookup to Cost::kConnDb.
   bool conn_lookup = false;    // the connection database was consulted
   bool conn_hit = false;       // delivery served from conndb state (re-confirmed)
   uint64_t flow_sig = 0;       // the packet's flow signature, when flow
@@ -186,27 +184,6 @@ class PacketFilter {
   // --- Execution strategy (benchmarked in bench/micro_*) ---
   void SetStrategy(Strategy strategy);
   Strategy strategy() const { return engine_.strategy(); }
-
-  // --- The flow-state fast path (DESIGN.md §10, §17) ---
-  // Demux() remembers "this flow was claimed by this port" in one ConnDB
-  // table, so repeated packets of an established flow skip the priority
-  // walk. The table runs in one of two configurations:
-  //   * verdict cache (the default): active under Strategy::kIndexed when
-  //     Engine::index_covers_all(); keyed by the engine's index signature; a
-  //     plain LRU table of `capacity` entries (0 disables it) with no TTL
-  //     and no watermarks; lookups charged to Cost::kFlowCache;
-  //   * connection tracking (EnableConnTracking below).
-  // Soundness is the same in both: the table is only consulted when its key
-  // determines every filter's verdict, the stored port's own filter
-  // re-confirms every hit, deliver_to_lower ports are never served from
-  // (or entered into) the table, and every filter/port/priority/strategy/
-  // copy-all change — and every busy reorder that moves a port — bumps
-  // conn_epoch(), so older entries are never served.
-  void SetFlowCacheCapacity(size_t capacity);
-  size_t flow_cache_size() const { return flows_.live(); }
-  // The table's counters; they span the filter's lifetime (both
-  // configurations), so they never decrease.
-  const ConnDB::Stats& flow_cache_stats() const { return flows_.stats(); }
   // The engine executing this demultiplexer's filters (index introspection,
   // bound-program lookup).
   const Engine& engine() const { return engine_; }
@@ -232,22 +209,32 @@ class PacketFilter {
   const pfobs::FlowTable* flow_stats() const { return flow_table_.get(); }
 
   // --- Stateful connection tracking (conndb.h, DESIGN.md §17) ---
-  // Opt-in: reconfigures the fast-path table with `config` (verdict +
-  // accounting + TTL expiry + overload watermarks), keyed by the
-  // strategy-independent pfobs::FlowSignature (FNV over the first 64
-  // bytes) and charged to Cost::kConnDb. State is only consulted when every
-  // bound filter's verdict is determined by that prefix — `conn_servable()`:
-  // every filter has uses_indirect == false and max_word_index within the
-  // prefix. When the DB refuses state (emergency mode), the flow simply
-  // stays on the stateless priority-walk path — graceful degradation, never
-  // blocking. Disabling returns the table to the verdict-cache
-  // configuration. Disabled (the default), the demux is byte-identical to
-  // the pre-conndb behavior, which keeps the observatory baselines stable.
+  // Opt-in, and the only way Demux() skips the fig. 4-1 walk: Demux()
+  // remembers "this flow was claimed by this port" in one ConnDB table
+  // configured by `config` (verdict + accounting + TTL expiry + overload
+  // watermarks), keyed by the strategy-independent pfobs::FlowSignature
+  // (FNV over the first 64 bytes) and charged to Cost::kConnDb, so repeated
+  // packets of an established flow skip the priority walk. Soundness: state
+  // is only consulted when every bound filter's verdict is determined by
+  // that prefix — `conn_servable()`: every filter has uses_indirect == false
+  // and max_word_index within the prefix; the stored port's own filter
+  // re-confirms every hit; deliver_to_lower ports are never served from (or
+  // entered into) the table; and every filter/port/priority/strategy/
+  // copy-all change — and every busy reorder that moves a port — bumps
+  // conn_epoch(), so older entries are never served. When the DB refuses
+  // state (emergency mode), the flow simply stays on the stateless
+  // priority-walk path — graceful degradation, never blocking. Disabled
+  // (the default), every packet takes the walk and the table is never
+  // consulted.
   void EnableConnTracking(ConnDB::Config config = {});
   void DisableConnTracking();
   // The table, only while tracking (the kernel's GC worker keys on this).
   ConnDB* conndb() { return tracking_ ? &flows_ : nullptr; }
   const ConnDB* conndb() const { return tracking_ ? &flows_ : nullptr; }
+  // The table's counters, tracking on or off; they span the filter's
+  // lifetime, so they never decrease. Named for perfbench/stack.cc, its
+  // reader.
+  const ConnDB::Stats& flow_cache_stats() const { return flows_.stats(); }
   uint64_t conn_epoch() const { return conn_epoch_; }
   // True when the current filter set's verdicts are all determined by the
   // hashed prefix. Always current: every write keeps the count of bound
@@ -296,7 +283,6 @@ class PacketFilter {
 
   static constexpr size_t kDefaultQueueLimit = 32;
   static constexpr uint64_t kReorderInterval = 256;
-  static constexpr size_t kDefaultFlowCacheCapacity = 1024;
 
   PortState* Find(PortId id);
   const PortState* Find(PortId id) const;
@@ -307,12 +293,6 @@ class PacketFilter {
   // ordered_ and hands the order to the engine, which re-ranks only what
   // moved. Needs a current order and busy reordering off.
   void Reposition(PortState* port);
-  // Switches the fast-path table between its two configurations.
-  void ConfigureFlows(bool tracking, const ConnDB::Config& config);
-  // Re-registers the fast-path table's metrics under its configuration's
-  // prefix: "pf.conn" while tracking, "pf.demux.cache" while the strategy
-  // is kIndexed, none otherwise.
-  void AttachFlowMetrics();
   // The current packet's flow signature, computed on first use per Demux
   // pass (cur_sig_ is reset at DemuxImpl entry; 0 = not yet computed).
   uint64_t SigOf(std::span<const uint8_t> packet) {
@@ -341,9 +321,8 @@ class PacketFilter {
   uint64_t demux_count_ = 0;
   FilterGlobalStats global_stats_;
 
-  // The flow-state fast path's configuration (the table, flows_, is below).
+  // Connection tracking is on (the table, flows_, is below).
   bool tracking_ = false;
-  size_t flow_cache_capacity_ = kDefaultFlowCacheCapacity;
   uint64_t conn_epoch_ = 1;
   size_t unservable_ports_ = 0;  // bound filters that are not conn-servable
 
@@ -371,9 +350,9 @@ class PacketFilter {
   };
   DemuxMetrics metrics_;
 
-  // The flow-state fast path: one table, in the verdict-cache
-  // configuration unless tracking_. After the per-packet fields above, so
-  // that they share as few cache lines as they did without it.
+  // The flow-state fast path's table, consulted only while tracking_. After
+  // the per-packet fields above, so that they share as few cache lines as
+  // they did without it.
   ConnDB flows_;
 
   // Write-path state, off the per-packet cache lines.

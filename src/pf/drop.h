@@ -67,10 +67,10 @@ inline uint64_t TotalDrops(const DropCounts& counts) {
 // One recorded loss. `port` is the overflowing port for kQueueOverflow and
 // 0 for the whole-packet reasons; `pc` is the instruction index where the
 // first erroring filter stopped (-1 when no filter erred). `flow_sig` is
-// the demux flow signature (pfobs::FlowSignature / the engine index
-// signature) — the same identity the FlowTable keys on and the capture
-// taps stamp into pcapng packet comments, so a recorded drop, a flow-table
-// row, and a captured packet cross-reference (0 = not computed).
+// the demux flow signature (pfobs::FlowSignature) — the same identity the
+// FlowTable and the connection table key on and the capture taps stamp
+// into pcapng packet comments, so a recorded drop, a flow-table row, and a
+// captured packet cross-reference (0 = not computed).
 struct DropRecord {
   uint64_t timestamp_ns = 0;
   uint64_t flow_id = 0;

@@ -482,7 +482,6 @@ void Engine::RebuildIndex() {
   index_pairs_.clear();
   index_hashes_.clear();
   index_ranks_.clear();
-  index_covers_all_ = false;
   if (strategy_ != Strategy::kIndexed || pair_counts_.empty()) {
     return;  // no conjunction tests a pair: nothing to probe
   }
@@ -500,10 +499,8 @@ void Engine::RebuildIndex() {
   // A filter joins the index iff it tests every discriminating pair: its
   // bucket key is the hash of its expected masked values in pair order.
   // Empty conjunctions (accept-all) match every packet and stay uncovered.
-  bool all_conjunctions = true;
   std::vector<std::pair<uint64_t, uint32_t>> entries;  // (bucket, rank)
   for (const auto& [key, binding] : filters_) {
-    all_conjunctions = all_conjunctions && binding.conjunction.has_value();
     const std::optional<uint64_t> bucket =
         binding.conjunction.has_value() && !binding.conjunction->empty()
             ? BucketOf(*binding.conjunction)
@@ -515,9 +512,6 @@ void Engine::RebuildIndex() {
     entries.emplace_back(*bucket, binding.rank);
     prune_min_packet_bytes_ = std::max(prune_min_packet_bytes_, WordReach(*binding.conjunction));
   }
-  // The signature fully determines every filter's verdict iff every filter
-  // is a conjunction and every tested pair is among the probed ones.
-  index_covers_all_ = all_conjunctions && index_pairs_.size() == pair_counts_.size();
   std::sort(entries.begin(), entries.end());
   for (const auto& [bucket, rank] : entries) {
     index_hashes_.push_back(bucket);
@@ -527,29 +521,14 @@ void Engine::RebuildIndex() {
   merged_.reserve(filters_.size());
 }
 
-bool Engine::index_covers_all() {
-  Refresh();
-  return strategy_ == Strategy::kIndexed && index_covers_all_;
-}
-
-std::optional<uint64_t> Engine::HashIndexWords(std::span<const uint8_t> packet) const {
+uint64_t Engine::HashIndexWords(std::span<const uint8_t> packet) const {
   uint64_t signature = kFnvOffset;
   for (const FieldTestKey& pair : index_pairs_) {
     uint16_t word = 0;
-    if (!pfutil::LoadPacketWord(packet, pair.word, &word)) {
-      return std::nullopt;
-    }
+    pfutil::LoadPacketWord(packet, pair.word, &word);
     signature = MixIndexHash(signature, static_cast<uint16_t>(word & pair.mask));
   }
   return signature;
-}
-
-std::optional<uint64_t> Engine::IndexSignature(std::span<const uint8_t> packet) {
-  Refresh();
-  if (strategy_ != Strategy::kIndexed || index_pairs_.empty()) {
-    return std::nullopt;
-  }
-  return HashIndexWords(packet);
 }
 
 Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
@@ -561,9 +540,8 @@ Engine::MatchPass Engine::Match(std::span<const uint8_t> packet) {
     // on this packet: every filter runs, so statuses stay exact.
     return pass;
   }
-  // Cannot fail: every indexed word fits in prune_min_packet_bytes_.
   const auto [first, last] =
-      std::equal_range(index_hashes_.begin(), index_hashes_.end(), *HashIndexWords(packet));
+      std::equal_range(index_hashes_.begin(), index_hashes_.end(), HashIndexWords(packet));
   pass.telemetry_.index_probes += static_cast<uint32_t>(index_pairs_.size());
   const std::span<const uint32_t> hits =
       std::span<const uint32_t>(index_ranks_)

@@ -194,25 +194,13 @@ class Engine {
   const Binding* FindBinding(Key key) const;
 
   // --- Index introspection (meaningful under kIndexed) ---
-  // These reflect the current index; Match() and IndexSignature() rebuild
-  // it lazily after a new-key Bind, an Unbind, a re-Bind that changed a
+  // These reflect the current index; Match() rebuilds it lazily after a new-key Bind, an Unbind, a re-Bind that changed a
   // conjunction's shape, or set_strategy.
   bool index_in_use() const { return strategy_ == Strategy::kIndexed && !index_ranks_.empty(); }
   // Number of discriminating (word, mask) pairs probed per packet.
   size_t index_width() const { return index_pairs_.size(); }
   // Filters dispatched through the index (the rest run sequentially).
   size_t index_entries() const { return index_ranks_.size(); }
-  // True when the strategy is kIndexed and *every* bound filter is a
-  // conjunction over the discriminating pairs, i.e. the index signature
-  // fully determines every filter's verdict. This is the soundness
-  // precondition for hosts that cache verdicts keyed by IndexSignature()
-  // (PacketFilter's flow cache). Rebuilds the index if stale.
-  bool index_covers_all();
-  // The hash of the discriminating words' masked values for `packet` —
-  // the flow-cache key. Rebuilds the index if stale. nullopt when the
-  // strategy is not kIndexed, no index exists, or the packet is too short
-  // to load every discriminating word.
-  std::optional<uint64_t> IndexSignature(std::span<const uint8_t> packet);
 
   // --- Filter-program profiling (src/pf/profile.h) ---
   // Opt-in per-binding profiles: per-pc hit counts, exit pcs, and charged
@@ -297,8 +285,9 @@ class Engine {
   void Rebuild();
   void RebuildIndex();
   // FNV-1a over the discriminating words' masked values (the index bucket
-  // key); nullopt when the packet is too short to load every word.
-  std::optional<uint64_t> HashIndexWords(std::span<const uint8_t> packet) const;
+  // key). Needs a packet of at least prune_min_packet_bytes_, which loads
+  // every word.
+  uint64_t HashIndexWords(std::span<const uint8_t> packet) const;
   // The bucket a conjunction's expected values hash to, or nullopt when it
   // does not test every discriminating pair (it stays uncovered).
   std::optional<uint64_t> BucketOf(const std::vector<FieldTest>& tests) const;
@@ -353,7 +342,6 @@ class Engine {
   // a run of equal hashes, its ranks ascending.
   std::vector<uint64_t> index_hashes_;
   std::vector<uint32_t> index_ranks_;
-  bool index_covers_all_ = false;
 
   // --- Write-path state, off the per-packet cache lines ---
   // How many bound conjunctions test each (word, mask) pair (a filter that

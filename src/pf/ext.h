@@ -70,9 +70,9 @@ class RateLimitExt : public PortExtension {
     uint64_t burst = 16;       // bucket depth, packets
     bool per_flow = false;     // one bucket per flow signature vs per port
     size_t max_flows = 1024;   // bounded per-flow bucket map; at capacity
-                               // the map is wiped wholesale (coarse, like
-                               // the verdict cache — a live flow re-enters
-                               // with a full bucket on its next packet)
+                               // the map is wiped wholesale (coarse: a
+                               // live flow re-enters with a full bucket on
+                               // its next packet)
   };
 
   explicit RateLimitExt(Config config);

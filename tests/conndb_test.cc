@@ -680,34 +680,4 @@ TEST(ExtensionTest, DropTaxonomyStaysExhaustiveUnderMixedTraffic) {
   EXPECT_GT(reason(pf::DropReason::kNoMatch), 0u);
 }
 
-// --- Verdict-cache residency gauges (pf.demux.cache.live / .capacity) -------
-
-TEST(CacheGaugeTest, ResidencyGaugesTrackCacheUse) {
-  pfobs::MetricsRegistry registry;
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  filter.AttachMetrics(&registry);
-  const PortId p = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(p, SocketFilter(35, 10)).ok);
-
-  const pfobs::Gauge* live = registry.FindGauge("pf.demux.cache.live");
-  const pfobs::Gauge* capacity = registry.FindGauge("pf.demux.cache.capacity");
-  ASSERT_NE(live, nullptr);
-  ASSERT_NE(capacity, nullptr);
-
-  const auto frame = pftest::MakePupFrame(8, 35);
-  const auto r1 = filter.Demux(frame);
-  ASSERT_TRUE(r1.cache_lookup);  // the index covers the filter set under kIndexed
-  EXPECT_EQ(live->value(), 1);
-  EXPECT_GT(capacity->value(), 0);
-  // A binding change stales the entry; the walk restamps it in place.
-  ASSERT_TRUE(filter.SetFilter(p, SocketFilter(35, 11)).ok);
-  filter.Demux(frame);
-  EXPECT_EQ(live->value(), 1);
-  // Disabling the cache empties the table; the gauges drop with it.
-  filter.SetFlowCacheCapacity(0);
-  EXPECT_EQ(live->value(), 0);
-  EXPECT_EQ(capacity->value(), 0);
-}
-
 }  // namespace

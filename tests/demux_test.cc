@@ -3,7 +3,10 @@
 // busy-reordering, and the strategy knobs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/net/pup_endpoint.h"
+#include "src/obs/metrics.h"
 #include "src/pf/builder.h"
 #include "src/pf/demux.h"
 #include "tests/test_packets.h"
@@ -278,7 +281,6 @@ TEST(DemuxTest, BusyReorderStalesConnTrackedVerdicts) {
   for (const pf::Strategy strategy : {pf::Strategy::kFast, pf::Strategy::kIndexed}) {
     PacketFilter tracked;
     PacketFilter walk;  // the plain fig. 4-1 walk: no fast path at all
-    walk.SetFlowCacheCapacity(0);
     tracked.EnableConnTracking();
     for (PacketFilter* filter : {&tracked, &walk}) {
       filter->SetStrategy(strategy);
@@ -450,57 +452,72 @@ TEST(DemuxTest, AcceptsInvariantAcrossOverflowAndCopyAll) {
   EXPECT_EQ(filter.Stats(app)->accepts, 6u);
 }
 
-// --- Flow verdict cache (Strategy::kIndexed) ---
+// --- The flow-state fast path: only connection tracking skips the walk ---
 
-TEST(DemuxFlowCacheTest, ServesRepeatedFlowFromCache) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
-  const PortId p35 = filter.OpenPort();
-  const PortId p36 = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(p35, SocketFilter(35, 10)).ok);
-  ASSERT_TRUE(filter.SetFilter(p36, SocketFilter(36, 10)).ok);
+// With tracking off, nothing skips the fig. 4-1 walk — not even under
+// kIndexed over a filter set whose index words determine every verdict: no
+// result reports a table lookup or hit, the table's counters stay at zero,
+// every repeat of one flow does the same engine work, and no fast-path
+// metric is registered.
+TEST(DemuxTest, NoFastPathWithoutConnTracking) {
+  for (const pf::Strategy strategy : pf::kAllStrategies) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    pfobs::MetricsRegistry registry;
+    PacketFilter filter;
+    filter.AttachMetrics(&registry);
+    filter.SetStrategy(strategy);
+    const PortId p35 = filter.OpenPort();
+    const PortId p36 = filter.OpenPort();
+    ASSERT_TRUE(filter.SetFilter(p35, SocketFilter(35, 10)).ok);
+    ASSERT_TRUE(filter.SetFilter(p36, SocketFilter(36, 10)).ok);
 
-  for (int i = 0; i < 3; ++i) {
-    const auto r = filter.Demux(pftest::MakePupFrame(8, 35));
-    EXPECT_TRUE(r.accepted);
-    EXPECT_TRUE(r.cache_lookup);
-    EXPECT_EQ(r.cache_hit, i > 0);  // first packet takes the full walk
+    const auto frame = pftest::MakePupFrame(8, 35);
+    const pf::DemuxResult first = filter.Demux(frame);
+    for (int i = 0; i < 4; ++i) {
+      const pf::DemuxResult r = i == 0 ? first : filter.Demux(frame);
+      SCOPED_TRACE("packet " + std::to_string(i));
+      EXPECT_TRUE(r.accepted);
+      EXPECT_FALSE(r.cache_lookup);
+      EXPECT_FALSE(r.cache_hit);
+      EXPECT_FALSE(r.conn_lookup);
+      EXPECT_FALSE(r.conn_hit);
+      EXPECT_EQ(r.exec.insns_executed, first.exec.insns_executed);
+      EXPECT_EQ(r.exec.filters_run, first.exec.filters_run);
+      EXPECT_EQ(r.exec.index_probes, first.exec.index_probes);
+    }
+    EXPECT_EQ(filter.QueueLength(p35), 4u);
+    EXPECT_EQ(filter.QueueLength(p36), 0u);
+    EXPECT_EQ(filter.flow_cache_stats().lookups, 0u);
+    EXPECT_EQ(filter.conndb(), nullptr);
+    // No flow-state table registered its metrics ("<prefix>.lookups",
+    // "<prefix>.live", ...) under any prefix.
+    for (const auto& [name, counter] : registry.counters()) {
+      EXPECT_FALSE(name.ends_with(".lookups") || name.ends_with(".hits")) << name;
+    }
+    for (const auto& [name, gauge] : registry.gauges()) {
+      EXPECT_FALSE(name.ends_with(".live") || name.ends_with(".capacity")) << name;
+    }
   }
-  EXPECT_EQ(filter.QueueLength(p35), 3u);
-  EXPECT_EQ(filter.QueueLength(p36), 0u);
-  const pf::ConnDB::Stats& stats = filter.flow_cache_stats();
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.created, 1u);
-  EXPECT_EQ(filter.flow_cache_size(), 1u);
 }
 
-TEST(DemuxFlowCacheTest, OtherStrategiesNeverConsultTheCache) {
-  PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kFast);
-  const PortId port = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(port, SocketFilter(35, 10)).ok);
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
-  EXPECT_EQ(filter.flow_cache_stats().lookups, 0u);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
-}
+// The suite below is the fast path's invalidation and bypass rules, all
+// under EnableConnTracking (flow_cache_stats() is the tracking table's).
 
 TEST(DemuxFlowCacheTest, RebindInvalidatesAndRedirectsTheFlow) {
   PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
   const PortId a = filter.OpenPort();
   const PortId b = filter.OpenPort();
   ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
   ASSERT_TRUE(filter.SetFilter(b, SocketFilter(35, 10)).ok);
-  // Equal priority: `a` opened first, claims, and the flow is cached on it.
+  // Equal priority: `a` opened first, claims, and the flow is stored on it.
   filter.Demux(pftest::MakePupFrame(8, 35));
   filter.Demux(pftest::MakePupFrame(8, 35));
   EXPECT_EQ(filter.QueueLength(a), 2u);
   EXPECT_GT(filter.flow_cache_stats().hits, 0u);
 
   // Rebinding `a` to a different socket must invalidate: the next socket-35
-  // packet belongs to `b`, not the stale cache entry.
+  // packet belongs to `b`, not the stale entry.
   ASSERT_TRUE(filter.SetFilter(a, SocketFilter(99, 10)).ok);
   filter.Demux(pftest::MakePupFrame(8, 35));
   EXPECT_EQ(filter.QueueLength(a), 2u);  // no stale delivery
@@ -512,7 +529,7 @@ TEST(DemuxFlowCacheTest, RebindInvalidatesAndRedirectsTheFlow) {
 
 TEST(DemuxFlowCacheTest, ClosePortInvalidates) {
   PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
   const PortId a = filter.OpenPort();
   ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
   filter.Demux(pftest::MakePupFrame(8, 35));
@@ -527,17 +544,17 @@ TEST(DemuxFlowCacheTest, ClosePortInvalidates) {
 
 TEST(DemuxFlowCacheTest, PriorityChangeInvalidates) {
   PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
   const PortId low = filter.OpenPort();
   const PortId high = filter.OpenPort();
   ASSERT_TRUE(filter.SetFilter(low, SocketFilter(35, 10)).ok);
   ASSERT_TRUE(filter.SetFilter(high, SocketFilter(35, 5)).ok);
-  // `low` wins at priority 10 and the flow caches on it.
+  // `low` wins at priority 10 and the flow is stored on it.
   filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 35));
+  EXPECT_TRUE(filter.Demux(pftest::MakePupFrame(8, 35)).conn_hit);
   EXPECT_EQ(filter.QueueLength(low), 2u);
 
-  // Raising `high` above it must redirect the flow — a cached verdict that
+  // Raising `high` above it must redirect the flow — a stored verdict that
   // survived this would mis-deliver even though `low`'s filter still accepts.
   ASSERT_TRUE(filter.SetFilter(high, SocketFilter(35, 200)).ok);
   filter.Demux(pftest::MakePupFrame(8, 35));
@@ -547,37 +564,29 @@ TEST(DemuxFlowCacheTest, PriorityChangeInvalidates) {
 
 // Setting a strategy or busy reordering to its current value changes
 // nothing the walk does, so it must not stale stored flow verdicts: an
-// established flow keeps hitting, in both fast-path configurations.
+// established flow keeps hitting.
 TEST(DemuxFlowCacheTest, NoOpSettersKeepStoredVerdicts) {
-  for (const bool tracking : {false, true}) {
-    SCOPED_TRACE(tracking ? "conn tracking" : "verdict cache");
-    PacketFilter filter;
-    filter.SetStrategy(pf::Strategy::kIndexed);
-    if (tracking) {
-      filter.EnableConnTracking();
-    }
-    const PortId a = filter.OpenPort();
-    const PortId b = filter.OpenPort();
-    ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
-    ASSERT_TRUE(filter.SetFilter(b, SocketFilter(36, 10)).ok);
-    const auto hits = [&] {
-      const pf::DemuxResult r = filter.Demux(pftest::MakePupFrame(8, 35));
-      return r.cache_hit || r.conn_hit;
-    };
-    EXPECT_FALSE(hits());  // establishes the flow
-    EXPECT_TRUE(hits());
-    filter.SetStrategy(pf::Strategy::kIndexed);
-    EXPECT_TRUE(hits()) << "after SetStrategy(current)";
-    filter.SetBusyReordering(false);
-    EXPECT_TRUE(hits()) << "after SetBusyReordering(current)";
-    EXPECT_EQ(filter.QueueLength(a), 4u);
-    EXPECT_EQ(filter.flow_cache_stats().stale_epoch, 0u);
-  }
+  PacketFilter filter;
+  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
+  const PortId a = filter.OpenPort();
+  const PortId b = filter.OpenPort();
+  ASSERT_TRUE(filter.SetFilter(a, SocketFilter(35, 10)).ok);
+  ASSERT_TRUE(filter.SetFilter(b, SocketFilter(36, 10)).ok);
+  const auto hits = [&] { return filter.Demux(pftest::MakePupFrame(8, 35)).conn_hit; };
+  EXPECT_FALSE(hits());  // establishes the flow
+  EXPECT_TRUE(hits());
+  filter.SetStrategy(pf::Strategy::kIndexed);
+  EXPECT_TRUE(hits()) << "after SetStrategy(current)";
+  filter.SetBusyReordering(false);
+  EXPECT_TRUE(hits()) << "after SetBusyReordering(current)";
+  EXPECT_EQ(filter.QueueLength(a), 4u);
+  EXPECT_EQ(filter.flow_cache_stats().stale_epoch, 0u);
 }
 
 TEST(DemuxFlowCacheTest, DeliverToLowerPortsBypassTheCache) {
   PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
   const PortId monitor = filter.OpenPort();
   const PortId app = filter.OpenPort();
   ASSERT_TRUE(filter.SetFilter(monitor, AcceptAll(255)).ok);
@@ -587,36 +596,41 @@ TEST(DemuxFlowCacheTest, DeliverToLowerPortsBypassTheCache) {
   for (int i = 0; i < 4; ++i) {
     const auto r = filter.Demux(pftest::MakePupFrame(8, 35));
     EXPECT_EQ(r.deliveries, 2u) << "copy-all must reach both ports, packet " << i;
-    EXPECT_FALSE(r.cache_hit);
+    EXPECT_TRUE(r.conn_lookup);
+    EXPECT_FALSE(r.conn_hit);
   }
   // Monitor-only traffic: the sole acceptor delivers-to-lower, so the flow
   // must not be recorded either.
   filter.Demux(pftest::MakePupFrame(8, 99));
   EXPECT_EQ(filter.flow_cache_stats().hits, 0u);
   EXPECT_EQ(filter.flow_cache_stats().created, 0u);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
+  EXPECT_EQ(filter.conndb()->live(), 0u);
   EXPECT_EQ(filter.QueueLength(monitor), 5u);
   EXPECT_EQ(filter.QueueLength(app), 4u);
 }
 
 TEST(DemuxFlowCacheTest, CapacityBoundsAndDisable) {
   PacketFilter filter;
-  filter.SetStrategy(pf::Strategy::kIndexed);
   for (uint32_t socket = 1; socket <= 4; ++socket) {
     const PortId port = filter.OpenPort();
     ASSERT_TRUE(filter.SetFilter(port, SocketFilter(socket, 10)).ok);
   }
-  filter.SetFlowCacheCapacity(2);
+  pf::ConnDB::Config config;
+  config.capacity = 2;
+  filter.EnableConnTracking(config);
   for (uint32_t socket = 1; socket <= 4; ++socket) {
     filter.Demux(pftest::MakePupFrame(8, socket));
   }
-  EXPECT_LE(filter.flow_cache_size(), 2u);
+  EXPECT_LE(filter.conndb()->live(), 2u);
+  EXPECT_TRUE(filter.conndb()->IdentityHolds());
 
-  filter.SetFlowCacheCapacity(0);  // disabled entirely
+  filter.DisableConnTracking();  // no table, no lookups
+  EXPECT_EQ(filter.conndb(), nullptr);
   const uint64_t lookups_before = filter.flow_cache_stats().lookups;
-  filter.Demux(pftest::MakePupFrame(8, 1));
+  const auto r = filter.Demux(pftest::MakePupFrame(8, 1));
+  EXPECT_TRUE(r.accepted);
+  EXPECT_FALSE(r.conn_lookup);
   EXPECT_EQ(filter.flow_cache_stats().lookups, lookups_before);
-  EXPECT_EQ(filter.flow_cache_size(), 0u);
 }
 
 TEST(DemuxTest, DeviceInfoRoundTrips) {

@@ -148,13 +148,11 @@ TEST(EngineIndexTest, BuildsOverSharedDiscriminatingPairs) {
   for (Engine::Key key = 1; key <= 8; ++key) {
     engine.Bind(key, *ValidatedProgram::Create(SocketConjunction(key)));
   }
-  // IndexSignature rebuilds the index lazily; any packet will do.
-  const auto packet = pftest::MakePupFrame(50, 5);
-  ASSERT_TRUE(engine.IndexSignature(packet).has_value());
+  // Match rebuilds the index lazily; any packet will do.
+  (void)engine.Match(pftest::MakePupFrame(50, 5));
   EXPECT_TRUE(engine.index_in_use());
   EXPECT_EQ(engine.index_width(), 3u);   // socket-low, socket-high, ether type
   EXPECT_EQ(engine.index_entries(), 8u); // every filter dispatches via the index
-  EXPECT_TRUE(engine.index_covers_all());
 }
 
 TEST(EngineIndexTest, PrunesNonMatchingFiltersWithoutRunningThem) {
@@ -196,14 +194,13 @@ TEST(EngineIndexTest, NonConjunctionFiltersFallBackButConjunctionsStayIndexed) {
   engine.Bind(2, *ValidatedProgram::Create(SocketConjunction(35)));
   engine.Bind(3, *ValidatedProgram::Create(SocketConjunction(36)));
   const auto packet = pftest::MakePupFrame(50, 35);
-  ASSERT_TRUE(engine.IndexSignature(packet).has_value());
-  EXPECT_TRUE(engine.index_in_use());
-  EXPECT_EQ(engine.index_entries(), 2u);
-  // A non-conjunction filter's verdict is not a function of the
-  // discriminating words, so signature-keyed caching would be unsound.
-  EXPECT_FALSE(engine.index_covers_all());
-
   Engine::MatchPass pass = engine.Match(packet);
+  EXPECT_TRUE(engine.index_in_use());
+  // The two conjunctions dispatch through the index; the fig. 3-8 filter
+  // (ranges) is not a conjunction, so it stays off it and runs every time.
+  EXPECT_EQ(engine.index_width(), 3u);
+  EXPECT_EQ(engine.index_entries(), 2u);
+
   EXPECT_TRUE(pass.Test(1).accept);   // fig. 3-8 accepts this frame (ran sequentially)
   EXPECT_TRUE(pass.Test(2).accept);   // bucket hit, re-confirmed
   EXPECT_FALSE(pass.Test(3).accept);  // pruned
@@ -236,26 +233,6 @@ TEST(EngineIndexTest, StrategySwitchRebuildsIndex) {
   EXPECT_TRUE(engine.index_in_use());
   engine.set_strategy(Strategy::kFast);
   EXPECT_FALSE(engine.index_in_use());
-}
-
-TEST(EngineIndexTest, SignatureIsStablePerFlowAndDistinguishesFlows) {
-  Engine engine(Strategy::kIndexed);
-  engine.Bind(1, *ValidatedProgram::Create(SocketConjunction(35)));
-  engine.Bind(2, *ValidatedProgram::Create(SocketConjunction(36)));
-  const auto sig_a1 = engine.IndexSignature(pftest::MakePupFrame(50, 35));
-  const auto sig_a2 = engine.IndexSignature(pftest::MakePupFrame(51, 35));
-  const auto sig_b = engine.IndexSignature(pftest::MakePupFrame(50, 36));
-  ASSERT_TRUE(sig_a1.has_value());
-  ASSERT_TRUE(sig_a2.has_value());
-  ASSERT_TRUE(sig_b.has_value());
-  // The pup type is not a discriminating word; the socket is.
-  EXPECT_EQ(*sig_a1, *sig_a2);
-  EXPECT_NE(*sig_a1, *sig_b);
-  // Too short to load the discriminating words -> no signature.
-  EXPECT_FALSE(engine.IndexSignature(std::vector<uint8_t>{1, 2, 3, 4}).has_value());
-  // Other strategies never produce one.
-  engine.set_strategy(Strategy::kFast);
-  EXPECT_FALSE(engine.IndexSignature(pftest::MakePupFrame(50, 35)).has_value());
 }
 
 TEST(EngineIndexTest, BindingHandleSkipsTheMapLookup) {
@@ -670,7 +647,6 @@ class PatchedEngine {
     }
     ASSERT_EQ(engine_.index_width(), twin.index_width());
     ASSERT_EQ(engine_.index_entries(), twin.index_entries());
-    ASSERT_EQ(engine_.index_covers_all(), twin.index_covers_all());
   }
 
   pfutil::Rng rng_;

@@ -597,63 +597,4 @@ TEST(ObsReconcileTest, FilterEvalHistogramMatchesLedger) {
   EXPECT_NE(json.find("\"ledger.filter_eval.total_ns\""), std::string::npos);
 }
 
-// Like FilterEvalHistogramMatchesLedger, but for the kIndexed flow cache:
-// every packet that consults the cache charges kFlowCache and records the
-// same cost into "pf.demux.cache.lookup", so count and sum reconcile.
-TEST(ObsReconcileTest, FlowCacheHistogramMatchesLedger) {
-  Simulator sim;
-  EthernetSegment segment(&sim, LinkType::kEthernet10Mb);
-  Machine machine(&sim, &segment, MacAddr::Dix(2, 0, 0, 0, 0, 9),
-                  pfkern::MicroVaxUltrixCosts(), "m");
-  machine.pf().core().SetStrategy(pf::Strategy::kIndexed);
-
-  // A conjunction filter on the DIX ether-type word, so the engine builds
-  // an index (and the flow cache becomes eligible: index_covers_all).
-  pf::FilterBuilder builder;
-  builder.WordEquals(6, 0x3333);  // bytes 12-13 of the DIX header
-
-  pflink::LinkHeader link;
-  link.dst = machine.link_addr();
-  link.src = MacAddr::Dix(2, 0, 0, 0, 0, 8);
-  link.ether_type = 0x3333;
-  const pflink::Frame frame =
-      *pflink::BuildFrame(LinkType::kEthernet10Mb, link, std::vector<uint8_t>(64, 0xaa));
-
-  int packets_read = 0;
-  auto reader = [&]() -> Task {
-    const int pid = machine.NewPid();
-    const pf::PortId port = co_await machine.pf().Open(pid);
-    co_await machine.pf().SetFilter(pid, port, builder.Build(10));
-    machine.ledger().Reset();
-    for (int i = 0; i < 20; ++i) {
-      machine.OnFrameDelivered(frame, sim.Now());
-    }
-    while (packets_read < 20) {
-      const auto got = co_await machine.pf().Read(pid, port, Seconds(5));
-      if (got.empty()) {
-        break;
-      }
-      packets_read += static_cast<int>(got.size());
-    }
-  };
-  sim.Spawn(reader());
-  sim.Run();
-  ASSERT_EQ(packets_read, 20);
-
-  // Every one of the 20 demuxes consulted the cache (19 of them hit), and
-  // each consult charged the ledger exactly once.
-  const pfobs::Histogram* hist = machine.metrics().FindHistogram("pf.demux.cache.lookup");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count(), machine.ledger().count(Cost::kFlowCache));
-  EXPECT_EQ(hist->sum(), machine.ledger().total(Cost::kFlowCache).count());
-  EXPECT_EQ(hist->count(), 20u);
-  EXPECT_EQ(machine.pf().core().flow_cache_stats().hits, 19u);
-
-  // The index probes were charged under their own category...
-  EXPECT_GT(machine.ledger().count(Cost::kIndexProbe), 0u);
-  // ...and the demux-level cache counters saw the same traffic.
-  EXPECT_EQ(machine.metrics().FindCounter("pf.demux.cache.lookups")->value(), 20u);
-  EXPECT_EQ(machine.metrics().FindCounter("pf.demux.cache.hits")->value(), 19u);
-}
-
 }  // namespace

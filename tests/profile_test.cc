@@ -92,8 +92,8 @@ TEST(ProfileTest, AnnotatedDumpRejectsForeignProfile) {
 // The acceptance bar for the profiler: per-pc *hit* counts (equivalent
 // sequential executions) are identical whichever strategy produced them,
 // because kIndexed's prunes are replayed uncharged.
-// The flow verdict cache is disabled: cache-served packets legitimately skip
-// the walk, which is exactly the strategy-dependence this test must exclude.
+// Connection tracking stays off: conn-served packets legitimately skip the
+// walk, which is exactly the strategy-dependence this test must exclude.
 TEST(ProfileTest, AllStrategiesProduceIdenticalHitCounts) {
   constexpr int kSockets = 8;
   std::vector<std::vector<uint8_t>> stream;
@@ -115,7 +115,6 @@ TEST(ProfileTest, AllStrategiesProduceIdenticalHitCounts) {
   for (const Strategy strategy : pf::kAllStrategies) {
     PacketFilter filter;
     filter.SetStrategy(strategy);
-    filter.SetFlowCacheCapacity(0);
     filter.SetProfiling(true);
     std::vector<PortId> ports;
     for (int socket = 1; socket <= kSockets; ++socket) {

@@ -1,13 +1,12 @@
 // Reconfiguration under traffic, checked differentially. Two checks share
 // one seeded, time-boxed driver:
 //
-// * The fast path: a PacketFilter with its flow-state fast path (verdict
-//   cache or connection tracking) must deliver every packet exactly as a
-//   twin running the plain fig. 4-1 walk (no cache, no tracking) under the
-//   same strategy, while a random interleaving rebinds filters, opens and
-//   closes ports, flips copy-all, switches strategies, toggles busy
-//   reordering, resizes the cache, and turns connection tracking on and off
-//   between packet bursts (runts and unmatched frames included). After every
+// * The fast path: a PacketFilter whose connection tracking comes and goes
+//   must deliver every packet exactly as a twin running the plain fig. 4-1
+//   walk (no tracking) under the same strategy, while a random interleaving
+//   rebinds filters, opens and closes ports, flips copy-all, switches
+//   strategies, toggles busy reordering, and turns connection tracking on
+//   (with a random table configuration) and off between packet bursts (runts and unmatched frames included). After every
 //   packet: identical per-port accept/enqueue/drop counters (so identical
 //   delivered-port sets) and identical drop-reason counts. After every
 //   step: accepts == enqueued + dropped on every port, the fast-path table's
@@ -67,8 +66,8 @@ enum class Mix { kSmall, kLarge };
 constexpr size_t kLargePorts = 48;
 
 // A random filter from a pool that covers every fast-path gate: indexable
-// conjunctions (cache- and conn-servable), overlapping accept-alls, a
-// non-conjunction (breaks index_covers_all), a word past the FlowSignature
+// conjunctions (indexed and conn-servable), overlapping accept-alls, a
+// non-conjunction (an uncovered candidate), a word past the FlowSignature
 // prefix (breaks conn_servable), and a word inside the prefix that short
 // frames cannot load (kOutOfPacket statuses). `rare_unservable` makes the
 // filter past the prefix ten times rarer, so that over 48 ports the
@@ -144,7 +143,6 @@ ConnDB::Config RandomConnConfig(pfutil::Rng& rng) {
 class Twins {
  public:
   Twins(uint64_t seed, Mix mix) : rng_(seed), mix_(mix) {
-    walk_.SetFlowCacheCapacity(0);
     // Seeds differ in how often they reconfigure: stale-verdict bugs need
     // quiet stretches for entries to outlive a change that missed them.
     static constexpr uint64_t kOpRanges[] = {16, 64, 256};
@@ -169,7 +167,7 @@ class Twins {
     }
   }
 
-  // One random reconfiguration (op 0-12; 13 and up: none; under the
+  // One random reconfiguration (op 0-11; 12 and up: none; under the
   // 48-port mix, most steps re-bind a bound port's program or flip its
   // priority instead) followed by a burst of traffic.
   void Step() {
@@ -192,7 +190,7 @@ class Twins {
     const uint64_t op = rng_.Below(op_range_);
     SCOPED_TRACE("op " + std::to_string(op) + " on port " + std::to_string(port) +
                  ", strategy " + pf::ToString(subject_.strategy()) +
-                 (subject_.conndb() != nullptr ? ", tracking" : ", cache mode"));
+                 (subject_.conndb() != nullptr ? ", tracking" : ", walk only"));
     switch (op) {
       case 0:
       case 1:
@@ -239,26 +237,21 @@ class Twins {
         walk_.SetBusyReordering(enabled);
         break;
       }
-      case 9: {
-        static constexpr size_t kCapacities[] = {0, 1, 2, 3, 8, 1024};
-        subject_.SetFlowCacheCapacity(kCapacities[rng_.Below(std::size(kCapacities))]);
-        break;
-      }
-      case 10:
+      case 9:
         if (rng_.Chance(0.6) || mix_ == Mix::kLarge) {
           subject_.EnableConnTracking(RandomConnConfig(rng_));
         } else {
           subject_.DisableConnTracking();
         }
         break;
-      case 11:
+      case 10:
         if (port != 0) {
           const size_t limit = rng_.Range(1, 4);
           subject_.SetQueueLimit(port, limit);
           walk_.SetQueueLimit(port, limit);
         }
         break;
-      case 12:
+      case 11:
         if (ConnDB* db = subject_.conndb()) {
           db->GcSweep(now_ns_);
         }
@@ -319,8 +312,6 @@ class Twins {
       }
     }
     const ConnDB::Stats& table = subject_.flow_cache_stats();
-    ASSERT_EQ(table.created, subject_.flow_cache_size() + table.expired() + table.evicted() +
-                                 table.refused);
     if (const ConnDB* db = subject_.conndb()) {
       ASSERT_TRUE(db->IdentityHolds());
     }
@@ -569,9 +560,6 @@ class WalkTwins {
     profiled().SetStrategy(pf::Strategy::kIndexed);
     checked().SetProfiling(true);
     profiled().SetProfiling(true);
-    for (PacketFilter& filter : filters_) {
-      filter.SetFlowCacheCapacity(0);  // the walk itself, not the cache
-    }
     static constexpr uint64_t kOpRanges[] = {12, 48, 192};
     op_range_ = kOpRanges[rng_.Below(std::size(kOpRanges))];
     if (rng_.Chance(0.5)) {
