@@ -47,32 +47,53 @@ PacketFilterDevice::PortExtra* PacketFilterDevice::Extra(pf::PortId port) {
 
 void PacketFilterDevice::SetRingDelivery(size_t slots) {
   ring_slots_ = slots;
-  for (auto& [port, extra] : extras_) {
-    extra->ring = slots > 0;
-    if (slots > 0) {
-      filter_.SetQueueLimit(port, slots);  // the descriptor ring's depth
+  if (slots > 0) {
+    for (const auto& entry : extras_) {
+      filter_.SetQueueLimit(entry.first, slots);  // the descriptor ring's depth
     }
   }
+}
+
+pfsim::ValueTask<void> PacketFilterDevice::Sleep(std::span<const pf::PortId> ports,
+                                                 pfsim::Duration timeout) {
+  pfsim::MsgQueue<char> doorbell(machine_->sim());
+  for (const pf::PortId port : ports) {
+    if (PortExtra* extra = Extra(port)) {
+      extra->sleepers.push_back(&doorbell);
+    }
+  }
+  co_await doorbell.PopWithTimeout(timeout);
+  for (const pf::PortId port : ports) {
+    if (PortExtra* extra = Extra(port)) {
+      std::erase(extra->sleepers, &doorbell);
+    }
+  }
+}
+
+void PacketFilterDevice::Ring(PortExtra& extra) {
+  for (pfsim::MsgQueue<char>* doorbell : extra.sleepers) {
+    if (doorbell->waiter_count() > 0) {  // not already rung via another port
+      doorbell->ForcePush('\0');
+    }
+  }
+  extra.sleepers.clear();
 }
 
 pfsim::ValueTask<pf::PortId> PacketFilterDevice::Open(int pid) {
   co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
   const pf::PortId port = filter_.OpenPort();
-  auto extra = std::make_unique<PortExtra>(machine_->sim());
-  extra->ring = ring_slots_ > 0;
   if (ring_slots_ > 0) {
     filter_.SetQueueLimit(port, ring_slots_);
   }
-  extras_.emplace(port, std::move(extra));
-  // Defer wakeups: HandlePacket signals after its costs are charged, so a
-  // woken reader never runs "before" the interrupt work that produced its
-  // packet.
-  filter_.SetEnqueueCallback(port, [this, port] { pending_signals_.push_back(port); });
+  extras_.emplace(port, std::make_unique<PortExtra>());
   co_return port;
 }
 
 pfsim::ValueTask<void> PacketFilterDevice::Close(int pid, pf::PortId port) {
   co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
+  if (PortExtra* extra = Extra(port)) {
+    Ring(*extra);  // its sleepers wake to find the port gone
+  }
   filter_.ClosePort(port);
   extras_.erase(port);
 }
@@ -100,25 +121,16 @@ pfsim::ValueTask<void> PacketFilterDevice::Configure(int pid, pf::PortId port,
     filter_.SetDeliverToLower(port, *options.deliver_to_lower);
   }
   if (options.timestamps.has_value()) {
-    extra->timestamps = *options.timestamps;
     filter_.SetTimestamps(port, *options.timestamps);
   }
   if (options.batching.has_value()) {
     extra->batching = *options.batching;
   }
-  if (options.queue_limit.has_value() && !extra->ring) {
-    // On a ring port the descriptor ring *is* the input queue: its depth
+  if (options.queue_limit.has_value() && ring_slots_ == 0) {
+    // On a ring device the descriptor ring *is* the input queue: its depth
     // (SetRingDelivery slots) governs, and the legacy mbuf-queue limit does
     // not apply.
     filter_.SetQueueLimit(port, *options.queue_limit);
-  }
-  if (options.ring.has_value()) {
-    extra->ring = *options.ring;
-    if (*options.ring && ring_slots_ > 0) {
-      filter_.SetQueueLimit(port, ring_slots_);
-    } else if (!*options.ring && options.queue_limit.has_value()) {
-      filter_.SetQueueLimit(port, *options.queue_limit);
-    }
   }
 }
 
@@ -127,37 +139,31 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t read_start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
   reads_counter_->Add();
-  PortExtra* extra = Extra(port);
-  // On a ring port a read is a reap (DESIGN.md §13): it crosses into the
+  // On a ring device a read is a reap (DESIGN.md §13): it crosses into the
   // kernel only to sleep on an empty ring, and reaps descriptors instead of
   // copying packets out.
-  const bool ring = extra != nullptr && extra->ring;
+  const bool ring = ring_slots_ > 0;
   bool crossed = !ring;
   if (!ring) {
     co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
-    extra = Extra(port);  // the port may have closed during the crossing
-  }
-  std::vector<pf::ReceivedPacket> out;
-  if (extra == nullptr) {
-    co_return out;
   }
 
   const bool forever = timeout == pfsim::kForever;
   const pfsim::TimePoint deadline = pfsim::DeadlineAfter(machine_->sim(), timeout);
-  bool woken_by_signal = false;
+  std::vector<pf::ReceivedPacket> out;
   for (;;) {
+    // Every suspension (the crossing, a sleep) may have closed the port.
+    PortExtra* extra = Extra(port);
+    if (extra == nullptr) {
+      co_return out;
+    }
     if (extra->batching) {
       out = filter_.PopBatch(port, kMaxBatch);
     } else if (auto packet = filter_.Pop(port)) {
       out.push_back(std::move(*packet));
     }
     if (!out.empty()) {
-      // Keep the signal-token count equal to the queue length: consume one
-      // token per packet popped (minus the token the wait consumed).
-      size_t tokens = out.size() - (woken_by_signal ? 1 : 0);
-      while (tokens-- > 0) {
-        extra->signal.TryPop();
-      }
+      extra->had_queued = filter_.QueueLength(port) > 0;  // SIGIO edge re-arm
       break;
     }
     if (timeout.count() == 0) {
@@ -168,23 +174,22 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
     const pfsim::Duration remaining =
         forever ? pfsim::kForever : deadline - machine_->sim()->Now();
     if (!forever && remaining.count() <= 0) {
+      // The only timeout exit, reached after one more pop: a packet queued
+      // but not yet rung at the deadline is still returned.
       co_return out;  // §3: "the read call terminates and reports an error"
     }
     if (!crossed) {
       // The one crossing ring mode cannot avoid: going to sleep on an empty
-      // ring is a syscall. A reaper that keeps up never pays it.
+      // ring is a syscall. A reaper that keeps up never pays it. A packet
+      // queued during the crossing (no sleeper to ring) is the next pop's.
       crossed = true;
       co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
+      machine_->MarkBlocked(pid);
+      continue;
     }
     machine_->MarkBlocked(pid);
-    const std::optional<char> token = co_await extra->signal.PopWithTimeout(remaining);
-    if (!token.has_value()) {
-      co_return out;  // timed out
-    }
-    woken_by_signal = true;
+    co_await Sleep(std::span<const pf::PortId>(&port, 1), remaining);
   }
-
-  extra->had_queued = filter_.QueueLength(port) > 0;  // SIGIO edge re-arm
 
   // Copy each packet out to the process (§3.3's optional timestamping was
   // already charged at demux time) — or, on a ring, reap its descriptor:
@@ -282,34 +287,25 @@ pfsim::ValueTask<pf::PortId> PacketFilterDevice::Select(int pid, std::vector<pf:
   co_await machine_->Run(pid, Cost::kSyscall, machine_->costs().syscall);
   const bool forever = timeout == pfsim::kForever;
   const pfsim::TimePoint deadline = pfsim::DeadlineAfter(machine_->sim(), timeout);
-  // Each select call registers a doorbell rung by every delivery; the
-  // readiness set is re-scanned after each ring (4.3BSD's selwakeup scheme).
-  pfsim::MsgQueue<char> doorbell(machine_->sim());
-  select_doorbells_.push_back(&doorbell);
-  pf::PortId ready = pf::kInvalidPort;
+  // The caller sleeps on every port's list; a ring on any of them, or the
+  // timer, wakes it to re-scan (4.3BSD's selwakeup scheme).
   for (;;) {
     for (const pf::PortId port : ports) {
-      if (filter_.QueueLength(port) > 0) {
-        ready = port;
-        break;
+      if (Extra(port) == nullptr) {
+        co_return pf::kInvalidPort;
       }
-    }
-    if (ready != pf::kInvalidPort || timeout.count() == 0) {
-      break;
+      if (filter_.QueueLength(port) > 0) {
+        co_return port;
+      }
     }
     const pfsim::Duration remaining =
         forever ? pfsim::kForever : deadline - machine_->sim()->Now();
-    if (!forever && remaining.count() <= 0) {
-      break;
+    if (timeout.count() == 0 || (!forever && remaining.count() <= 0)) {
+      co_return pf::kInvalidPort;
     }
     machine_->MarkBlocked(pid);
-    const std::optional<char> rung = co_await doorbell.PopWithTimeout(remaining);
-    if (!rung.has_value()) {
-      break;  // timed out
-    }
+    co_await Sleep(ports, remaining);
   }
-  std::erase(select_doorbells_, &doorbell);
-  co_return ready;
 }
 
 pf::DeviceInfo PacketFilterDevice::GetDeviceInfo() const { return filter_.device_info(); }
@@ -374,10 +370,12 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
                                                         uint64_t timestamp_ns, uint64_t flow_id) {
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t demux_start_ns = machine_->sim()->NowNanos();
-  pending_signals_.clear();
   // The PacketBuf overload: every delivered copy is a refcount bump on the
   // frame's block, not a byte copy.
   const pf::DemuxResult result = filter_.Demux(packet, timestamp_ns, flow_id);
+  // The ports to wake, copied before the first suspension: the next frame's
+  // Demux reuses the core's list while this frame's charges run.
+  const std::vector<pf::PortId> reached(filter_.enqueued().begin(), filter_.enqueued().end());
 
   // Charge the interpretation + bookkeeping before waking any reader.
   std::vector<Machine::Charge> charges;
@@ -403,27 +401,15 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
     charges.emplace_back(Cost::kPfBookkeeping,
                          machine_->costs().pf_bookkeeping * result.deliveries);
     // §7: each timestamp costs a microtime() call.
-    uint32_t stamped = 0;
-    uint32_t ring_posts = 0;
-    for (const pf::PortId port : pending_signals_) {
-      const PortExtra* extra = Extra(port);
-      if (extra != nullptr && extra->timestamps) {
-        ++stamped;
-      }
-      if (extra != nullptr && extra->ring) {
-        ++ring_posts;
-      }
+    if (result.stamped > 0) {
+      charges.emplace_back(Cost::kTimestamp, machine_->costs().timestamp * result.stamped);
     }
-    if (stamped > 0) {
-      charges.emplace_back(Cost::kTimestamp, machine_->costs().timestamp * stamped);
-    }
-    if (ring_posts > 0) {
+    if (ring_slots_ > 0) {
       // Ring delivery: publish one mapped descriptor per copy (producer
       // index update) — the bytes themselves never move again.
-      charges.emplace_back(Cost::kRingPost,
-                           machine_->costs().ring_post * static_cast<int64_t>(ring_posts));
-      ring_posts_counter_->Add(ring_posts);
-      for (uint32_t i = 0; i < ring_posts; ++i) {
+      charges.emplace_back(Cost::kRingPost, machine_->costs().ring_post * result.deliveries);
+      ring_posts_counter_->Add(result.deliveries);
+      for (uint32_t i = 0; i < result.deliveries; ++i) {
         ring_post_hist_->Record(machine_->costs().ring_post.count());
       }
     }
@@ -454,30 +440,24 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
                      {"flow", static_cast<int64_t>(flow_id)}});
   }
 
-  // Now wake the readers (and ring any select doorbells / deliver signals).
-  if (!pending_signals_.empty()) {
-    wakeups_counter_->Add(pending_signals_.size());
+  // Now wake the sleepers of every port this frame reached.
+  if (!reached.empty()) {
+    wakeups_counter_->Add(reached.size());
     if (trace != nullptr) {
       trace->Instant(machine_->trace_track(), "pf", "pf.wakeup",
                      machine_->sim()->NowNanos(),
-                     {{"readers", static_cast<int64_t>(pending_signals_.size())}});
+                     {{"readers", static_cast<int64_t>(reached.size())}});
     }
   }
-  for (const pf::PortId port : pending_signals_) {
+  for (const pf::PortId port : reached) {
     if (PortExtra* extra = Extra(port)) {
-      extra->signal.ForcePush('\0');
+      Ring(*extra);
       if (extra->signal_handler && !extra->had_queued) {
         extra->signal_handler();  // SIGIO edge: queue went non-empty
       }
       extra->had_queued = filter_.QueueLength(port) > 0;
     }
   }
-  if (!pending_signals_.empty()) {
-    for (pfsim::MsgQueue<char>* doorbell : select_doorbells_) {
-      doorbell->ForcePush('\0');
-    }
-  }
-  pending_signals_.clear();
 }
 
 }  // namespace pfkern

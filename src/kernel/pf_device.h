@@ -11,6 +11,7 @@
 #define SRC_KERNEL_PF_DEVICE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,9 +51,6 @@ class PacketFilterDevice {
     std::optional<bool> timestamps;
     std::optional<bool> batching;  // §3: return all pending packets per read
     std::optional<size_t> queue_limit;
-    // Shared-memory ring delivery for this port (overrides the device-wide
-    // SetRingDelivery default). See DESIGN.md §13.
-    std::optional<bool> ring;
   };
   pfsim::ValueTask<void> Configure(int pid, pf::PortId port, PortOptions options);
 
@@ -98,12 +96,18 @@ class PacketFilterDevice {
 
   // §3's "the 4.3BSD select system call": blocks until one of `ports` has
   // queued packets (returns it) or the timeout expires (returns
-  // kInvalidPort). Ports must belong to this device.
+  // kInvalidPort). Ports must belong to this device; a port that is not
+  // open, or closes during the wait, ends it with kInvalidPort (EBADF).
   pfsim::ValueTask<pf::PortId> Select(int pid, std::vector<pf::PortId> ports,
                                       pfsim::Duration timeout);
 
   // §3.3 status information; free (a cheap ioctl, not on any hot path).
   pf::DeviceInfo GetDeviceInfo() const;
+  // Callers asleep in Read or Select on `port` (0 once it is closed).
+  size_t sleepers(pf::PortId port) const {
+    const auto it = extras_.find(port);
+    return it == extras_.end() ? 0 : it->second->sleepers.size();
+  }
 
   // --- Introspection ioctls (profiler + flight recorder, src/pf) ---
   // Toggles per-filter profiling in the demux core (one syscall charge).
@@ -157,14 +161,20 @@ class PacketFilterDevice {
 
  private:
   struct PortExtra {
-    explicit PortExtra(pfsim::Simulator* sim) : signal(sim) {}
-    pfsim::MsgQueue<char> signal;  // one token per enqueued packet
+    // The doorbells of the callers asleep on this port: a blocked Read's,
+    // and a blocked Select's on each of its ports (DESIGN.md §2).
+    std::vector<pfsim::MsgQueue<char>*> sleepers;
     bool batching = false;
-    bool timestamps = false;
-    bool ring = false;                     // shared-memory ring delivery
     std::function<void()> signal_handler;  // SIGIO-style notification
     bool had_queued = false;               // edge detection for the signal
   };
+
+  // Sleeps on a doorbell hung on every open port of `ports` until a frame
+  // or Close rings it or `timeout` elapses; then looks the ports up again
+  // to take it down.
+  pfsim::ValueTask<void> Sleep(std::span<const pf::PortId> ports, pfsim::Duration timeout);
+  // Wakes every caller asleep on the port.
+  void Ring(PortExtra& extra);
 
   PortExtra* Extra(pf::PortId port);
   // The conndb GC worker (see EnableConnTracking): arm-if-idle and the
@@ -178,9 +188,7 @@ class PacketFilterDevice {
   Machine* machine_;
   pf::PacketFilter filter_;
   std::unordered_map<pf::PortId, std::unique_ptr<PortExtra>> extras_;
-  std::vector<pf::PortId> pending_signals_;
-  std::vector<pfsim::MsgQueue<char>*> select_doorbells_;  // one per active Select
-  size_t ring_slots_ = 0;  // device-wide ring default (0 = legacy reads)
+  size_t ring_slots_ = 0;  // ring depth of every port (0 = legacy reads)
   pfsim::Duration conn_gc_interval_ = pfsim::Milliseconds(10);
   bool conn_gc_armed_ = false;
 

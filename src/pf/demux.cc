@@ -146,12 +146,6 @@ void PacketFilter::SetTimestamps(PortId id, bool enabled) {
   }
 }
 
-void PacketFilter::SetEnqueueCallback(PortId id, std::function<void()> callback) {
-  if (PortState* port = Find(id)) {
-    port->on_enqueue = std::move(callback);
-  }
-}
-
 uint8_t PacketFilter::PortPriority(PortId id) const {
   const PortState* port = Find(id);
   return port != nullptr && port->has_filter ? port->priority : 0;
@@ -354,8 +348,10 @@ void PacketFilter::DeliverTo(PortState& port, std::span<const uint8_t> packet,
   rp.flow_id = flow_id;
   port.lost_since_enqueue = 0;
   port.queue.push_back(std::move(rp));
+  enqueued_.push_back(port.id);
   ++port.stats.enqueued;
   ++result->deliveries;
+  result->stamped += port.timestamps ? 1 : 0;
   assert(port.stats.accepts == port.stats.enqueued + port.stats.dropped);
   if (taps_ != nullptr && taps_->stage_active(TapStage::kDeliver)) {
     TapPacketMeta meta;
@@ -364,9 +360,6 @@ void PacketFilter::DeliverTo(PortState& port, std::span<const uint8_t> packet,
     meta.flow_sig = SigOf(packet);
     meta.port = port.id;
     taps_->Offer(TapStage::kDeliver, packet, meta);
-  }
-  if (port.on_enqueue) {
-    port.on_enqueue();
   }
 }
 
@@ -386,6 +379,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
   ++global_stats_.packets_in;
   ++demux_count_;
   cur_sig_ = 0;  // new packet: SigOf() recomputes on first use
+  enqueued_.clear();
   if (taps_ != nullptr && taps_->stage_active(TapStage::kDemuxIn)) {
     TapPacketMeta meta;
     meta.timestamp_ns = timestamp_ns;

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -85,6 +84,7 @@ struct PortStats {
 struct DemuxResult {
   bool accepted = false;       // at least one port took the packet
   uint32_t deliveries = 0;     // copies enqueued
+  uint32_t stamped = 0;        // of those, copies timestamped (§3.3)
   uint32_t drops = 0;          // copies lost to full queues
   bool cache_lookup = false;   // always false; read only by perfbench/bare.cc
   bool cache_hit = false;      // always false; read only by perfbench/bare.cc
@@ -133,8 +133,6 @@ class PacketFilter {
   // Maximum input-queue length; overflow drops and counts.
   void SetQueueLimit(PortId id, size_t limit);
   void SetTimestamps(PortId id, bool enabled);
-  // Invoked after each enqueue on the port (the host's wakeup hook).
-  void SetEnqueueCallback(PortId id, std::function<void()> callback);
 
   // --- Demultiplexing (fig. 4-1) ---
   // `flow_id` (if non-zero) is stamped onto every delivered copy so the
@@ -145,6 +143,9 @@ class PacketFilter {
   // duplicating the bytes (the span overload must copy — its storage is the
   // caller's). This is the path the simulated kernel takes.
   DemuxResult Demux(const PacketBuf& packet, uint64_t timestamp_ns = 0, uint64_t flow_id = 0);
+  // The ports the last Demux enqueued a copy on, in delivery order — the
+  // ports whose readers a host must wake. Valid until the next Demux.
+  std::span<const PortId> enqueued() const { return enqueued_; }
 
   // --- Port-side dequeue (the read() surface) ---
   std::optional<ReceivedPacket> Pop(PortId id);
@@ -270,7 +271,6 @@ class PacketFilter {
     size_t queue_limit = kDefaultQueueLimit;
     std::deque<ReceivedPacket> queue;
     uint32_t lost_since_enqueue = 0;
-    std::function<void()> on_enqueue;
     // Accept-path policy hook (ext.h); null = no extension (one null check
     // per accepted copy).
     std::unique_ptr<PortExtension> extension;
@@ -337,6 +337,8 @@ class PacketFilter {
   // still registers "pf.flow.*").
   pfobs::MetricsRegistry* registry_ = nullptr;
   uint64_t cur_sig_ = 0;  // see SigOf()
+  // See enqueued(); cleared per Demux, its capacity reused.
+  std::vector<PortId> enqueued_;
 
   struct DemuxMetrics {
     pfobs::Counter* packets_in = nullptr;

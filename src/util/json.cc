@@ -132,9 +132,15 @@ class Parser {
         return true;
       }
       case '[':
-        return ParseArray(out);
-      case '{':
-        return ParseObject(out);
+      case '{': {
+        if (depth_ == kMaxJsonDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        ++depth_;
+        const bool ok = text_[pos_] == '[' ? ParseArray(out) : ParseObject(out);
+        --depth_;
+        return ok;
+      }
       default:
         return ParseNumber(out);
     }
@@ -230,6 +236,9 @@ class Parser {
             }
             if (low >= 0xDC00 && low <= 0xDFFF) {
               cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+            } else {
+              AppendUtf8(cp, out);  // a lone high surrogate, kept as is
+              cp = low;
             }
           }
           AppendUtf8(cp, out);
@@ -348,6 +357,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -61,6 +61,11 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
+// Deepest array/object nesting ParseJson accepts. Deeper input fails with
+// an error rather than exhausting the stack; the documents read here nest a
+// handful of levels.
+inline constexpr size_t kMaxJsonDepth = 512;
+
 // Parses `text` into `*out`. Returns false and sets `*error` (with a byte
 // offset) on malformed input. Trailing whitespace is allowed, trailing
 // garbage is not.

@@ -177,6 +177,11 @@ class ChaosNet {
                 static_cast<uint64_t>(
                     machine->metrics().counter("nic.rx.ring_overflow")->value()))
           << machine->name();
+      // One wakeup per enqueued copy: every frame wakes exactly the ports
+      // its demux reached, whatever the cell did to the frames' timing.
+      EXPECT_EQ(machine->metrics().counter("pfdev.wakeups")->value(),
+                machine->metrics().counter("pf.demux.deliveries")->value())
+          << machine->name();
     }
     EXPECT_GE(heard, link.frames_carried);
     EXPECT_LE(heard, 2 * link.frames_carried);

@@ -181,15 +181,18 @@ TEST(DemuxTest, TimestampsOnlyWhenEnabled) {
   EXPECT_EQ(filter.Pop(port)->timestamp_ns, 111222333u);
 }
 
-TEST(DemuxTest, EnqueueCallbackFires) {
+TEST(DemuxTest, EnqueuedListsThePortsAFrameReachedInOrder) {
   PacketFilter filter;
-  const PortId port = filter.OpenPort();
-  ASSERT_TRUE(filter.SetFilter(port, SocketFilter(35, 10)).ok);
-  int callbacks = 0;
-  filter.SetEnqueueCallback(port, [&] { ++callbacks; });
+  const PortId low = filter.OpenPort();
+  const PortId high = filter.OpenPort();
+  ASSERT_TRUE(filter.SetFilter(low, SocketFilter(35, 10)).ok);
+  ASSERT_TRUE(filter.SetFilter(high, SocketFilter(35, 20)).ok);
+  filter.SetDeliverToLower(high, true);  // copy-all: both ports get a copy
   filter.Demux(pftest::MakePupFrame(8, 35));
-  filter.Demux(pftest::MakePupFrame(8, 36));  // no match, no callback
-  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(std::vector<PortId>(filter.enqueued().begin(), filter.enqueued().end()),
+            (std::vector<PortId>{high, low}));
+  filter.Demux(pftest::MakePupFrame(8, 36));  // no match: nothing to wake
+  EXPECT_TRUE(filter.enqueued().empty());
 }
 
 TEST(DemuxTest, SetFilterRejectsInvalidAndKeepsOld) {

@@ -532,6 +532,13 @@ TEST(TraceEndToEndTest, VmtpTransactionProducesFollowableFlow) {
   EXPECT_GT(server_machine.metrics().FindCounter("pf.demux.packets_in")->value(), 0u);
   EXPECT_GT(server_machine.metrics().FindCounter("pfdev.reads")->value(), 0u);
   EXPECT_GT(server_machine.metrics().FindCounter("pfdev.wakeups")->value(), 0u);
+  // Every frame wakes exactly the ports its demux reached: one wakeup per
+  // enqueued copy, even when frames' interrupt work overlaps.
+  for (Machine* machine : {&client_machine, &server_machine}) {
+    EXPECT_EQ(machine->metrics().FindCounter("pfdev.wakeups")->value(),
+              machine->metrics().FindCounter("pf.demux.deliveries")->value())
+        << machine->name();
+  }
 }
 
 // ------------------------------- filter-eval histogram <-> ledger reconcile
