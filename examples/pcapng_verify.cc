@@ -1,14 +1,9 @@
 // pcapng_verify: structural validation of a pcapng capture, used by the
 // pcapng_smoke CI test on files the tap plane (src/pf/tap.h) emits.
 //
-// Walks every block and checks the grammar a reader like Wireshark relies
-// on: the file opens with a Section Header Block carrying the byte-order
-// magic and version 1.0; every block's trailing length equals its leading
-// length and is 32-bit aligned; Interface Description Blocks precede the
-// Enhanced Packet Blocks that reference them; every EPB's captured length
-// fits its block and respects its interface's snaplen; option lists are
-// well-formed (code/length pairs, padded, closed by opt_endofopt). Totals
-// are printed for the smoke test to assert against.
+// The block walker (SHB/IDB/EPB grammar, lengths, alignment, snaplens,
+// option lists) is pcapng::Walk in pcapng_walk.h, where the fuzz test
+// calls it too. Totals are printed for the smoke test to assert against.
 //
 // Usage: pcapng_verify FILE [--min-idb N] [--min-epb N]
 //                           [--expect-interface SUBSTR] [--expect-comment SUBSTR]
@@ -19,70 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "examples/pcapng_walk.h"
+
 namespace {
 
-constexpr uint32_t kBlockSectionHeader = 0x0A0D0D0A;
-constexpr uint32_t kBlockInterface = 0x00000001;
-constexpr uint32_t kBlockEnhancedPacket = 0x00000006;
-constexpr uint32_t kByteOrderMagic = 0x1A2B3C4D;
-
-struct Stats {
-  size_t shb = 0;
-  size_t idb = 0;
-  size_t epb = 0;
-  size_t comments = 0;
-  size_t other = 0;
-  bool saw_expected_interface = false;
-  bool saw_expected_comment = false;
-};
-
-uint32_t Get32(const std::vector<uint8_t>& data, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, data.data() + at, sizeof(v));
-  return v;
-}
-
-uint16_t Get16(const std::vector<uint8_t>& data, size_t at) {
-  uint16_t v;
-  std::memcpy(&v, data.data() + at, sizeof(v));
-  return v;
-}
-
-[[noreturn]] void Fail(size_t at, const char* what) {
-  std::fprintf(stderr, "pcapng_verify: offset %zu: %s\n", at, what);
-  std::exit(1);
-}
-
-// Walks an option list spanning [at, end); returns collected option values
-// for `want_code` (e.g. if_name=2 on an IDB, opt_comment=1 on an EPB).
-std::vector<std::string> WalkOptions(const std::vector<uint8_t>& data, size_t at, size_t end,
-                                     uint16_t want_code) {
-  std::vector<std::string> values;
-  while (at < end) {
-    if (at + 4 > end) {
-      Fail(at, "truncated option header");
+// True when some value contains `needle`.
+bool AnyContains(const std::vector<std::string>& values, const char* needle) {
+  for (const std::string& value : values) {
+    if (value.find(needle) != std::string::npos) {
+      return true;
     }
-    const uint16_t code = Get16(data, at);
-    const uint16_t len = Get16(data, at + 2);
-    at += 4;
-    if (code == 0) {  // opt_endofopt
-      if (len != 0) {
-        Fail(at - 2, "opt_endofopt with non-zero length");
-      }
-      return values;
-    }
-    const size_t padded = (static_cast<size_t>(len) + 3) & ~size_t{3};
-    if (at + padded > end) {
-      Fail(at, "option value overruns its block");
-    }
-    if (code == want_code) {
-      values.emplace_back(reinterpret_cast<const char*>(data.data() + at), len);
-    }
-    at += padded;
   }
-  // An empty option area is legal; a non-empty one must end with endofopt,
-  // but consuming exactly to `end` is tolerated (some writers omit it).
-  return values;
+  return false;
 }
 
 }  // namespace
@@ -134,110 +77,14 @@ int main(int argc, char** argv) {
     }
     std::fclose(f);
   }
-  if (data.size() < 28) {
-    Fail(0, "file shorter than a minimal section header block");
+  pcapng::Stats stats;
+  pcapng::Error error;
+  if (!pcapng::Walk(data, &stats, &error)) {
+    std::fprintf(stderr, "pcapng_verify: offset %zu: %s\n", error.offset, error.what);
+    return 1;
   }
-
-  Stats stats;
-  std::vector<uint32_t> snaplens;  // per interface, in IDB order
-  size_t at = 0;
-  while (at < data.size()) {
-    if (at % 4 != 0) {
-      Fail(at, "block not 32-bit aligned");
-    }
-    if (at + 12 > data.size()) {
-      Fail(at, "truncated block header");
-    }
-    const uint32_t type = Get32(data, at);
-    const uint32_t total = Get32(data, at + 4);
-    if (total < 12 || total % 4 != 0) {
-      Fail(at + 4, "block length not a multiple of 4 or too small");
-    }
-    if (at + total > data.size()) {
-      Fail(at + 4, "block length overruns the file");
-    }
-    if (Get32(data, at + total - 4) != total) {
-      Fail(at + total - 4, "trailing block length differs from leading");
-    }
-    const size_t body = at + 8;          // after type + length
-    const size_t body_end = at + total - 4;  // before trailing length
-    if (at == 0 && type != kBlockSectionHeader) {
-      Fail(at, "file does not start with a section header block");
-    }
-    switch (type) {
-      case kBlockSectionHeader: {
-        if (total < 28) {
-          Fail(at, "section header block too small");
-        }
-        if (Get32(data, body) != kByteOrderMagic) {
-          Fail(body, "bad byte-order magic (foreign endianness not supported)");
-        }
-        if (Get16(data, body + 4) != 1 || Get16(data, body + 6) != 0) {
-          Fail(body + 4, "unsupported pcapng version (want 1.0)");
-        }
-        ++stats.shb;
-        break;
-      }
-      case kBlockInterface: {
-        if (total < 20) {
-          Fail(at, "interface description block too small");
-        }
-        snaplens.push_back(Get32(data, body + 4));
-        const std::vector<std::string> names =
-            WalkOptions(data, body + 8, body_end, /*if_name=*/2);
-        if (expect_interface != nullptr) {
-          for (const std::string& name : names) {
-            if (name.find(expect_interface) != std::string::npos) {
-              stats.saw_expected_interface = true;
-            }
-          }
-        }
-        ++stats.idb;
-        break;
-      }
-      case kBlockEnhancedPacket: {
-        if (total < 32) {
-          Fail(at, "enhanced packet block too small");
-        }
-        const uint32_t interface_id = Get32(data, body);
-        if (interface_id >= snaplens.size()) {
-          Fail(body, "packet references an interface not yet described");
-        }
-        const uint32_t caplen = Get32(data, body + 12);
-        const uint32_t origlen = Get32(data, body + 16);
-        if (caplen > origlen) {
-          Fail(body + 12, "captured length exceeds original length");
-        }
-        const uint32_t snaplen = snaplens[interface_id];
-        if (snaplen != 0 && caplen > snaplen) {
-          Fail(body + 12, "captured length exceeds the interface snaplen");
-        }
-        const size_t padded = (static_cast<size_t>(caplen) + 3) & ~size_t{3};
-        if (body + 20 + padded > body_end) {
-          Fail(body + 12, "packet data overruns its block");
-        }
-        const std::vector<std::string> comments =
-            WalkOptions(data, body + 20 + padded, body_end, /*opt_comment=*/1);
-        stats.comments += comments.size();
-        if (expect_comment != nullptr) {
-          for (const std::string& comment : comments) {
-            if (comment.find(expect_comment) != std::string::npos) {
-              stats.saw_expected_comment = true;
-            }
-          }
-        }
-        ++stats.epb;
-        break;
-      }
-      default:
-        ++stats.other;  // unknown block types are legal; length-skip them
-        break;
-    }
-    at += total;
-  }
-
   std::printf("pcapng ok: %zu bytes, shb=%zu idb=%zu epb=%zu comments=%zu other=%zu\n",
-              data.size(), stats.shb, stats.idb, stats.epb, stats.comments, stats.other);
+              data.size(), stats.shb, stats.idb, stats.epb, stats.comments.size(), stats.other);
   if (stats.shb != 1) {
     std::fprintf(stderr, "pcapng_verify: want exactly 1 section header, saw %zu\n", stats.shb);
     return 1;
@@ -250,11 +97,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pcapng_verify: want >= %zu packets, saw %zu\n", min_epb, stats.epb);
     return 1;
   }
-  if (expect_interface != nullptr && !stats.saw_expected_interface) {
+  if (expect_interface != nullptr && !AnyContains(stats.interface_names, expect_interface)) {
     std::fprintf(stderr, "pcapng_verify: no interface named like \"%s\"\n", expect_interface);
     return 1;
   }
-  if (expect_comment != nullptr && !stats.saw_expected_comment) {
+  if (expect_comment != nullptr && !AnyContains(stats.comments, expect_comment)) {
     std::fprintf(stderr, "pcapng_verify: no packet comment containing \"%s\"\n", expect_comment);
     return 1;
   }

@@ -115,14 +115,13 @@ pfsim::ValueTask<bool> KernelIpStack::SendUdp(int pid, uint32_t dst_ip, uint16_t
                                               uint16_t dst_port, std::vector<uint8_t> data,
                                               bool checksummed) {
   // write(): crossing + copy of the user buffer into kernel mbufs.
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(data.size()));
-  charges.emplace_back(Cost::kTransportOutput, machine_->costs().transport_output);
-  if (checksummed) {
-    charges.emplace_back(Cost::kChecksum, machine_->costs().ChecksumCost(data.size()));
-  }
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {
+      {Cost::kSyscall, machine_->costs().syscall},
+      machine_->CopyCharge(data.size()),
+      {Cost::kTransportOutput, machine_->costs().transport_output},
+      {Cost::kChecksum,
+       checksummed ? machine_->costs().ChecksumCost(data.size()) : pfsim::Duration{}}};
+  co_await machine_->RunMulti(pid, charges);
   ++stats_.udp_out;
   udp_out_counter_->Add();
   std::vector<uint8_t> segment = pfproto::BuildUdp(

@@ -58,12 +58,11 @@ pfsim::ValueTask<void> KernelTcp::Input(const pfproto::IpView& ip) {
   const auto view = pfproto::ParseTcp(ip.payload, ip.header.src, ip.header.dst);
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kTransportInput, machine_->costs().transport_input);
-  if (view.has_value()) {
-    charges.emplace_back(Cost::kChecksum, machine_->costs().ChecksumCost(view->payload.size()));
-  }
-  co_await machine_->RunMulti(Machine::kInterruptContext, std::move(charges));
+  const Machine::Charge charges[] = {
+      {Cost::kTransportInput, machine_->costs().transport_input},
+      {Cost::kChecksum, view.has_value() ? machine_->costs().ChecksumCost(view->payload.size())
+                                         : pfsim::Duration{}}};
+  co_await machine_->RunMulti(Machine::kInterruptContext, charges);
   if (trace != nullptr) {
     trace->Complete(machine_->trace_track(), "kernel", "tcp.input", start_ns,
                     machine_->sim()->NowNanos(),
@@ -118,12 +117,11 @@ pfsim::ValueTask<void> TcpConnection::SendSegment(int ctx, uint32_t seq,
   header.ack = rcv_nxt_;
   header.flags = flags;
   header.window = static_cast<uint16_t>(KernelTcp::kWindowSegments * tcp_->mss());
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kTransportOutput, machine_->costs().transport_output);
-  if (!data.empty()) {
-    charges.emplace_back(Cost::kChecksum, machine_->costs().ChecksumCost(data.size()));
-  }
-  co_await machine_->RunMulti(ctx, std::move(charges));
+  const Machine::Charge charges[] = {
+      {Cost::kTransportOutput, machine_->costs().transport_output},
+      {Cost::kChecksum,
+       data.empty() ? pfsim::Duration{} : machine_->costs().ChecksumCost(data.size())}};
+  co_await machine_->RunMulti(ctx, charges);
   ++stats_.segments_sent;
   stats_.bytes_sent += data.size();
   std::vector<uint8_t> segment =
@@ -223,10 +221,9 @@ pfsim::ValueTask<bool> TcpConnection::Send(int pid, std::vector<uint8_t> data) {
   if (state_ != State::kEstablished) {
     co_return false;
   }
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(data.size()));
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     machine_->CopyCharge(data.size())};
+  co_await machine_->RunMulti(pid, charges);
   send_buf_.insert(send_buf_.end(), data.begin(), data.end());
   co_await TrySendMore(pid);
   while (send_buf_.size() > KernelTcp::kSendBufBytes && state_ == State::kEstablished) {

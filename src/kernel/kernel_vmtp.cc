@@ -196,10 +196,9 @@ pfsim::ValueTask<bool> KernelVmtp::SendResponse(int pid, const VmtpRequest& requ
   if (it == servers_.end()) {
     co_return false;
   }
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(data.size()));
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     machine_->CopyCharge(data.size())};
+  co_await machine_->RunMulti(pid, charges);
   auto& record = it->second->clients.try_emplace(request.client).first->second;
   record.responded = true;
   record.cached_response = data;
@@ -224,10 +223,9 @@ pfsim::ValueTask<std::optional<std::vector<uint8_t>>> KernelVmtp::Transact(
   client.transaction = next_transaction_++;
   client.assembly = Assembly{};
 
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(request.size()));
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     machine_->CopyCharge(request.size())};
+  co_await machine_->RunMulti(pid, charges);
 
   pfproto::VmtpHeader base;
   base.client = client_id;

@@ -64,23 +64,32 @@ std::string Machine::SnapshotJson() {
   return out + "}";
 }
 
-pfsim::ValueTask<void> Machine::Run(int ctx, Cost category, pfsim::Duration work) {
-  return RunMulti(ctx, {{category, work}});
-}
-
-pfsim::ValueTask<void> Machine::RunMulti(int ctx, std::vector<Charge> charges) {
-  co_await cpu_.Lock();
+pfsim::Duration Machine::Account(int ctx, std::span<const Charge> charges) {
+  pfsim::Duration total{};
   if (ctx != kInterruptContext && cpu_owner_ != ctx) {
     ledger_.Charge(Cost::kContextSwitch, costs_.context_switch);
-    co_await sim_->Delay(costs_.context_switch);
+    total += costs_.context_switch;
     cpu_owner_ = ctx;
   }
   for (const Charge& charge : charges) {
     if (charge.second.count() > 0) {
       ledger_.Charge(charge.first, charge.second);
-      co_await sim_->Delay(charge.second);
+      total += charge.second;
     }
   }
+  return total;
+}
+
+pfsim::ValueTask<void> Machine::Run(int ctx, Cost category, pfsim::Duration work) {
+  co_await cpu_.Lock();
+  const Charge charge{category, work};
+  co_await sim_->Delay(Account(ctx, std::span(&charge, 1)));
+  cpu_.Unlock();
+}
+
+pfsim::ValueTask<void> Machine::RunMulti(int ctx, std::span<const Charge> charges) {
+  co_await cpu_.Lock();
+  co_await sim_->Delay(Account(ctx, charges));
   cpu_.Unlock();
 }
 

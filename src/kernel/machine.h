@@ -128,11 +128,16 @@ class Machine : public pflink::Station {
   // --- CPU accounting ---
   using Charge = std::pair<Cost, pfsim::Duration>;
   // Acquires the CPU as `ctx`, charges a context switch if the owner
-  // changed (never for interrupt context), consumes `work`, releases.
+  // changed (never for interrupt context), consumes `work`, releases. One
+  // acquisition is one simulator event: the ledger steps when the CPU is
+  // acquired and the caller resumes once the whole charge has elapsed
+  // (DESIGN.md §2). Zero work by the current owner schedules no event.
   pfsim::ValueTask<void> Run(int ctx, Cost category, pfsim::Duration work);
   // Same, with several charges under one CPU acquisition (so an interrupt's
-  // multi-part cost is not preempted between parts).
-  pfsim::ValueTask<void> RunMulti(int ctx, std::vector<Charge> charges);
+  // multi-part cost is not preempted between parts): each non-zero charge
+  // is its own ledger entry, and one Delay covers their sum. `charges` is
+  // read at acquisition; the caller's frame keeps it alive meanwhile.
+  pfsim::ValueTask<void> RunMulti(int ctx, std::span<const Charge> charges);
   // Declares that `ctx` is about to block; the CPU owner becomes idle, so
   // its next acquisition pays a context switch.
   void MarkBlocked(int ctx);
@@ -193,6 +198,11 @@ class Machine : public pflink::Station {
   const NicStats& nic_stats() const { return nic_stats_; }
 
  private:
+  // The ledger side of one CPU acquisition by `ctx`: the context switch
+  // (making `ctx` the owner) and every non-zero charge. Returns the time
+  // the acquisition holds the CPU.
+  pfsim::Duration Account(int ctx, std::span<const Charge> charges);
+
   pfsim::Task ReceiveTask(pflink::Frame frame);
   // NAPI-style poller: drains poll_queue_ in budget-sized rounds, then
   // re-arms (poll_active_ = false). Exactly one instance runs at a time.

@@ -1,5 +1,7 @@
 #include "src/kernel/pf_device.h"
 
+#include <array>
+
 #include "src/kernel/machine.h"
 #include "src/pf/disasm.h"
 
@@ -54,26 +56,37 @@ void PacketFilterDevice::SetRingDelivery(size_t slots) {
   }
 }
 
-pfsim::ValueTask<void> PacketFilterDevice::Sleep(std::span<const pf::PortId> ports,
-                                                 pfsim::Duration timeout) {
-  pfsim::MsgQueue<char> doorbell(machine_->sim());
+void PacketFilterDevice::Sleep::await_suspend(std::coroutine_handle<> handle) {
+  sleeper = std::make_shared<Sleeper>(Sleeper{handle});
   for (const pf::PortId port : ports) {
-    if (PortExtra* extra = Extra(port)) {
-      extra->sleepers.push_back(&doorbell);
+    if (PortExtra* extra = device->Extra(port)) {
+      extra->sleepers.push_back(sleeper);
     }
   }
-  co_await doorbell.PopWithTimeout(timeout);
+  if (timeout != pfsim::kForever) {
+    // A timer that fires first resumes the caller inline.
+    device->machine_->sim()->Schedule(timeout, [s = sleeper] {
+      if (!s->settled) {
+        s->settled = true;
+        s->handle.resume();
+      }
+    });
+  }
+}
+
+void PacketFilterDevice::Sleep::await_resume() {
   for (const pf::PortId port : ports) {
-    if (PortExtra* extra = Extra(port)) {
-      std::erase(extra->sleepers, &doorbell);
+    if (PortExtra* extra = device->Extra(port)) {
+      std::erase(extra->sleepers, sleeper);
     }
   }
 }
 
 void PacketFilterDevice::Ring(PortExtra& extra) {
-  for (pfsim::MsgQueue<char>* doorbell : extra.sleepers) {
-    if (doorbell->waiter_count() > 0) {  // not already rung via another port
-      doorbell->ForcePush('\0');
+  for (const std::shared_ptr<Sleeper>& sleeper : extra.sleepers) {
+    if (!sleeper->settled) {  // else rung through another port, not yet resumed
+      sleeper->settled = true;
+      machine_->sim()->ScheduleResume(pfsim::Duration(0), sleeper->handle);
     }
   }
   extra.sleepers.clear();
@@ -103,10 +116,9 @@ pfsim::ValueTask<pf::ValidationResult> PacketFilterDevice::SetFilter(int pid, pf
   // ioctl: crossing plus copy-in of the program words (§3: "at a cost
   // comparable to that of receiving a packet").
   const size_t program_bytes = program.words.size() * 2;
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(program_bytes));
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     machine_->CopyCharge(program_bytes)};
+  co_await machine_->RunMulti(pid, charges);
   co_return filter_.SetFilter(port, std::move(program));
 }
 
@@ -188,24 +200,23 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
       continue;
     }
     machine_->MarkBlocked(pid);
-    co_await Sleep(std::span<const pf::PortId>(&port, 1), remaining);
+    co_await Sleep{this, std::span<const pf::PortId>(&port, 1), remaining};
   }
 
   // Copy each packet out to the process (§3.3's optional timestamping was
   // already charged at demux time) — or, on a ring, reap its descriptor:
   // a consumer-index update, no copy. The ReceivedPacket's PacketBuf view
   // is the mapped descriptor.
-  std::vector<Machine::Charge> charges;
-  charges.reserve(out.size());
-  for (const pf::ReceivedPacket& packet : out) {
+  std::array<Machine::Charge, kMaxBatch> charges;  // `out` holds at most kMaxBatch
+  for (size_t i = 0; i < out.size(); ++i) {
     if (ring) {
-      charges.emplace_back(Cost::kRingReap, machine_->costs().ring_reap);
+      charges[i] = {Cost::kRingReap, machine_->costs().ring_reap};
       ring_reap_hist_->Record(machine_->costs().ring_reap.count());
     } else {
-      charges.emplace_back(machine_->CopyCharge(packet.bytes.size()));
+      charges[i] = machine_->CopyCharge(out[i].bytes.size());
     }
   }
-  co_await machine_->RunMulti(pid, std::move(charges));
+  co_await machine_->RunMulti(pid, std::span(charges.data(), out.size()));
   if (ring) {
     ring_reaped_counter_->Add(out.size());
   }
@@ -235,10 +246,9 @@ pfsim::ValueTask<bool> PacketFilterDevice::Write(int pid, pf::PacketBuf frame) {
   const int64_t start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
   const int64_t bytes = static_cast<int64_t>(frame.size());
   writes_counter_->Add();
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(TxCharge(frame.size()));
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     TxCharge(frame.size())};
+  co_await machine_->RunMulti(pid, charges);
   const bool sent = co_await machine_->TransmitBuf(pid, std::move(frame));
   if (trace != nullptr) {
     trace->Complete(machine_->trace_track(), "pf", "pf.write", start_ns,
@@ -266,7 +276,7 @@ pfsim::ValueTask<size_t> PacketFilterDevice::WriteMany(int pid,
   for (const auto& frame : frames) {
     charges.emplace_back(TxCharge(frame.size()));
   }
-  co_await machine_->RunMulti(pid, std::move(charges));
+  co_await machine_->RunMulti(pid, charges);
   size_t accepted = 0;
   for (auto& frame : frames) {
     if (co_await machine_->TransmitRaw(pid, std::move(frame))) {
@@ -304,7 +314,7 @@ pfsim::ValueTask<pf::PortId> PacketFilterDevice::Select(int pid, std::vector<pf:
       co_return pf::kInvalidPort;
     }
     machine_->MarkBlocked(pid);
-    co_await Sleep(ports, remaining);
+    co_await Sleep{this, ports, remaining};
   }
 }
 
@@ -378,10 +388,11 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
   const std::vector<pf::PortId> reached(filter_.enqueued().begin(), filter_.enqueued().end());
 
   // Charge the interpretation + bookkeeping before waking any reader.
-  std::vector<Machine::Charge> charges;
+  std::array<Machine::Charge, 6> charges;  // at most one per category below
+  size_t n = 0;
   const pfsim::Duration filter_cost = machine_->costs().FilterCost(result.exec);
   if (filter_cost.count() > 0) {
-    charges.emplace_back(Cost::kFilterEval, filter_cost);
+    charges[n++] = {Cost::kFilterEval, filter_cost};
     // Same condition as the Ledger charge above, so this histogram's sum
     // reconciles exactly with ledger.filter_eval.total_ns.
     filter_eval_hist_[static_cast<size_t>(filter_.strategy())]->Record(filter_cost.count());
@@ -389,33 +400,32 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
   const pfsim::Duration index_cost =
       machine_->costs().index_probe * static_cast<int64_t>(result.exec.index_probes);
   if (index_cost.count() > 0) {
-    charges.emplace_back(Cost::kIndexProbe, index_cost);
+    charges[n++] = {Cost::kIndexProbe, index_cost};
   }
   if (result.conn_lookup) {
     // One kConnDb charge per consulting packet (lookup, plus the establish
     // a miss performs under the same CPU acquisition), so
     // ledger.conn_db.charges == pf.conn.lookups bit-exactly.
-    charges.emplace_back(Cost::kConnDb, machine_->costs().conn_lookup);
+    charges[n++] = {Cost::kConnDb, machine_->costs().conn_lookup};
   }
   if (result.deliveries > 0) {
-    charges.emplace_back(Cost::kPfBookkeeping,
-                         machine_->costs().pf_bookkeeping * result.deliveries);
+    charges[n++] = {Cost::kPfBookkeeping, machine_->costs().pf_bookkeeping * result.deliveries};
     // §7: each timestamp costs a microtime() call.
     if (result.stamped > 0) {
-      charges.emplace_back(Cost::kTimestamp, machine_->costs().timestamp * result.stamped);
+      charges[n++] = {Cost::kTimestamp, machine_->costs().timestamp * result.stamped};
     }
     if (ring_slots_ > 0) {
       // Ring delivery: publish one mapped descriptor per copy (producer
       // index update) — the bytes themselves never move again.
-      charges.emplace_back(Cost::kRingPost, machine_->costs().ring_post * result.deliveries);
+      charges[n++] = {Cost::kRingPost, machine_->costs().ring_post * result.deliveries};
       ring_posts_counter_->Add(result.deliveries);
       for (uint32_t i = 0; i < result.deliveries; ++i) {
         ring_post_hist_->Record(machine_->costs().ring_post.count());
       }
     }
   }
-  if (!charges.empty()) {
-    co_await machine_->RunMulti(Machine::kInterruptContext, std::move(charges));
+  if (n > 0) {
+    co_await machine_->RunMulti(Machine::kInterruptContext, std::span(charges.data(), n));
   }
   const int64_t demux_latency_ns = machine_->sim()->NowNanos() - demux_start_ns;
   demux_latency_hist_->Record(demux_latency_ns);

@@ -10,6 +10,7 @@
 #ifndef SRC_KERNEL_PF_DEVICE_H_
 #define SRC_KERNEL_PF_DEVICE_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -22,7 +23,7 @@
 #include "src/kernel/ledger.h"
 #include "src/obs/metrics.h"
 #include "src/pf/demux.h"
-#include "src/sim/sync.h"
+#include "src/sim/sim_time.h"
 #include "src/sim/value_task.h"
 
 namespace pfkern {
@@ -160,20 +161,38 @@ class PacketFilterDevice {
   static constexpr size_t kMaxBatch = 32;
 
  private:
+  // One caller asleep in Read or Select (DESIGN.md §2), shared by the lists
+  // of the ports it sleeps on and by its timer. The first of a ring and the
+  // timer settles it and resumes the caller; the other then does nothing.
+  struct Sleeper {
+    std::coroutine_handle<> handle;
+    bool settled = false;
+  };
   struct PortExtra {
-    // The doorbells of the callers asleep on this port: a blocked Read's,
-    // and a blocked Select's on each of its ports (DESIGN.md §2).
-    std::vector<pfsim::MsgQueue<char>*> sleepers;
+    // The callers asleep on this port: a blocked Read, and a blocked Select
+    // on each of its ports.
+    std::vector<std::shared_ptr<Sleeper>> sleepers;
     bool batching = false;
     std::function<void()> signal_handler;  // SIGIO-style notification
     bool had_queued = false;               // edge detection for the signal
   };
 
-  // Sleeps on a doorbell hung on every open port of `ports` until a frame
-  // or Close rings it or `timeout` elapses; then looks the ports up again
-  // to take it down.
-  pfsim::ValueTask<void> Sleep(std::span<const pf::PortId> ports, pfsim::Duration timeout);
-  // Wakes every caller asleep on the port.
+  // `co_await Sleep{this, ports, timeout}` sleeps on every open port of
+  // `ports` until a frame or Close rings one of them or `timeout` elapses;
+  // then looks the ports up again to take the sleeper down. The awaiter
+  // lives in the caller's frame: a sleep allocates only the Sleeper and,
+  // when `timeout` is finite, its timer's callback.
+  struct Sleep {
+    PacketFilterDevice* device;
+    std::span<const pf::PortId> ports;
+    pfsim::Duration timeout;
+    std::shared_ptr<Sleeper> sleeper = nullptr;  // made at suspension
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle);
+    void await_resume();
+  };
+  // Wakes every caller asleep on the port: each resumes after the running
+  // event, at the same instant.
   void Ring(PortExtra& extra);
 
   PortExtra* Extra(pf::PortId port);

@@ -4,11 +4,10 @@ namespace pfkern {
 
 pfsim::ValueTask<void> MessagePipe::Write(int pid, pf::PacketBuf message) {
   const size_t bytes = message.size();
-  std::vector<Machine::Charge> charges;
-  charges.emplace_back(Cost::kSyscall, machine_->costs().syscall);
-  charges.emplace_back(machine_->CopyCharge(bytes));
-  charges.emplace_back(Cost::kPipe, machine_->costs().pipe_overhead);
-  co_await machine_->RunMulti(pid, std::move(charges));
+  const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
+                                     machine_->CopyCharge(bytes),
+                                     {Cost::kPipe, machine_->costs().pipe_overhead}};
+  co_await machine_->RunMulti(pid, charges);
   while (queue_.size() >= queue_.capacity() && queue_.waiter_count() == 0) {
     machine_->MarkBlocked(pid);
     co_await space_.Wait();
@@ -23,7 +22,7 @@ pfsim::ValueTask<void> MessagePipe::WriteBatch(int pid, std::vector<pf::PacketBu
     charges.emplace_back(machine_->CopyCharge(message.size()));
   }
   charges.emplace_back(Cost::kPipe, machine_->costs().pipe_overhead);
-  co_await machine_->RunMulti(pid, std::move(charges));
+  co_await machine_->RunMulti(pid, charges);
   for (auto& message : messages) {
     while (queue_.size() >= queue_.capacity() && queue_.waiter_count() == 0) {
       machine_->MarkBlocked(pid);
@@ -52,7 +51,7 @@ pfsim::ValueTask<std::vector<pf::PacketBuf>> MessagePipe::ReadBatch(
   for (const auto& message : out) {
     charges.emplace_back(machine_->CopyCharge(message.size()));
   }
-  co_await machine_->RunMulti(pid, std::move(charges));
+  co_await machine_->RunMulti(pid, charges);
   for (size_t i = 0; i < out.size(); ++i) {
     space_.NotifyOne();
   }

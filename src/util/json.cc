@@ -250,6 +250,43 @@ class Parser {
     }
   }
 
+  // RFC 8259 §6: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — strtod
+  // alone would also take "+1", "01", ".5" and "1.".
+  static bool IsJsonNumber(const std::string& s) {
+    size_t i = 0;
+    const auto digits = [&] {
+      const size_t from = i;
+      while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
+        ++i;
+      }
+      return i - from;
+    };
+    if (i < s.size() && s[i] == '-') {
+      ++i;
+    }
+    const size_t int_start = i;
+    const size_t int_digits = digits();
+    if (int_digits == 0 || (int_digits > 1 && s[int_start] == '0')) {
+      return false;
+    }
+    if (i < s.size() && s[i] == '.') {
+      ++i;
+      if (digits() == 0) {
+        return false;
+      }
+    }
+    if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+      ++i;
+      if (i < s.size() && (s[i] == '+' || s[i] == '-')) {
+        ++i;
+      }
+      if (digits() == 0) {
+        return false;
+      }
+    }
+    return i == s.size();
+  }
+
   bool ParseNumber(JsonValue* out) {
     const size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') {
@@ -266,8 +303,8 @@ class Parser {
     }
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    const double value = IsJsonNumber(token) ? std::strtod(token.c_str(), &end) : 0.0;
+    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
       pos_ = start;
       return Fail("malformed number");
     }

@@ -107,6 +107,123 @@ TEST_F(MachineTest, CpuSerializesConcurrentWork) {
   EXPECT_GE((b_done - a_done).count(), Milliseconds(10).count());
 }
 
+// One CPU acquisition is one simulator event (DESIGN.md §2): a context
+// switch plus k non-zero charges advance the clock by their sum and resume
+// the caller once, and the ledger counts each charge as its own entry.
+TEST_F(MachineTest, RunMultiIsOneEventPerAcquisition) {
+  const int pid = alice_.NewPid();
+  const Machine::Charge charges[] = {{Cost::kSyscall, Milliseconds(1)},
+                                     {Cost::kCopy, Milliseconds(2)},
+                                     {Cost::kCopy, Duration(0)},  // not charged
+                                     {Cost::kCopy, Milliseconds(3)},
+                                     {Cost::kPfBookkeeping, Milliseconds(4)}};
+  uint64_t events = 0;
+  Duration elapsed{};
+  auto process = [&]() -> Task {
+    const uint64_t events_before = sim_.events_executed();
+    const pfsim::TimePoint start = sim_.Now();
+    co_await alice_.RunMulti(pid, charges);
+    events = sim_.events_executed() - events_before;
+    elapsed = sim_.Now() - start;
+  };
+  sim_.Spawn(process());
+  sim_.Run();
+  EXPECT_EQ(events, 1u);
+  EXPECT_EQ(elapsed, alice_.costs().context_switch + Milliseconds(10));
+  const pfkern::Ledger& ledger = alice_.ledger();
+  EXPECT_EQ(ledger.count(Cost::kContextSwitch), 1u);
+  EXPECT_EQ(ledger.total(Cost::kContextSwitch), alice_.costs().context_switch);
+  EXPECT_EQ(ledger.count(Cost::kSyscall), 1u);
+  EXPECT_EQ(ledger.total(Cost::kSyscall), Milliseconds(1));
+  EXPECT_EQ(ledger.count(Cost::kCopy), 2u);
+  EXPECT_EQ(ledger.total(Cost::kCopy), Milliseconds(5));
+  EXPECT_EQ(ledger.count(Cost::kPfBookkeeping), 1u);
+  EXPECT_EQ(ledger.total(Cost::kPfBookkeeping), Milliseconds(4));
+  EXPECT_EQ(alice_.cpu_owner(), pid);
+}
+
+TEST_F(MachineTest, ZeroWorkRunSchedulesNoEvent) {
+  const int pid = alice_.NewPid();
+  uint64_t events = 1;
+  auto process = [&]() -> Task {
+    co_await alice_.Run(pid, Cost::kSyscall, Milliseconds(1));  // pid now owns the CPU
+    const uint64_t events_before = sim_.events_executed();
+    co_await alice_.Run(pid, Cost::kSyscall, Duration(0));
+    co_await alice_.Run(Machine::kInterruptContext, Cost::kInterrupt, Duration(0));
+    events = sim_.events_executed() - events_before;
+  };
+  sim_.Spawn(process());
+  sim_.Run();
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(alice_.ledger().count(Cost::kSyscall), 1u);
+  EXPECT_EQ(alice_.ledger().count(Cost::kInterrupt), 0u);
+}
+
+// A sleeper is resumed by whichever of its ring and its timer comes first;
+// the other finds it settled. A frame rings the reader well before its
+// deadline, and the timer that still fires at the deadline does nothing.
+TEST_F(MachineTest, SleepRungBeforeItsTimerResumesOnce) {
+  constexpr Duration kTimeout = Milliseconds(50);
+  const int pid = alice_.NewPid();
+  int resumed = 0;
+  size_t got = 0;
+  pfsim::TimePoint deadline;
+  auto reader = [&]() -> Task {
+    const pf::PortId port = co_await alice_.pf().Open(pid);
+    co_await alice_.pf().SetFilter(pid, port, pfnet::MakePupSocketFilter(35, 10));
+    deadline = sim_.Now() + alice_.costs().syscall + kTimeout;
+    got = (co_await alice_.pf().Read(pid, port, kTimeout)).size();
+    ++resumed;
+    EXPECT_LT(sim_.Now(), deadline);
+  };
+  auto interrupt = [&]() -> Task {
+    co_await sim_.Delay(Milliseconds(10));
+    co_await alice_.pf().HandlePacket(pf::PacketBuf(pftest::MakePupFrame(8, 35, 1)), 0);
+  };
+  sim_.Spawn(reader());
+  sim_.Spawn(interrupt());
+  sim_.Run();
+  EXPECT_EQ(resumed, 1);
+  EXPECT_EQ(got, 1u);
+  EXPECT_GE(sim_.Now(), deadline);  // the timer fired, and found the sleeper settled
+}
+
+// The ring and the timer at the same instant, the ring first: a frame whose
+// demux charges nothing rings the reader in the event that precedes its
+// timer. The reader resumes once, with the packet.
+TEST_F(MachineTest, SleepRungAtItsDeadlineResumesOnce) {
+  constexpr Duration kTimeout = Milliseconds(50);
+  CostModel costs = pfkern::MicroVaxUltrixCosts();
+  costs.filter_apply = Duration(0);
+  costs.filter_insn = Duration(0);
+  costs.pf_bookkeeping = Duration(0);
+  Machine carol(&sim_, &segment_, MacAddr::Experimental(3), costs, "carol");
+  const int pid = carol.NewPid();
+  pf::PortId port = pf::kInvalidPort;
+  int resumed = 0;
+  size_t got = 0;
+  size_t sleepers_at_ring = 0;
+  auto interrupt = [&](Duration wait) -> Task {
+    co_await sim_.Delay(wait);  // scheduled before the reader's timer
+    sleepers_at_ring = carol.pf().sleepers(port);
+    co_await carol.pf().HandlePacket(pf::PacketBuf(pftest::MakePupFrame(8, 35, 3)), 0);
+  };
+  auto reader = [&]() -> Task {
+    port = co_await carol.pf().Open(pid);
+    co_await carol.pf().SetFilter(pid, port, pfnet::MakePupSocketFilter(35, 10));
+    sim_.Spawn(interrupt(carol.costs().syscall + kTimeout));
+    got = (co_await carol.pf().Read(pid, port, kTimeout)).size();
+    ++resumed;
+  };
+  sim_.Spawn(reader());
+  sim_.Run();
+  EXPECT_EQ(sleepers_at_ring, 1u);  // the timer had not fired yet
+  EXPECT_EQ(resumed, 1);
+  EXPECT_EQ(got, 1u);
+  EXPECT_EQ(carol.pf().sleepers(port), 0u);
+  EXPECT_EQ(carol.metrics().FindCounter("pfdev.wakeups")->value(), 1);
+}
+
 TEST_F(MachineTest, CopyCostModelMatchesPaperNumbers) {
   const CostModel costs = pfkern::MicroVaxUltrixCosts();
   // §6.5.2: 0.5 ms short packet; ~1 ms/KByte slope region.

@@ -10,7 +10,8 @@
 //   the input and agree with its length fields; checksummed headers flag a
 //   single flipped bit; a JSON value re-written and re-read is unchanged.
 // * Regression seeds: minimized inputs that once broke a parser, replayed on
-//   every run (kJsonRegressions and the surrogate case below).
+//   every run (kJsonRegressions, the surrogate case and the numbers the
+//   JSON grammar forbids, below).
 //
 // Run under ASan+UBSan, a crash or an out-of-bounds read is a failure on its
 // own. The first seed always runs; further seeds run while the budget lasts
@@ -384,6 +385,25 @@ TEST(ParserFuzzTest, JsonRoundTripsAndRejectsMalformedInputCleanly) {
     }
     ExpectStable(noise);
   });
+}
+
+// Regression: numbers RFC 8259 forbids used to parse (strtod took them), and
+// 1e999 read as infinity, which JsonNumber writes back as null. Each is now
+// a "malformed number".
+TEST(ParserFuzzTest, JsonRejectsNumbersTheGrammarForbids) {
+  for (const char* text : {"+1", "01", "-01", ".5", "1.", "-", "1e", "1e+", "-.5", "1.e3",
+                           "1e999", "-1e999", "[1e999]", "{\"a\":01}"}) {
+    JsonValue parsed;
+    std::string error;
+    EXPECT_FALSE(pfutil::ParseJson(text, &parsed, &error)) << text;
+    EXPECT_NE(error.find("malformed number"), std::string::npos) << text << ": " << error;
+  }
+  for (const char* text : {"0", "-0", "1.5", "-1.25e-3", "1E+2", "2e0", "1e-999"}) {
+    JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(pfutil::ParseJson(text, &parsed, &error)) << text << ": " << error;
+    EXPECT_TRUE(std::isfinite(parsed.AsNumber())) << text;
+  }
 }
 
 TEST(ParserFuzzTest, JsonNestingIsBoundedNotFatal) {
