@@ -1,8 +1,9 @@
 // micro_sched: host cost of one simulator event, pfsim::Simulator vs. a
 // std::function priority queue (DESIGN.md §2).
 //
-// Two event shapes, each at 16, 150 and 1024 pending events (150 is about
-// the stack_small workload's mean queue depth):
+// Two event shapes, each at 16, 150 and 1024 pending events (traced
+// perfbench runs average about 33 on stack_small and 2 on vmtp_bulk; the
+// three depths bracket a workload's queue):
 //   * callbacks: no-op callbacks that reschedule themselves at a
 //     pseudo-random delay, so every executed event leaves one in its place;
 //   * resumes:   coroutines that loop on Delay(), so every event is a bare

@@ -7,6 +7,7 @@
 #ifndef BENCH_VMTP_COMMON_H_
 #define BENCH_VMTP_COMMON_H_
 
+#include <algorithm>
 #include <memory>
 
 #include "bench/harness.h"
@@ -37,6 +38,9 @@ struct VmtpConfig {
 struct VmtpResult {
   double rtt_ms = 0;     // minimal transaction
   double bulk_kbps = 0;  // 16 KB reads, ~1 MB total
+  // The event queue's depth (pending_events()), sampled after each 1 ms of
+  // simulated time until it drains: dead timers left in the queue raise it.
+  double mean_pending_events = 0;
 };
 
 // The user-level file server: answers "read" requests with a cached
@@ -149,7 +153,18 @@ inline VmtpResult MeasureVmtp(const VmtpConfig& config, int rtt_transactions = 2
   };
 
   duo.sim().Spawn(client_task());
-  duo.sim().RunUntil(pfsim::TimePoint{} + pfsim::Seconds(3600));
+  // Run in 1 ms slices (the same events in the same order as one RunUntil)
+  // to sample the queue depth between them.
+  const pfsim::TimePoint deadline = pfsim::TimePoint{} + pfsim::Seconds(3600);
+  double depth_sum = 0;
+  uint64_t samples = 0;
+  while (duo.sim().pending_events() > 0 && duo.sim().Now() < deadline) {
+    duo.sim().RunUntil(std::min(deadline, duo.sim().Now() + pfsim::Milliseconds(1)));
+    depth_sum += static_cast<double>(duo.sim().pending_events());
+    ++samples;
+  }
+  result.mean_pending_events = samples > 0 ? depth_sum / static_cast<double>(samples) : 0;
+  duo.sim().RunUntil(deadline);
   if (config.inspect) {
     config.inspect(duo);
   }

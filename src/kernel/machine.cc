@@ -11,8 +11,7 @@ Machine::Machine(pfsim::Simulator* sim, pflink::EthernetSegment* segment, pflink
       segment_(segment),
       addr_(addr),
       costs_(costs),
-      name_(std::move(name)),
-      cpu_(sim) {
+      name_(std::move(name)) {
   nic_in_counter_ = metrics_.counter("nic.frames_in");
   nic_out_counter_ = metrics_.counter("nic.frames_out");
   nic_to_kernel_counter_ = metrics_.counter("nic.frames_to_kernel");
@@ -80,17 +79,33 @@ pfsim::Duration Machine::Account(int ctx, std::span<const Charge> charges) {
   return total;
 }
 
-pfsim::ValueTask<void> Machine::Run(int ctx, Cost category, pfsim::Duration work) {
-  co_await cpu_.Lock();
-  const Charge charge{category, work};
-  co_await sim_->Delay(Account(ctx, std::span(&charge, 1)));
-  cpu_.Unlock();
+bool Machine::Acquire::await_ready() {
+  if (machine->cpu_locked_) {
+    return false;
+  }
+  total = machine->Account(ctx, list());
+  machine->cpu_locked_ = holds = total.count() > 0;  // zero work takes no event
+  return !holds;
 }
 
-pfsim::ValueTask<void> Machine::RunMulti(int ctx, std::span<const Charge> charges) {
-  co_await cpu_.Lock();
-  co_await sim_->Delay(Account(ctx, charges));
-  cpu_.Unlock();
+void Machine::ReleaseCpu() {
+  if (cpu_waiters_.empty()) {
+    cpu_locked_ = false;
+    return;
+  }
+  // The CPU stays locked. The grant captures two pointers, so std::function
+  // stores it in place.
+  Acquire* next = cpu_waiters_.front();
+  cpu_waiters_.pop_front();
+  next->holds = true;
+  sim_->Schedule(pfsim::Duration(0), [this, next] {
+    const pfsim::Duration total = Account(next->ctx, next->list());
+    if (total.count() > 0) {
+      sim_->ScheduleResume(total, next->handle);
+    } else {
+      next->handle.resume();
+    }
+  });
 }
 
 void Machine::MarkBlocked(int ctx) {

@@ -3,8 +3,8 @@
 // registration points for kernel-resident protocol stacks.
 //
 // The execution model mirrors the paper's analysis (§6.5.1):
-//   * All work is charged to the single CPU (an AsyncMutex): interrupt
-//     handlers, kernel protocol input, and user processes serialize.
+//   * All work is charged to the single CPU, granted in FIFO order:
+//     interrupt handlers, kernel protocol input, and user processes serialize.
 //   * Each charge carries an execution context. When a non-interrupt
 //     context acquires the CPU and the previous owner differs, a context
 //     switch is charged (0.4 ms on the MicroVAX). Interrupt handlers borrow
@@ -17,6 +17,7 @@
 #ifndef SRC_KERNEL_MACHINE_H_
 #define SRC_KERNEL_MACHINE_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,7 +39,6 @@
 #include "src/pf/tap.h"
 #include "src/sim/sim_time.h"
 #include "src/sim/simulator.h"
-#include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/value_task.h"
 
@@ -127,17 +127,51 @@ class Machine : public pflink::Station {
 
   // --- CPU accounting ---
   using Charge = std::pair<Cost, pfsim::Duration>;
+  // What Run and RunMulti return, in the awaiting frame (DESIGN.md §2): a
+  // free CPU is taken in await_ready, a busy one queues the caller until
+  // ReleaseCpu grants it, and await_resume releases it.
+  struct [[nodiscard]] Acquire {
+    Machine* machine;
+    int ctx;
+    std::span<const Charge> charges;  // empty: Run's one charge, `single`
+    Charge single = {};
+    pfsim::Duration total = {};
+    std::coroutine_handle<> handle = nullptr;
+    bool holds = false;  // this acquisition holds the CPU
+
+    std::span<const Charge> list() const {
+      return charges.empty() ? std::span(&single, 1) : charges;
+    }
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      if (holds) {
+        machine->sim_->ScheduleResume(total, h);
+      } else {
+        machine->cpu_waiters_.push_back(this);
+      }
+    }
+    void await_resume() {
+      if (holds) {
+        machine->ReleaseCpu();
+      }
+    }
+  };
   // Acquires the CPU as `ctx`, charges a context switch if the owner
   // changed (never for interrupt context), consumes `work`, releases. One
   // acquisition is one simulator event: the ledger steps when the CPU is
   // acquired and the caller resumes once the whole charge has elapsed
   // (DESIGN.md §2). Zero work by the current owner schedules no event.
-  pfsim::ValueTask<void> Run(int ctx, Cost category, pfsim::Duration work);
+  Acquire Run(int ctx, Cost category, pfsim::Duration work) {
+    return Acquire{this, ctx, {}, {category, work}};
+  }
   // Same, with several charges under one CPU acquisition (so an interrupt's
   // multi-part cost is not preempted between parts): each non-zero charge
-  // is its own ledger entry, and one Delay covers their sum. `charges` is
+  // is its own ledger entry, and one event covers their sum. `charges` is
   // read at acquisition; the caller's frame keeps it alive meanwhile.
-  pfsim::ValueTask<void> RunMulti(int ctx, std::span<const Charge> charges);
+  Acquire RunMulti(int ctx, std::span<const Charge> charges) {
+    return Acquire{this, ctx, charges};
+  }
   // Declares that `ctx` is about to block; the CPU owner becomes idle, so
   // its next acquisition pays a context switch.
   void MarkBlocked(int ctx);
@@ -202,6 +236,9 @@ class Machine : public pflink::Station {
   // (making `ctx` the owner) and every non-zero charge. Returns the time
   // the acquisition holds the CPU.
   pfsim::Duration Account(int ctx, std::span<const Charge> charges);
+  // Frees the CPU, or hands it to the first queued acquisition with one
+  // zero-delay grant event that accounts it and resumes it after the total.
+  void ReleaseCpu();
 
   pfsim::Task ReceiveTask(pflink::Frame frame);
   // NAPI-style poller: drains poll_queue_ in budget-sized rounds, then
@@ -231,7 +268,8 @@ class Machine : public pflink::Station {
   pfobs::Counter* nic_crc_error_counter_ = nullptr;
   pfobs::Counter* nic_truncated_counter_ = nullptr;
 
-  pfsim::AsyncMutex cpu_;
+  bool cpu_locked_ = false;
+  std::deque<Acquire*> cpu_waiters_;  // FIFO
   int cpu_owner_ = kIdleContext;
   int next_pid_ = 1;
   bool promiscuous_ = false;

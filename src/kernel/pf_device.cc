@@ -57,35 +57,30 @@ void PacketFilterDevice::SetRingDelivery(size_t slots) {
 }
 
 void PacketFilterDevice::Sleep::await_suspend(std::coroutine_handle<> handle) {
-  sleeper = std::make_shared<Sleeper>(Sleeper{handle});
+  sleeper.handle = handle;
   for (const pf::PortId port : ports) {
     if (PortExtra* extra = device->Extra(port)) {
-      extra->sleepers.push_back(sleeper);
+      extra->sleepers.push_back(&sleeper);
     }
   }
   if (timeout != pfsim::kForever) {
-    // A timer that fires first resumes the caller inline.
-    device->machine_->sim()->Schedule(timeout, [s = sleeper] {
-      if (!s->settled) {
-        s->settled = true;
-        s->handle.resume();
-      }
-    });
+    sleeper.timer = device->machine_->sim()->ScheduleResume(timeout, handle);
   }
 }
 
 void PacketFilterDevice::Sleep::await_resume() {
   for (const pf::PortId port : ports) {
     if (PortExtra* extra = device->Extra(port)) {
-      std::erase(extra->sleepers, sleeper);
+      std::erase(extra->sleepers, &sleeper);
     }
   }
 }
 
 void PacketFilterDevice::Ring(PortExtra& extra) {
-  for (const std::shared_ptr<Sleeper>& sleeper : extra.sleepers) {
+  for (Sleeper* sleeper : extra.sleepers) {
     if (!sleeper->settled) {  // else rung through another port, not yet resumed
       sleeper->settled = true;
+      machine_->sim()->Cancel(sleeper->timer);
       machine_->sim()->ScheduleResume(pfsim::Duration(0), sleeper->handle);
     }
   }

@@ -24,6 +24,7 @@
 #include "src/obs/metrics.h"
 #include "src/pf/demux.h"
 #include "src/sim/sim_time.h"
+#include "src/sim/simulator.h"
 #include "src/sim/value_task.h"
 
 namespace pfkern {
@@ -161,17 +162,17 @@ class PacketFilterDevice {
   static constexpr size_t kMaxBatch = 32;
 
  private:
-  // One caller asleep in Read or Select (DESIGN.md §2), shared by the lists
-  // of the ports it sleeps on and by its timer. The first of a ring and the
-  // timer settles it and resumes the caller; the other then does nothing.
+  // One caller asleep in Read or Select (DESIGN.md §2), in its Sleep awaiter;
+  // its ports' lists point at it. A ring settles it and cancels its timer.
   struct Sleeper {
     std::coroutine_handle<> handle;
+    pfsim::EventId timer;
     bool settled = false;
   };
   struct PortExtra {
     // The callers asleep on this port: a blocked Read, and a blocked Select
     // on each of its ports.
-    std::vector<std::shared_ptr<Sleeper>> sleepers;
+    std::vector<Sleeper*> sleepers;
     bool batching = false;
     std::function<void()> signal_handler;  // SIGIO-style notification
     bool had_queued = false;               // edge detection for the signal
@@ -180,13 +181,12 @@ class PacketFilterDevice {
   // `co_await Sleep{this, ports, timeout}` sleeps on every open port of
   // `ports` until a frame or Close rings one of them or `timeout` elapses;
   // then looks the ports up again to take the sleeper down. The awaiter
-  // lives in the caller's frame: a sleep allocates only the Sleeper and,
-  // when `timeout` is finite, its timer's callback.
+  // lives in the caller's frame, and a sleep allocates nothing.
   struct Sleep {
     PacketFilterDevice* device;
     std::span<const pf::PortId> ports;
     pfsim::Duration timeout;
-    std::shared_ptr<Sleeper> sleeper = nullptr;  // made at suspension
+    Sleeper sleeper = {};
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> handle);
     void await_resume();

@@ -29,7 +29,7 @@ Simulator::~Simulator() {
   }
 }
 
-Simulator::Slot& Simulator::Push(TimePoint at) {
+EventId Simulator::Push(TimePoint at) {
   assert(at >= now_);
   uint32_t slot = static_cast<uint32_t>(slots_.size());
   if (free_slots_.empty()) {
@@ -38,23 +38,61 @@ Simulator::Slot& Simulator::Push(TimePoint at) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  heap_.push_back(Key{at, next_seq_++, slot});
+  const EventId id{next_seq_++, slot};
+  slots_[slot].seq = id.seq;
+  heap_.push_back(Key{at, id.seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return slots_[slot];
+  return id;
 }
 
-void Simulator::Schedule(Duration delay, Callback fn) {
+EventId Simulator::Schedule(Duration delay, Callback fn) {
   assert(delay.count() >= 0);
-  ScheduleAt(now_ + delay, std::move(fn));
+  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-void Simulator::ScheduleAt(TimePoint at, Callback fn) {
-  Push(at).fn = std::move(fn);
+EventId Simulator::ScheduleAt(TimePoint at, Callback fn) {
+  const EventId id = Push(at);
+  slots_[id.slot].fn = std::move(fn);
+  return id;
 }
 
-void Simulator::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
+EventId Simulator::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
   assert(delay.count() >= 0);
-  Push(now_ + delay).resume = h;
+  const EventId id = Push(now_ + delay);
+  slots_[id.slot].resume = h;
+  return id;
+}
+
+bool Simulator::Cancel(EventId id) {
+  if (id.slot >= slots_.size() || slots_[id.slot].seq != id.seq ||
+      !(slots_[id.slot].resume || slots_[id.slot].fn)) {
+    return false;  // already ran or cancelled; the slot may hold a later event
+  }
+  // Free the slot first: the callback's captures die on return, and their
+  // destructors may schedule events.
+  Slot& slot = slots_[id.slot];
+  Callback fn;
+  fn.swap(slot.fn);
+  slot.resume = nullptr;
+  slot.seq = kFreeSeq;
+  free_slots_.push_back(id.slot);
+  // Drop every dead key once they outnumber the live ones (amortized O(1) per
+  // cancel); (at, seq) is a total order, so live events keep their order.
+  if (++dead_ > heap_.size() / 2) {
+    std::erase_if(heap_, [this](const Key& key) { return Dead(key); });
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    dead_ = 0;
+  }
+  return true;
+}
+
+bool Simulator::DropDeadTop() {
+  while (dead_ > 0 && !heap_.empty() && Dead(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --dead_;
+  }
+  return !heap_.empty();
 }
 
 void Simulator::Spawn(Task task) {
@@ -85,7 +123,7 @@ void Simulator::PruneDoneTasks() {
 }
 
 bool Simulator::Step() {
-  if (heap_.empty()) {
+  if (!DropDeadTop()) {
     return false;
   }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -116,7 +154,7 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(TimePoint deadline) {
-  while (!heap_.empty() && heap_.front().at <= deadline) {
+  while (DropDeadTop() && heap_.front().at <= deadline) {
     Step();
   }
   if (now_ < deadline) {

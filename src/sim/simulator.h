@@ -9,7 +9,8 @@
 // The queue is a binary heap of 24-byte {at, seq, slot} keys over a slab of
 // slots, reused through a free list. A slot holds either a callback or a
 // bare coroutine handle (a resume needs no callable), so a heap sift moves
-// three words and never a type-erased callable.
+// three words and never a type-erased callable. A cancelled event's key
+// stays in the heap, dead, until it reaches the top or a compaction.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -22,6 +23,13 @@
 #include "src/sim/task.h"
 
 namespace pfsim {
+
+// Names one scheduled event for Cancel. An id whose event already ran or
+// was cancelled names nothing, even after its slot is reused.
+struct EventId {
+  uint64_t seq = 0;
+  uint32_t slot = UINT32_MAX;
+};
 
 class Simulator {
  public:
@@ -39,11 +47,15 @@ class Simulator {
 
   // Schedules `fn` to run `delay` from now (delay may be zero; never
   // negative).
-  void Schedule(Duration delay, Callback fn);
-  void ScheduleAt(TimePoint at, Callback fn);
+  EventId Schedule(Duration delay, Callback fn);
+  EventId ScheduleAt(TimePoint at, Callback fn);
 
   // Schedules a coroutine resumption `delay` from now.
-  void ScheduleResume(Duration delay, std::coroutine_handle<> h);
+  EventId ScheduleResume(Duration delay, std::coroutine_handle<> h);
+
+  // Takes a pending event out: it never runs, and neither pending_events()
+  // nor events_executed() counts it. False if `id` names no pending event.
+  bool Cancel(EventId id);
 
   // Takes ownership of `task` and starts it (first resume happens
   // immediately, at the current simulated time).
@@ -72,7 +84,7 @@ class Simulator {
     return Awaiter{this, d};
   }
 
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return heap_.size() - dead_; }
   uint64_t events_executed() const { return events_executed_; }
 
  private:
@@ -83,15 +95,20 @@ class Simulator {
     uint32_t slot;
   };
   static_assert(sizeof(Key) == 24);
-  // What a pending event does: exactly one of the two is set (neither,
-  // while the slot is free).
+  // What a pending event does: `fn` or `resume` (neither while free). A key
+  // whose seq is not `seq` (kFreeSeq once cancelled) is dead.
   struct Slot {
     Callback fn;
     std::coroutine_handle<> resume;
+    uint64_t seq = kFreeSeq;
   };
+  static constexpr uint64_t kFreeSeq = UINT64_MAX;
 
   // Claims a free slot and pushes its key at `at`.
-  Slot& Push(TimePoint at);
+  EventId Push(TimePoint at);
+  bool Dead(const Key& key) const { return slots_[key.slot].seq != key.seq; }
+  // Pops dead keys off the top; returns whether a live event is pending.
+  bool DropDeadTop();
   void PruneDoneTasks();
 
   std::vector<std::coroutine_handle<Task::promise_type>> tasks_;
@@ -102,6 +119,7 @@ class Simulator {
   std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  size_t dead_ = 0;  // cancelled keys still in heap_
   TimePoint now_{};
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;

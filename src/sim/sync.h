@@ -6,8 +6,6 @@
 //                    timeout, immediate return, or indefinite blocking) and
 //                    of driver/protocol hand-off queues.
 //   * WaitQueue    — condition-variable-like wait/notify.
-//   * AsyncMutex   — FIFO mutual exclusion (used to serialize a simulated
-//                    CPU or a half-duplex medium).
 //
 // Resumes are always *scheduled* (at the current time, after the running
 // event) rather than performed inline, so producers never re-enter consumer
@@ -19,7 +17,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -82,77 +79,59 @@ class MsgQueue {
 
   // Awaitable: returns the next item, or nullopt if `timeout` elapses first.
   // A zero timeout means "immediate return"; kForever blocks indefinitely.
-  auto PopWithTimeout(Duration timeout) { return PopAwaiter{this, timeout, {}, {}}; }
+  auto PopWithTimeout(Duration timeout) { return PopAwaiter{this, timeout}; }
 
   // Awaitable: returns the next item; blocks indefinitely.
-  auto Pop() { return PopForeverAwaiter{PopAwaiter{this, kForever, {}, {}}}; }
+  auto Pop() { return PopForeverAwaiter{PopAwaiter{this, kForever}}; }
 
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
   size_t capacity() const { return capacity_; }
-  void set_capacity(size_t capacity) { capacity_ = capacity; }
   uint64_t dropped() const { return dropped_; }
   size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    std::optional<T> value;
-    bool settled = false;
+  // A blocked Pop, in the caller's frame. A hand-off cancels its timer; a
+  // timer that fires first resumes the caller, which leaves waiters_.
+  struct PopAwaiter {
+    MsgQueue* q;
+    Duration timeout;
+    std::optional<T> value = std::nullopt;
+    std::coroutine_handle<> h = nullptr;  // set while blocked
+    EventId timer = {};
+
+    bool await_ready() {
+      value = q->TryPop();
+      return value.has_value() || timeout.count() == 0;  // zero: immediate return
+    }
+
+    void await_suspend(std::coroutine_handle<> handle) {
+      h = handle;
+      q->waiters_.push_back(this);
+      if (timeout != kForever) {
+        timer = q->sim_->ScheduleResume(timeout, handle);
+      }
+    }
+
+    std::optional<T> await_resume() {
+      if (h && !value.has_value()) {
+        std::erase(q->waiters_, this);  // timed out
+      }
+      return std::move(value);
+    }
   };
-  using WaiterPtr = std::shared_ptr<Waiter>;
 
   bool DeliverToWaiter(T& v) {
     if (waiters_.empty()) {
       return false;
     }
-    WaiterPtr w = waiters_.front();
+    PopAwaiter* w = waiters_.front();
     waiters_.pop_front();
     w->value = std::move(v);
-    w->settled = true;  // settle before the resume runs, so a racing timer is a no-op
+    sim_->Cancel(w->timer);
     sim_->ScheduleResume(Duration(0), w->h);
     return true;
   }
-
-  struct PopAwaiter {
-    MsgQueue* q;
-    Duration timeout;
-    WaiterPtr waiter;
-    std::optional<T> immediate;
-
-    bool await_ready() {
-      if (auto v = q->TryPop()) {
-        immediate = std::move(v);
-        return true;
-      }
-      return timeout.count() == 0;  // immediate-return mode: nothing queued
-    }
-
-    void await_suspend(std::coroutine_handle<> h) {
-      waiter = std::make_shared<Waiter>();
-      waiter->h = h;
-      q->waiters_.push_back(waiter);
-      if (timeout != kForever) {
-        MsgQueue* queue = q;
-        WaiterPtr w = waiter;
-        q->sim_->Schedule(timeout, [queue, w] {
-          if (w->settled) {
-            return;
-          }
-          w->settled = true;
-          std::erase(queue->waiters_, w);
-          w->h.resume();
-        });
-      }
-    }
-
-    std::optional<T> await_resume() {
-      if (waiter != nullptr) {
-        return std::move(waiter->value);
-      }
-      return std::move(immediate);
-    }
-  };
 
   struct PopForeverAwaiter {
     PopAwaiter inner;
@@ -168,7 +147,7 @@ class MsgQueue {
   Simulator* sim_;
   size_t capacity_;
   std::deque<T> items_;
-  std::deque<WaiterPtr> waiters_;
+  std::deque<PopAwaiter*> waiters_;
   uint64_t dropped_ = 0;
 };
 
@@ -207,49 +186,6 @@ class WaitQueue {
 
  private:
   Simulator* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-class AsyncMutex {
- public:
-  explicit AsyncMutex(Simulator* sim) : sim_(sim) {}
-  AsyncMutex(const AsyncMutex&) = delete;
-  AsyncMutex& operator=(const AsyncMutex&) = delete;
-
-  // Awaitable; the lock is granted in FIFO order.
-  auto Lock() {
-    struct Awaiter {
-      AsyncMutex* m;
-      bool await_ready() {
-        if (!m->locked_) {
-          m->locked_ = true;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) { m->waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this};
-  }
-
-  void Unlock() {
-    assert(locked_);
-    if (waiters_.empty()) {
-      locked_ = false;
-      return;
-    }
-    // Hand the lock directly to the next waiter (stays locked).
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    sim_->ScheduleResume(Duration(0), h);
-  }
-
-  bool locked() const { return locked_; }
-
- private:
-  Simulator* sim_;
-  bool locked_ = false;
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -3,6 +3,9 @@
 // batching, write, ioctls), and the cost ledger.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/kernel/cost_model.h"
 #include "src/kernel/machine.h"
 #include "src/kernel/pf_device.h"
@@ -159,20 +162,54 @@ TEST_F(MachineTest, ZeroWorkRunSchedulesNoEvent) {
   EXPECT_EQ(alice_.ledger().count(Cost::kInterrupt), 0u);
 }
 
-// A sleeper is resumed by whichever of its ring and its timer comes first;
-// the other finds it settled. A frame rings the reader well before its
-// deadline, and the timer that still fires at the deadline does nothing.
+// A contended CPU is granted in FIFO order (DESIGN.md §2). The first
+// acquisition takes the free CPU and costs one delay event; each queued one
+// costs one grant event and one delay event, and its charges start when the
+// previous holder releases.
+TEST_F(MachineTest, ContendedCpuIsGrantedInFifoOrder) {
+  constexpr int kWorkers = 4;
+  std::vector<int> order;
+  std::vector<Duration> done_at;
+  std::vector<uint64_t> events_at_done;
+  auto worker = [&](int pid) -> Task {
+    co_await alice_.Run(pid, Cost::kProtocolUser, Milliseconds(1));
+    order.push_back(pid);
+    done_at.push_back(sim_.Now().time_since_epoch());
+    events_at_done.push_back(sim_.events_executed());
+  };
+  std::vector<int> pids;
+  for (int i = 0; i < kWorkers; ++i) {
+    pids.push_back(alice_.NewPid());
+    sim_.Spawn(worker(pids.back()));
+  }
+  sim_.Run();
+  EXPECT_EQ(order, pids);
+  const Duration slice = alice_.costs().context_switch + Milliseconds(1);
+  ASSERT_EQ(done_at.size(), static_cast<size_t>(kWorkers));
+  for (int i = 0; i < kWorkers; ++i) {
+    EXPECT_EQ(done_at[static_cast<size_t>(i)], slice * (i + 1));
+    EXPECT_EQ(events_at_done[static_cast<size_t>(i)], static_cast<uint64_t>(1 + 2 * i));
+  }
+  EXPECT_EQ(alice_.ledger().count(Cost::kContextSwitch), static_cast<uint64_t>(kWorkers));
+  EXPECT_EQ(alice_.cpu_owner(), pids.back());
+}
+
+// A sleeper is resumed by whichever of its ring and its timer comes first.
+// A frame rings the reader well before its deadline; the ring cancels the
+// timer, so no event is left pending and the run drains before the deadline.
 TEST_F(MachineTest, SleepRungBeforeItsTimerResumesOnce) {
   constexpr Duration kTimeout = Milliseconds(50);
   const int pid = alice_.NewPid();
   int resumed = 0;
   size_t got = 0;
+  size_t pending_after_read = 1;
   pfsim::TimePoint deadline;
   auto reader = [&]() -> Task {
     const pf::PortId port = co_await alice_.pf().Open(pid);
     co_await alice_.pf().SetFilter(pid, port, pfnet::MakePupSocketFilter(35, 10));
     deadline = sim_.Now() + alice_.costs().syscall + kTimeout;
     got = (co_await alice_.pf().Read(pid, port, kTimeout)).size();
+    pending_after_read = sim_.pending_events();
     ++resumed;
     EXPECT_LT(sim_.Now(), deadline);
   };
@@ -185,7 +222,8 @@ TEST_F(MachineTest, SleepRungBeforeItsTimerResumesOnce) {
   sim_.Run();
   EXPECT_EQ(resumed, 1);
   EXPECT_EQ(got, 1u);
-  EXPECT_GE(sim_.Now(), deadline);  // the timer fired, and found the sleeper settled
+  EXPECT_EQ(pending_after_read, 0u);
+  EXPECT_LT(sim_.Now(), deadline);
 }
 
 // The ring and the timer at the same instant, the ring first: a frame whose
@@ -222,6 +260,76 @@ TEST_F(MachineTest, SleepRungAtItsDeadlineResumesOnce) {
   EXPECT_EQ(got, 1u);
   EXPECT_EQ(carol.pf().sleepers(port), 0u);
   EXPECT_EQ(carol.metrics().FindCounter("pfdev.wakeups")->value(), 1);
+}
+
+// Close rings a timed Select through one of its ports; a frame then rings
+// the other. The select returns once, its sleeper is off every list before
+// the second ring, and its timer was cancelled with the first.
+TEST_F(MachineTest, CloseUnderATimedSelectThenARingOnItsOtherPort) {
+  const int selector_pid = alice_.NewPid();
+  const int closer_pid = alice_.NewPid();
+  pf::PortId closed = pf::kInvalidPort;
+  pf::PortId other = pf::kInvalidPort;
+  pf::PortId selected = 0;
+  int returned = 0;
+  size_t sleepers_before_close = 0;
+  auto selector = [&]() -> Task {
+    closed = co_await alice_.pf().Open(selector_pid);
+    other = co_await alice_.pf().Open(selector_pid);
+    co_await alice_.pf().SetFilter(selector_pid, other, pfnet::MakePupSocketFilter(35, 10));
+    std::vector<pf::PortId> ports = {closed, other};
+    selected = co_await alice_.pf().Select(selector_pid, std::move(ports), pfsim::Seconds(1));
+    ++returned;
+  };
+  auto closer = [&]() -> Task {
+    co_await sim_.Delay(Milliseconds(100));
+    sleepers_before_close = alice_.pf().sleepers(other);
+    co_await alice_.pf().Close(closer_pid, closed);
+    co_await alice_.pf().HandlePacket(pf::PacketBuf(pftest::MakePupFrame(8, 35, 1)), 0);
+  };
+  sim_.Spawn(selector());
+  sim_.Spawn(closer());
+  sim_.Run();
+  EXPECT_EQ(sleepers_before_close, 1u);
+  EXPECT_EQ(returned, 1);
+  EXPECT_EQ(selected, pf::kInvalidPort);  // woken by Close
+  EXPECT_EQ(alice_.pf().sleepers(other), 0u);
+  EXPECT_EQ(alice_.metrics().FindCounter("pfdev.wakeups")->value(), 1);
+  EXPECT_LT(sim_.Now().time_since_epoch(), pfsim::Seconds(1));
+}
+
+// The lists of a port hold pointers into its sleepers' frames. Tearing the
+// simulation down while a timed Read sleeps touches neither the frames nor
+// the lists, whichever of the Simulator and the Machine goes first.
+TEST(MachineTeardownTest, TimedReadAsleepAtTeardown) {
+  for (const bool simulator_first : {false, true}) {
+    SCOPED_TRACE(simulator_first ? "simulator first" : "machine first");
+    auto sim = std::make_unique<Simulator>();
+    auto segment = std::make_unique<EthernetSegment>(sim.get(), LinkType::kExperimental3Mb);
+    auto machine = std::make_unique<Machine>(sim.get(), segment.get(), MacAddr::Experimental(1),
+                                             pfkern::MicroVaxUltrixCosts(), "dave");
+    const int pid = machine->NewPid();
+    pf::PortId port = pf::kInvalidPort;
+    bool returned = false;
+    auto reader = [&]() -> Task {
+      port = co_await machine->pf().Open(pid);
+      (void)co_await machine->pf().Read(pid, port, pfsim::Seconds(1));
+      returned = true;
+    };
+    sim->Spawn(reader());
+    sim->RunFor(Milliseconds(100));
+    ASSERT_EQ(machine->pf().sleepers(port), 1u);
+    EXPECT_EQ(sim->pending_events(), 1u);  // its timer
+    if (simulator_first) {
+      sim.reset();
+      machine.reset();
+    } else {
+      machine.reset();
+      sim.reset();
+    }
+    segment.reset();
+    EXPECT_FALSE(returned);
+  }
 }
 
 TEST_F(MachineTest, CopyCostModelMatchesPaperNumbers) {

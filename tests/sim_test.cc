@@ -1,5 +1,6 @@
-// Tests for the discrete-event simulator core: event ordering, coroutine
-// tasks, timers, queues with timeout, wait queues, and the async mutex.
+// Tests for the discrete-event simulator core: event ordering and
+// cancellation, coroutine tasks, timers, queues with timeout, and wait
+// queues.
 //
 // The ordering-parity test is generated and time-boxed: seeds run while
 // the budget lasts (PF_SIM_ORDER_SECONDS, default 1; raise it for a soak).
@@ -17,6 +18,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -90,6 +92,104 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.Run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorTest, CancelBeforeFiringRemovesTheEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const pfsim::EventId first = sim.Schedule(Milliseconds(1), [&] { order.push_back(1); });
+  sim.Schedule(Milliseconds(2), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Cancel(first));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.Cancel(first));  // a second cancel is a no-op
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.Now().time_since_epoch(), Milliseconds(2));
+}
+
+TEST(SimulatorTest, CancelOfARunOrReusedEventIsANoOp) {
+  Simulator sim;
+  std::vector<int> order;
+  const pfsim::EventId ran = sim.Schedule(Duration(0), [&] { order.push_back(1); });
+  sim.Run();
+  EXPECT_FALSE(sim.Cancel(ran));  // already ran; its slot is free
+  const pfsim::EventId later = sim.Schedule(Milliseconds(1), [&] { order.push_back(2); });
+  ASSERT_EQ(later.slot, ran.slot);  // the slot now holds a later event
+  EXPECT_FALSE(sim.Cancel(ran));
+  EXPECT_FALSE(sim.Cancel(pfsim::EventId{}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SimulatorTest, RunUntilStopsAtDeadlineBehindACancelledTop) {
+  Simulator sim;
+  bool late_ran = false;
+  const pfsim::EventId top = sim.Schedule(Milliseconds(1), [] { FAIL() << "cancelled"; });
+  sim.Schedule(Milliseconds(5), [&] { late_ran = true; });
+  ASSERT_TRUE(sim.Cancel(top));
+  sim.RunUntil(TimePoint{} + Milliseconds(3));
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(sim.Now().time_since_epoch(), Milliseconds(3));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+TEST(SimulatorTest, CancelReleasesCapturesAndResumesStaySuspended) {
+  Simulator sim;
+  auto capture = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = capture;
+  const pfsim::EventId id = sim.Schedule(Milliseconds(1), [capture] {});
+  capture.reset();
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_TRUE(watch.expired());
+
+  bool resumed = false;
+  pfsim::EventId timer;
+  auto sleeper = [&]() -> Task {
+    struct Arm {
+      Simulator* sim;
+      pfsim::EventId* timer;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        *timer = sim->ScheduleResume(Milliseconds(1), h);
+      }
+      void await_resume() const noexcept {}
+    };
+    co_await Arm{&sim, &timer};
+    resumed = true;
+  };
+  sim.Spawn(sleeper());
+  EXPECT_TRUE(sim.Cancel(timer));
+  sim.Run();
+  EXPECT_FALSE(resumed);  // the frame is destroyed with the simulator
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+// Dead keys outnumbering live ones are dropped in one pass; the survivors
+// still fire in (time, insertion) order.
+TEST(SimulatorTest, CompactionKeepsTheOrderOfLiveEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<pfsim::EventId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(sim.Schedule(Microseconds(i % 7), [&order, i] { order.push_back(i); }));
+  }
+  std::vector<int> want;
+  for (int i = 0; i < 100; ++i) {
+    if (i % 5 == 0) {
+      want.push_back(i);
+    } else {
+      EXPECT_TRUE(sim.Cancel(ids[static_cast<size_t>(i)]));
+    }
+  }
+  EXPECT_EQ(sim.pending_events(), 20u);
+  std::stable_sort(want.begin(), want.end(), [](int a, int b) { return a % 7 < b % 7; });
+  sim.Run();
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.events_executed(), 20u);
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
@@ -211,8 +311,11 @@ TEST(MsgQueueTest, PopWithTimeoutDeliversValueBeforeExpiry) {
   sim.Spawn(PushLater(&sim, &queue, Milliseconds(2), 42));
   sim.Run();
   EXPECT_EQ(result, 42);
-  // The stale timer event must not disturb anything (already drained by Run).
   EXPECT_EQ(queue.waiter_count(), 0u);
+  // The hand-off cancelled the timer: the run drained at the push, and no
+  // event outlived it.
+  EXPECT_EQ(sim.Now().time_since_epoch(), Milliseconds(2));
+  EXPECT_EQ(sim.events_executed(), 2u);  // the pusher's delay, the waiter's resume
 }
 
 TEST(MsgQueueTest, ValueArrivingExactlyAtDeadlineWins) {
@@ -306,30 +409,6 @@ TEST(WaitQueueTest, NotifyOneWakesInFifoOrder) {
   EXPECT_EQ(woken, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(AsyncMutexTest, ProvidesMutualExclusionInFifoOrder) {
-  Simulator sim;
-  pfsim::AsyncMutex mutex(&sim);
-  std::vector<int> order;
-  int holders = 0;
-  int max_holders = 0;
-  auto worker = [&](int id) -> Task {
-    co_await mutex.Lock();
-    ++holders;
-    max_holders = std::max(max_holders, holders);
-    order.push_back(id);
-    co_await sim.Delay(Milliseconds(1));
-    --holders;
-    mutex.Unlock();
-  };
-  for (int i = 0; i < 4; ++i) {
-    sim.Spawn(worker(i));
-  }
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(max_holders, 1);
-  EXPECT_FALSE(mutex.locked());
-}
-
 pfsim::ValueTask<int> AddLater(Simulator* sim, int a, int b) {
   co_await sim->Delay(Milliseconds(1));
   co_return a + b;
@@ -370,17 +449,22 @@ TEST(ValueTaskTest, VoidTaskCompletesSynchronously) {
 //
 // One seeded mix generator makes every random decision; it runs once over
 // a real Simulator and once over a reference model (a plain std::function
-// priority queue keyed by (at, seq)). Each backend logs every firing with
-// the clock and the queue counters, and the two logs must match entry for
+// priority queue keyed by (at, seq), with a set of the events not yet run
+// or cancelled). Each backend logs every firing and every cancel with the
+// clock and the queue counters, and the two logs must match entry for
 // entry.
 
 constexpr int64_t kFinish = -1;
 constexpr int64_t kPark = -2;
 constexpr int kMaxIdsPerSeed = 4000;
+constexpr int kCheckpoint = -1;
+constexpr int kCancelled = -2;    // a cancel that removed a pending event
+constexpr int kCancelMissed = -3;  // a cancel of an event already run or cancelled
 
-// One log entry: who fired (-1 for a top-level checkpoint), when, and the
-// queue counters at that moment. `intact` is false when a callback found
-// its own callable destroyed while it ran.
+// One log entry: who fired (or kCheckpoint, kCancelled, kCancelMissed),
+// when, and the queue counters at that moment. `intact` is false when a
+// callback found its own callable destroyed while it ran, or a cancelled
+// callback's callable outlived its cancel.
 struct Firing {
   int id;
   int64_t now;
@@ -404,6 +488,11 @@ class Backend {
   virtual void Callback(int64_t t, bool absolute, int id) = 0;
   // ScheduleResume of a parked worker.
   virtual void Resume(int64_t delay, int worker) = 0;
+  // Cancels the `ticket`-th event made by Callback or Resume; returns
+  // whether it was still pending.
+  virtual bool Cancel(size_t ticket) = 0;
+  // Whether callback `id`'s callable has been destroyed.
+  virtual bool CallableGone(int id) const = 0;
   virtual void Spawn(int worker) = 0;
   virtual bool Step() = 0;
   virtual void RunUntil(int64_t deadline) = 0;
@@ -418,6 +507,9 @@ struct OrderCoverage {
   uint64_t spawns = 0;
   uint64_t absolute = 0;
   uint64_t cut_deadlines = 0;  // RunUntil returned with events still pending
+  uint64_t cancels = 0;        // removed a pending event
+  uint64_t stale_cancels = 0;  // named an event already run or cancelled
+  uint64_t compactions = 0;    // sweeps that left more dead keys than live ones
 };
 
 class OrderMix {
@@ -501,28 +593,66 @@ class OrderMix {
   }
 
   void Checkpoint() {
-    log_.push_back({-1, backend_->Now(), backend_->Pending(), backend_->Executed(), true});
+    log_.push_back(
+        {kCheckpoint, backend_->Now(), backend_->Pending(), backend_->Executed(), true});
+  }
+
+  bool CancelTicket(size_t t) {
+    const bool removed = backend_->Cancel(t);
+    const Ticket ticket = tickets_[t];
+    bool intact = true;
+    if (!removed) {
+      ++coverage_->stale_cancels;
+    } else if (ticket.worker >= 0) {
+      parked_.push_back(ticket.worker);  // still suspended, resumable again
+    } else {
+      intact = backend_->CallableGone(ticket.callback_id);
+    }
+    coverage_->cancels += removed ? 1 : 0;
+    log_.push_back({removed ? kCancelled : kCancelMissed, backend_->Now(), backend_->Pending(),
+                    backend_->Executed(), intact});
+    return removed;
+  }
+
+  // Cancels most of the recent events at once. Removing more than remain
+  // pending makes dead keys outnumber live ones, whatever the heap held.
+  void CancelSweep() {
+    uint64_t removed = 0;
+    for (size_t t = tickets_.size() > 256 ? tickets_.size() - 256 : 0; t < tickets_.size(); ++t) {
+      if (rng_.Below(4) != 0 && CancelTicket(t)) {
+        ++removed;
+      }
+    }
+    if (removed > backend_->Pending()) {
+      ++coverage_->compactions;
+    }
   }
 
   // Random follow-up work: usually zero to two operations, sometimes a
-  // burst that grows the slab from inside a running event.
+  // burst that grows the slab from inside a running event, or a sweep of
+  // cancels.
   void Act() {
     uint64_t n = rng_.Below(2);
     if (rng_.Below(16) == 0) {
       n = 16 + rng_.Below(48);
       ++coverage_->bursts;
     }
+    if (rng_.Below(64) == 0) {
+      CancelSweep();
+    }
     for (; n > 0; --n) {
-      switch (rng_.Below(5)) {
+      switch (rng_.Below(6)) {
         case 0:
         case 1:
           if (next_id_ < kMaxIdsPerSeed) {
+            tickets_.push_back({next_id_, -1});
             backend_->Callback(RandomDelay(), false, next_id_++);
           }
           break;
         case 2:
           if (next_id_ < kMaxIdsPerSeed) {
             ++coverage_->absolute;
+            tickets_.push_back({next_id_, -1});
             backend_->Callback(backend_->Now() + RandomDelay(), true, next_id_++);
           }
           break;
@@ -532,7 +662,13 @@ class OrderMix {
             const int worker = parked_[pick];
             parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(pick));
             ++coverage_->resumes;
+            tickets_.push_back({-1, worker});
             backend_->Resume(RandomDelay(), worker);
+          }
+          break;
+        case 4:
+          if (!tickets_.empty()) {
+            CancelTicket(rng_.Below(tickets_.size()));
           }
           break;
         default:
@@ -548,10 +684,17 @@ class OrderMix {
     }
   }
 
+  // What the ticket-th Callback or Resume scheduled: one of the two is -1.
+  struct Ticket {
+    int callback_id;
+    int worker;
+  };
+
   pfutil::Rng rng_;
   OrderCoverage* coverage_;
   Backend* backend_ = nullptr;
   std::vector<Firing> log_;
+  std::vector<Ticket> tickets_;
   std::vector<int> parked_;
   int next_id_ = 0;
   int spawn_depth_ = 0;
@@ -563,28 +706,31 @@ class ModelBackend : public Backend {
   explicit ModelBackend(OrderMix* mix) : mix_(mix) {}
 
   int64_t Now() const override { return now_; }
-  size_t Pending() const override { return queue_.size(); }
+  size_t Pending() const override { return live_.size(); }
   uint64_t Executed() const override { return executed_; }
   void Callback(int64_t t, bool absolute, int id) override {
-    At(absolute ? t : now_ + t, [this, id] { mix_->CallbackFired(id); });
+    tickets_.push_back(At(absolute ? t : now_ + t, [this, id] { mix_->CallbackFired(id); }));
   }
   void Resume(int64_t delay, int worker) override {
-    At(now_ + delay, [this, worker] { Wake(worker); });
+    tickets_.push_back(At(now_ + delay, [this, worker] { Wake(worker); }));
   }
+  bool Cancel(size_t ticket) override { return live_.erase(tickets_.at(ticket)) > 0; }
+  bool CallableGone(int /*id*/) const override { return true; }
   void Spawn(int worker) override { Wake(worker); }
   bool Step() override {
-    if (queue_.empty()) {
+    if (!DropCancelledTop()) {
       return false;
     }
     Event ev = queue_.top();
     queue_.pop();
+    live_.erase(ev.seq);
     now_ = ev.at;
     ++executed_;
     ev.fn();
     return true;
   }
   void RunUntil(int64_t deadline) override {
-    while (!queue_.empty() && queue_.top().at <= deadline) {
+    while (DropCancelledTop() && queue_.top().at <= deadline) {
       Step();
     }
     now_ = std::max(now_, deadline);
@@ -602,8 +748,17 @@ class ModelBackend : public Backend {
     }
   };
 
-  void At(int64_t at, std::function<void()> fn) {
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
+  uint64_t At(int64_t at, std::function<void()> fn) {
+    live_.insert(next_seq_);
+    queue_.push(Event{at, next_seq_, std::move(fn)});
+    return next_seq_++;
+  }
+
+  bool DropCancelledTop() {
+    while (!queue_.empty() && !live_.contains(queue_.top().seq)) {
+      queue_.pop();
+    }
+    return !queue_.empty();
   }
 
   // A worker coroutine, unrolled: a zero delay continues inline (Delay's
@@ -623,6 +778,8 @@ class ModelBackend : public Backend {
 
   OrderMix* mix_;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::unordered_set<uint64_t> live_;  // seqs neither run nor cancelled
+  std::vector<uint64_t> tickets_;
   int64_t now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
@@ -674,14 +831,15 @@ class RealBackend : public Backend {
       const size_t entry = mix->CallbackFired(id);
       mix->log()[entry].intact = token.alive();
     };
-    if (absolute) {
-      sim_.ScheduleAt(TimePoint{} + Nanoseconds(t), std::move(fn));
-    } else {
-      sim_.Schedule(Nanoseconds(t), std::move(fn));
-    }
+    tickets_.push_back(absolute ? sim_.ScheduleAt(TimePoint{} + Nanoseconds(t), std::move(fn))
+                                : sim_.Schedule(Nanoseconds(t), std::move(fn)));
   }
   void Resume(int64_t delay, int worker) override {
-    sim_.ScheduleResume(Nanoseconds(delay), parked_.at(worker));
+    tickets_.push_back(sim_.ScheduleResume(Nanoseconds(delay), parked_.at(worker)));
+  }
+  bool Cancel(size_t ticket) override { return sim_.Cancel(tickets_.at(ticket)); }
+  bool CallableGone(int id) const override {
+    return static_cast<size_t>(id) >= live_.size() || live_[static_cast<size_t>(id)] == 0;
   }
   void Spawn(int worker) override { sim_.Spawn(RealWorker(this, mix_, &sim_, worker)); }
   bool Step() override { return sim_.Step(); }
@@ -693,6 +851,7 @@ class RealBackend : public Backend {
   OrderMix* mix_;
   std::vector<int> live_;
   std::unordered_map<int, std::coroutine_handle<>> parked_;
+  std::vector<pfsim::EventId> tickets_;
   Simulator sim_;  // destroyed first: pending callbacks' tokens count into live_
 };
 
@@ -768,6 +927,9 @@ TEST(SimulatorOrderTest, GeneratedMixMatchesReferenceQueue) {
   EXPECT_GT(coverage.spawns, 0u);
   EXPECT_GT(coverage.absolute, 0u);
   EXPECT_GT(coverage.cut_deadlines, 0u);
+  EXPECT_GT(coverage.cancels, 0u);
+  EXPECT_GT(coverage.stale_cancels, 0u);
+  EXPECT_GT(coverage.compactions, 0u);
   ::testing::Test::RecordProperty("seeds", static_cast<int>(seed - first_seed));
 }
 
