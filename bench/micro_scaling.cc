@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -192,8 +193,7 @@ struct WriteCost {
 std::vector<WriteCost> WriteCosts() {
   constexpr int kReps = 15;
   constexpr int kWrites = 64;
-  std::vector<Rig> rigs;
-  rigs.reserve(std::size(kWritePortCounts));  // a Rig is never moved
+  std::deque<Rig> rigs;  // a Rig (its PacketFilter) is not movable
   for (const int ports : kWritePortCounts) {
     rigs.emplace_back(pf::Strategy::kIndexed, ports);
   }

@@ -233,9 +233,9 @@ struct Net {
       Fail(out, "segment conservation violated");
     }
     if (link.frames_carried !=
-            static_cast<uint64_t>(wire_metrics.counter("link.frames_carried")->value()) ||
+            static_cast<uint64_t>(wire_metrics.FindCounter("link.frames_carried")->value()) ||
         link.frames_lost !=
-            static_cast<uint64_t>(wire_metrics.counter("link.frames_lost")->value())) {
+            static_cast<uint64_t>(wire_metrics.FindCounter("link.frames_lost")->value())) {
       Fail(out, "segment stats disagree with metrics registry");
     }
     if (duo.segment().impairment_stats().dropped() != link.frames_lost) {
@@ -251,7 +251,7 @@ struct Net {
       }
       if (nic.ring_overflow !=
           static_cast<uint64_t>(
-              machine->metrics().counter("nic.rx.ring_overflow")->value())) {
+              machine->metrics().FindCounter("nic.rx.ring_overflow")->value())) {
         Fail(out, "NIC ring_overflow disagrees with metrics on " + machine->name());
       }
     }
@@ -262,8 +262,8 @@ struct Net {
     }
   }
 
+  pfobs::MetricsRegistry wire_metrics;  // outlives the segment attached to it
   pfbench::Duo duo;
-  pfobs::MetricsRegistry wire_metrics;
 };
 
 Outcome RunVmtp(const Cell& cell, const Delivery& delivery, int transactions,

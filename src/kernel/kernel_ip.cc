@@ -6,18 +6,20 @@ namespace pfkern {
 
 KernelIpStack::KernelIpStack(Machine* machine, uint32_t ip) : machine_(machine), ip_(ip) {
   pfobs::MetricsRegistry& registry = machine_->metrics();
-  ip_in_counter_ = registry.counter("ip.packets_in");
-  ip_out_counter_ = registry.counter("ip.packets_out");
-  ip_bad_counter_ = registry.counter("ip.bad");
-  udp_in_counter_ = registry.counter("udp.datagrams_in");
-  udp_no_port_counter_ = registry.counter("udp.no_port");
-  udp_out_counter_ = registry.counter("udp.datagrams_out");
+  registry.Expose("ip.packets_in", &stats_.ip_in);
+  registry.Expose("ip.packets_out", &stats_.ip_out);
+  registry.Expose("ip.bad", &stats_.ip_bad);
+  registry.Expose("udp.datagrams_in", &stats_.udp_in);
+  registry.Expose("udp.no_port", &stats_.udp_no_port);
+  registry.Expose("udp.datagrams_out", &stats_.udp_out);
   machine_->RegisterKernelProtocol(
       pfproto::kEtherTypeIp,
       [this](const pflink::Frame& frame, const pflink::LinkHeader& header) {
         return Input(frame, header);
       });
 }
+
+KernelIpStack::~KernelIpStack() { machine_->metrics().Retire(stats_); }
 
 void KernelIpStack::BindUdp(uint16_t port) {
   udp_ports_.emplace(port, std::make_unique<pfsim::MsgQueue<UdpDatagram>>(machine_->sim()));
@@ -41,11 +43,9 @@ pfsim::ValueTask<void> KernelIpStack::Input(const pflink::Frame& frame,
   }
   if (!ip.has_value() || !ip->checksum_ok) {
     ++stats_.ip_bad;
-    ip_bad_counter_->Add();
     co_return;
   }
   ++stats_.ip_in;
-  ip_in_counter_->Add();
 
   if (ip->header.protocol == pfproto::kIpProtoUdp) {
     const auto udp = pfproto::ParseUdp(ip->payload);
@@ -61,11 +61,9 @@ pfsim::ValueTask<void> KernelIpStack::Input(const pflink::Frame& frame,
       co_return;
     }
     ++stats_.udp_in;
-    udp_in_counter_->Add();
     const auto it = udp_ports_.find(udp->header.dst_port);
     if (it == udp_ports_.end()) {
       ++stats_.udp_no_port;
-      udp_no_port_counter_->Add();
       co_return;
     }
     UdpDatagram datagram;
@@ -106,7 +104,6 @@ pfsim::ValueTask<bool> KernelIpStack::OutputIp(int ctx, uint32_t dst_ip, uint8_t
   header.dst = dst_ip;
   header.identification = next_ip_id_++;
   ++stats_.ip_out;
-  ip_out_counter_->Add();
   co_return co_await machine_->TransmitFrame(ctx, *mac, pfproto::kEtherTypeIp,
                                              pfproto::BuildIp(header, segment));
 }
@@ -123,7 +120,6 @@ pfsim::ValueTask<bool> KernelIpStack::SendUdp(int pid, uint32_t dst_ip, uint16_t
        checksummed ? machine_->costs().ChecksumCost(data.size()) : pfsim::Duration{}}};
   co_await machine_->RunMulti(pid, charges);
   ++stats_.udp_out;
-  udp_out_counter_->Add();
   std::vector<uint8_t> segment = pfproto::BuildUdp(
       pfproto::UdpHeader{src_port, dst_port}, ip_, dst_ip, data, checksummed);
   co_return co_await OutputIp(pid, dst_ip, pfproto::kIpProtoUdp, std::move(segment));

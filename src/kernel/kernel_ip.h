@@ -35,6 +35,7 @@ class KernelIpStack {
   KernelIpStack(Machine* machine, uint32_t ip);
   KernelIpStack(const KernelIpStack&) = delete;
   KernelIpStack& operator=(const KernelIpStack&) = delete;
+  ~KernelIpStack();
 
   uint32_t ip() const { return ip_; }
   Machine* machine() { return machine_; }
@@ -73,14 +74,6 @@ class KernelIpStack {
   TcpInput tcp_input_;
   Stats stats_;
   uint16_t next_ip_id_ = 1;
-
-  // Registry-backed mirrors of Stats (src/obs), cached at construction.
-  pfobs::Counter* ip_in_counter_ = nullptr;
-  pfobs::Counter* ip_out_counter_ = nullptr;
-  pfobs::Counter* ip_bad_counter_ = nullptr;
-  pfobs::Counter* udp_in_counter_ = nullptr;
-  pfobs::Counter* udp_no_port_counter_ = nullptr;
-  pfobs::Counter* udp_out_counter_ = nullptr;
 };
 
 }  // namespace pfkern

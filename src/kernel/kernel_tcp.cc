@@ -7,9 +7,11 @@ namespace pfkern {
 // ---------------------------------------------------------------- KernelTcp
 
 KernelTcp::KernelTcp(KernelIpStack* stack) : stack_(stack), machine_(stack->machine()) {
-  segments_in_counter_ = machine_->metrics().counter("tcp.segments_in");
+  machine_->metrics().Expose("tcp.segments_in", &segments_in_);
   stack_->SetTcpInput([this](const pfproto::IpView& ip) { return Input(ip); });
 }
+
+KernelTcp::~KernelTcp() { machine_->metrics().Retire(segments_in_); }
 
 void KernelTcp::Listen(uint16_t port) {
   listeners_.emplace(port,
@@ -71,7 +73,7 @@ pfsim::ValueTask<void> KernelTcp::Input(const pfproto::IpView& ip) {
   if (!view.has_value() || !view->checksum_ok) {
     co_return;
   }
-  segments_in_counter_->Add();
+  ++segments_in_;
 
   TcpConnection* conn = FindConnection(ip.header.src, view->header.dst_port,
                                        view->header.src_port);

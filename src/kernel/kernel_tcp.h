@@ -114,6 +114,7 @@ class KernelTcp {
   explicit KernelTcp(KernelIpStack* stack);
   KernelTcp(const KernelTcp&) = delete;
   KernelTcp& operator=(const KernelTcp&) = delete;
+  ~KernelTcp();
 
   void Listen(uint16_t port);
   pfsim::ValueTask<TcpConnection*> Accept(int pid, uint16_t port, pfsim::Duration timeout);
@@ -139,7 +140,7 @@ class KernelTcp {
   size_t mss_ = 1024;
   std::vector<std::unique_ptr<TcpConnection>> connections_;
   std::map<uint16_t, std::unique_ptr<pfsim::MsgQueue<TcpConnection*>>> listeners_;
-  pfobs::Counter* segments_in_counter_ = nullptr;  // registry mirror (src/obs)
+  uint64_t segments_in_ = 0;  // "tcp.segments_in": checksum-valid segments
 };
 
 }  // namespace pfkern

@@ -15,14 +15,16 @@ std::vector<uint8_t> KernelVmtp::Assembly::Join() const {
 }
 
 KernelVmtp::KernelVmtp(Machine* machine) : machine_(machine) {
-  packets_in_counter_ = machine_->metrics().counter("vmtp.kernel.packets_in");
-  packets_out_counter_ = machine_->metrics().counter("vmtp.kernel.packets_out");
+  machine_->metrics().Expose("vmtp.kernel.packets_in", &stats_.packets_in);
+  machine_->metrics().Expose("vmtp.kernel.packets_out", &stats_.packets_out);
   machine_->RegisterKernelProtocol(
       pfproto::kEtherTypeVmtp,
       [this](const pflink::Frame& frame, const pflink::LinkHeader& header) {
         return Input(frame, header);
       });
 }
+
+KernelVmtp::~KernelVmtp() { machine_->metrics().Retire(stats_); }
 
 void KernelVmtp::RegisterServer(uint32_t server_id) {
   servers_.emplace(server_id, std::make_unique<ServerState>(machine_->sim()));
@@ -45,7 +47,6 @@ pfsim::ValueTask<void> KernelVmtp::SendGroup(int ctx, pflink::MacAddr dst,
     // Kernel protocol processing per packet, in kernel context.
     co_await machine_->Run(ctx, Cost::kProtocolKernel, machine_->costs().vmtp_kernel_proc);
     ++stats_.packets_out;
-    packets_out_counter_->Add();
     co_await machine_->TransmitFrame(ctx, dst, pfproto::kEtherTypeVmtp,
                                      pfproto::BuildVmtp(base, chunk));
   }
@@ -68,7 +69,6 @@ pfsim::ValueTask<void> KernelVmtp::Input(const pflink::Frame& frame,
     co_return;
   }
   ++stats_.packets_in;
-  packets_in_counter_->Add();
   const pfproto::VmtpHeader& h = view->header;
 
   switch (h.func) {

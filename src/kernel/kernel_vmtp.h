@@ -53,6 +53,7 @@ class KernelVmtp {
   explicit KernelVmtp(Machine* machine);
   KernelVmtp(const KernelVmtp&) = delete;
   KernelVmtp& operator=(const KernelVmtp&) = delete;
+  ~KernelVmtp();
 
   // --- Server surface ---
   void RegisterServer(uint32_t server_id);
@@ -109,9 +110,6 @@ class KernelVmtp {
   std::map<uint32_t, std::unique_ptr<ClientState>> clients_;
   uint32_t next_transaction_ = 1;
   VmtpStats stats_;
-  // Registry mirrors (src/obs), cached at construction.
-  pfobs::Counter* packets_in_counter_ = nullptr;
-  pfobs::Counter* packets_out_counter_ = nullptr;
 };
 
 }  // namespace pfkern

@@ -12,18 +12,18 @@ Machine::Machine(pfsim::Simulator* sim, pflink::EthernetSegment* segment, pflink
       addr_(addr),
       costs_(costs),
       name_(std::move(name)) {
-  nic_in_counter_ = metrics_.counter("nic.frames_in");
-  nic_out_counter_ = metrics_.counter("nic.frames_out");
-  nic_to_kernel_counter_ = metrics_.counter("nic.frames_to_kernel");
-  nic_to_pf_counter_ = metrics_.counter("nic.frames_to_pf");
-  nic_ring_overflow_counter_ = metrics_.counter("nic.rx.ring_overflow");
-  nic_crc_error_counter_ = metrics_.counter("nic.rx.crc_errors");
-  nic_truncated_counter_ = metrics_.counter("nic.rx.truncated");
-  nic_poll_kicks_counter_ = metrics_.counter("nic.poll.kicks");
-  nic_poll_rounds_counter_ = metrics_.counter("nic.poll.rounds");
-  nic_poll_frames_counter_ = metrics_.counter("nic.poll.frames");
-  copy_count_counter_ = metrics_.counter("pf.copy.count");
-  copy_bytes_counter_ = metrics_.counter("pf.copy.bytes");
+  metrics_.Expose("nic.frames_in", &nic_stats_.frames_in);
+  metrics_.Expose("nic.frames_out", &nic_stats_.frames_out);
+  metrics_.Expose("nic.frames_to_kernel", &nic_stats_.frames_to_kernel);
+  metrics_.Expose("nic.frames_to_pf", &nic_stats_.frames_to_pf);
+  metrics_.Expose("nic.rx.ring_overflow", &nic_stats_.ring_overflow);
+  metrics_.Expose("nic.rx.crc_errors", &nic_stats_.crc_errors);
+  metrics_.Expose("nic.rx.truncated", &nic_stats_.truncated);
+  metrics_.Expose("nic.poll.kicks", &nic_stats_.poll_kicks);
+  metrics_.Expose("nic.poll.rounds", &nic_stats_.poll_rounds);
+  metrics_.Expose("nic.poll.frames", &nic_stats_.poll_frames);
+  metrics_.Expose("pf.copy.count", &copies_);
+  metrics_.Expose("pf.copy.bytes", &copy_bytes_);
   taps_.set_linktype(segment_->properties().type == pflink::LinkType::kEthernet10Mb
                          ? pfutil::PcapWriter::kLinktypeEthernet
                          : pfutil::PcapWriter::kLinktypeUser0);
@@ -117,8 +117,6 @@ void Machine::MarkBlocked(int ctx) {
 Machine::Charge Machine::CopyCharge(size_t bytes) {
   ++copies_;
   copy_bytes_ += bytes;
-  copy_count_counter_->Add();
-  copy_bytes_counter_->Add(static_cast<int64_t>(bytes));
   return {Cost::kCopy, costs_.CopyCost(bytes)};
 }
 
@@ -150,7 +148,6 @@ pfsim::ValueTask<bool> Machine::TransmitBuf(int ctx, pf::PacketBuf buf) {
   const int64_t start_ns = trace_ != nullptr ? sim_->NowNanos() : 0;
   co_await Run(ctx, Cost::kDriverSend, costs_.driver_send);
   ++nic_stats_.frames_out;
-  nic_out_counter_->Add();
   if (trace_ != nullptr) {
     const int64_t now_ns = sim_->NowNanos();
     trace_->Complete(trace_track_, "kernel", "driver.send", start_ns, now_ns,
@@ -184,15 +181,12 @@ void Machine::RecordNicDrop(pf::DropReason reason, const pflink::Frame& frame) {
   switch (reason) {
     case pf::DropReason::kRingOverflow:
       ++nic_stats_.ring_overflow;
-      nic_ring_overflow_counter_->Add();
       break;
     case pf::DropReason::kBadCrc:
       ++nic_stats_.crc_errors;
-      nic_crc_error_counter_->Add();
       break;
     case pf::DropReason::kTruncated:
       ++nic_stats_.truncated;
-      nic_truncated_counter_->Add();
       break;
     default:
       break;
@@ -227,7 +221,6 @@ void Machine::RecordNicDrop(pf::DropReason reason, const pflink::Frame& frame) {
 void Machine::OnFrameDelivered(const pflink::Frame& frame, pfsim::TimePoint at) {
   (void)at;
   ++nic_stats_.frames_in;
-  nic_in_counter_->Add();
   if (taps_.stage_active(pf::TapStage::kNicRx)) {
     // Post-impairment, pre-FCS-verification: the frame exactly as the NIC
     // heard it, corrupted bytes and all — including frames about to be
@@ -279,7 +272,6 @@ pfsim::Task Machine::ReceiveTask(pflink::Frame frame) {
 pfsim::Task Machine::PollTask() {
   // The rearm interrupt: one per idle->busy transition, not one per frame.
   ++nic_stats_.poll_kicks;
-  nic_poll_kicks_counter_->Add();
   co_await Run(kInterruptContext, Cost::kInterrupt, costs_.recv_interrupt);
   while (!poll_queue_.empty()) {
     const size_t n = std::min(poll_budget_, poll_queue_.size());
@@ -288,8 +280,6 @@ pfsim::Task Machine::PollTask() {
                  costs_.poll_round + costs_.poll_per_frame * static_cast<int64_t>(n));
     ++nic_stats_.poll_rounds;
     nic_stats_.poll_frames += n;
-    nic_poll_rounds_counter_->Add();
-    nic_poll_frames_counter_->Add(static_cast<int64_t>(n));
     if (trace_ != nullptr) {
       trace_->Complete(trace_track_, "kernel", "poll.round", round_start_ns, sim_->NowNanos(),
                        {{"frames", static_cast<int64_t>(n)}});
@@ -328,7 +318,6 @@ pfsim::ValueTask<void> Machine::ProcessFrame(pflink::Frame frame) {
     const auto it = kernel_handlers_.find(header->ether_type);
     if (it != kernel_handlers_.end()) {
       ++nic_stats_.frames_to_kernel;
-      nic_to_kernel_counter_->Add();
       co_await it->second(frame, *header);
       claimed = true;
     }
@@ -338,7 +327,6 @@ pfsim::ValueTask<void> Machine::ProcessFrame(pflink::Frame frame) {
   // (Or for every packet when the fig. 3-3 tap is on.)
   if (!claimed || tap_all_to_pf_) {
     ++nic_stats_.frames_to_pf;
-    nic_to_pf_counter_->Add();
     co_await pf_device_->HandlePacket(frame.bytes,
                                       static_cast<uint64_t>(sim_->Now().time_since_epoch().count()),
                                       frame.flow_id);

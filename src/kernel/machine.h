@@ -74,8 +74,8 @@ class Machine : public pflink::Station {
 
   // --- Observability (src/obs) ---
   // Every machine owns a metrics registry; the demux, engine, device, and
-  // protocol stacks register their counters/histograms into it at
-  // construction time.
+  // protocol stacks expose their counts and register their histograms in
+  // it at construction time.
   pfobs::MetricsRegistry& metrics() { return metrics_; }
   const pfobs::MetricsRegistry& metrics() const { return metrics_; }
   // Tracing is opt-in: attach a (shared, per-simulation) session and this
@@ -260,13 +260,6 @@ class Machine : public pflink::Station {
   pfobs::MetricsRegistry metrics_;
   pfobs::TraceSession* trace_ = nullptr;
   int trace_track_ = 0;
-  pfobs::Counter* nic_in_counter_ = nullptr;
-  pfobs::Counter* nic_out_counter_ = nullptr;
-  pfobs::Counter* nic_to_kernel_counter_ = nullptr;
-  pfobs::Counter* nic_to_pf_counter_ = nullptr;
-  pfobs::Counter* nic_ring_overflow_counter_ = nullptr;
-  pfobs::Counter* nic_crc_error_counter_ = nullptr;
-  pfobs::Counter* nic_truncated_counter_ = nullptr;
 
   bool cpu_locked_ = false;
   std::deque<Acquire*> cpu_waiters_;  // FIFO
@@ -288,15 +281,10 @@ class Machine : public pflink::Station {
   size_t poll_budget_ = 16;
   bool poll_active_ = false;              // a PollTask is draining
   std::deque<pflink::Frame> poll_queue_;  // the rx ring, poller's view
-  pfobs::Counter* nic_poll_kicks_counter_ = nullptr;
-  pfobs::Counter* nic_poll_rounds_counter_ = nullptr;
-  pfobs::Counter* nic_poll_frames_counter_ = nullptr;
 
   // pf.copy.* (see CopyCharge).
   uint64_t copies_ = 0;
   uint64_t copy_bytes_ = 0;
-  pfobs::Counter* copy_count_counter_ = nullptr;
-  pfobs::Counter* copy_bytes_counter_ = nullptr;
 };
 
 }  // namespace pfkern

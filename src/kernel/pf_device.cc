@@ -21,13 +21,13 @@ PacketFilterDevice::PacketFilterDevice(Machine* machine) : machine_(machine) {
   filter_.set_device_info(info);
 
   pfobs::MetricsRegistry& registry = machine_->metrics();
-  reads_counter_ = registry.counter("pfdev.reads");
-  read_packets_counter_ = registry.counter("pfdev.read_packets");
-  writes_counter_ = registry.counter("pfdev.writes");
-  wakeups_counter_ = registry.counter("pfdev.wakeups");
-  ring_posts_counter_ = registry.counter("pfdev.ring.posts");
-  ring_reaped_counter_ = registry.counter("pfdev.ring.reaped");
-  ring_tx_posts_counter_ = registry.counter("pfdev.ring.tx_posts");
+  registry.Expose("pfdev.reads", &reads_);
+  registry.Expose("pfdev.read_packets", &read_packets_);
+  registry.Expose("pfdev.writes", &writes_);
+  registry.Expose("pfdev.wakeups", &wakeups_);
+  registry.Expose("pfdev.ring.posts", &ring_posts_);
+  registry.Expose("pfdev.ring.reaped", &ring_reaped_);
+  registry.Expose("pfdev.ring.tx_posts", &ring_tx_posts_);
   for (const pf::Strategy strategy : pf::kAllStrategies) {
     filter_eval_hist_[static_cast<size_t>(strategy)] =
         registry.histogram("pf.filter_eval." + pf::ToString(strategy));
@@ -145,7 +145,7 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
     int pid, pf::PortId port, pfsim::Duration timeout) {
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t read_start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
-  reads_counter_->Add();
+  ++reads_;
   // On a ring device a read is a reap (DESIGN.md §13): it crosses into the
   // kernel only to sleep on an empty ring, and reaps descriptors instead of
   // copying packets out.
@@ -213,9 +213,9 @@ pfsim::ValueTask<std::vector<pf::ReceivedPacket>> PacketFilterDevice::Read(
   }
   co_await machine_->RunMulti(pid, std::span(charges.data(), out.size()));
   if (ring) {
-    ring_reaped_counter_->Add(out.size());
+    ring_reaped_ += out.size();
   }
-  read_packets_counter_->Add(out.size());
+  read_packets_ += out.size();
   if (trace != nullptr) {
     const int64_t now_ns = machine_->sim()->NowNanos();
     const int track = machine_->trace_track();
@@ -240,7 +240,7 @@ pfsim::ValueTask<bool> PacketFilterDevice::Write(int pid, pf::PacketBuf frame) {
   pfobs::TraceSession* trace = machine_->trace();
   const int64_t start_ns = trace != nullptr ? machine_->sim()->NowNanos() : 0;
   const int64_t bytes = static_cast<int64_t>(frame.size());
-  writes_counter_->Add();
+  ++writes_;
   const Machine::Charge charges[] = {{Cost::kSyscall, machine_->costs().syscall},
                                      TxCharge(frame.size())};
   co_await machine_->RunMulti(pid, charges);
@@ -257,7 +257,7 @@ Machine::Charge PacketFilterDevice::TxCharge(size_t bytes) {
   if (ring_slots_ > 0) {
     // TX ring: the frame's block is already mapped into both domains, so
     // write() posts a descriptor instead of copying into a kernel buffer.
-    ring_tx_posts_counter_->Add();
+    ++ring_tx_posts_;
     ring_post_hist_->Record(machine_->costs().ring_post.count());
     return {Cost::kRingPost, machine_->costs().ring_post};
   }
@@ -413,7 +413,7 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
       // Ring delivery: publish one mapped descriptor per copy (producer
       // index update) — the bytes themselves never move again.
       charges[n++] = {Cost::kRingPost, machine_->costs().ring_post * result.deliveries};
-      ring_posts_counter_->Add(result.deliveries);
+      ring_posts_ += result.deliveries;
       for (uint32_t i = 0; i < result.deliveries; ++i) {
         ring_post_hist_->Record(machine_->costs().ring_post.count());
       }
@@ -447,7 +447,7 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
 
   // Now wake the sleepers of every port this frame reached.
   if (!reached.empty()) {
-    wakeups_counter_->Add(reached.size());
+    wakeups_ += reached.size();
     if (trace != nullptr) {
       trace->Instant(machine_->trace_track(), "pf", "pf.wakeup",
                      machine_->sim()->NowNanos(),

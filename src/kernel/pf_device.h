@@ -211,17 +211,18 @@ class PacketFilterDevice {
   pfsim::Duration conn_gc_interval_ = pfsim::Milliseconds(10);
   bool conn_gc_armed_ = false;
 
-  // Observability (src/obs): registered into the machine's registry once at
-  // construction, recorded by pointer on the hot paths. The per-strategy
-  // filter-eval histograms sample the *simulated* FilterCost per packet, so
-  // their sums reconcile exactly with the Ledger's kFilterEval charge.
-  pfobs::Counter* reads_counter_ = nullptr;
-  pfobs::Counter* read_packets_counter_ = nullptr;
-  pfobs::Counter* writes_counter_ = nullptr;
-  pfobs::Counter* wakeups_counter_ = nullptr;
-  pfobs::Counter* ring_posts_counter_ = nullptr;     // RX descriptors posted
-  pfobs::Counter* ring_reaped_counter_ = nullptr;    // RX descriptors reaped
-  pfobs::Counter* ring_tx_posts_counter_ = nullptr;  // TX descriptors posted
+  // Observability (src/obs): the "pfdev.*" counts, exposed in the machine's
+  // registry at construction, and histograms registered there once and
+  // recorded by pointer on the hot paths. The per-strategy filter-eval
+  // histograms sample the *simulated* FilterCost per packet, so their sums
+  // reconcile exactly with the Ledger's kFilterEval charge.
+  uint64_t reads_ = 0;
+  uint64_t read_packets_ = 0;
+  uint64_t writes_ = 0;
+  uint64_t wakeups_ = 0;
+  uint64_t ring_posts_ = 0;     // RX descriptors posted
+  uint64_t ring_reaped_ = 0;    // RX descriptors reaped
+  uint64_t ring_tx_posts_ = 0;  // TX descriptors posted
   pfobs::Histogram* filter_eval_hist_[pf::kStrategyCount] = {};
   // One sample per descriptor posted/reaped; sums reconcile exactly with
   // ledger.ring_post.* / ledger.ring_reap.* (asserted in obs_test and the

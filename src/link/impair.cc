@@ -7,34 +7,14 @@ namespace pflink {
 
 Impairer::Impairer(const ImpairmentConfig& config) : config_(config), rng_(config.seed) {}
 
-void Impairer::AttachMetrics(pfobs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.frames = registry->counter("link.impair.frames");
-  metrics_.dropped_independent = registry->counter("link.impair.dropped_independent");
-  metrics_.dropped_burst = registry->counter("link.impair.dropped_burst");
-  metrics_.corrupted = registry->counter("link.impair.corrupted");
-  metrics_.duplicated = registry->counter("link.impair.duplicated");
-  metrics_.truncated = registry->counter("link.impair.truncated");
-  metrics_.reordered = registry->counter("link.impair.reordered");
-}
-
 Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::TimePoint now) {
   Verdict verdict;
   ++stats_.frames_seen;
-  if (metrics_.frames != nullptr) {
-    metrics_.frames->Add();
-  }
 
   // 1. Independent loss — one draw per frame, exactly the legacy
   // SetLossRate sequence when only `loss` is configured.
   if (config_.loss > 0.0 && rng_.Chance(config_.loss)) {
     ++stats_.dropped_independent;
-    if (metrics_.dropped_independent != nullptr) {
-      metrics_.dropped_independent->Add();
-    }
     verdict.dropped = true;
     return verdict;
   }
@@ -64,9 +44,6 @@ Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::Time
     }
     if (in_burst_ && (config_.burst_loss >= 1.0 || rng_.Chance(config_.burst_loss))) {
       ++stats_.dropped_burst;
-      if (metrics_.dropped_burst != nullptr) {
-        metrics_.dropped_burst->Add();
-      }
       verdict.dropped = true;
       return verdict;
     }
@@ -76,9 +53,6 @@ Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::Time
   // truncation mutate this instance).
   if (config_.duplicate > 0.0 && rng_.Chance(config_.duplicate)) {
     ++stats_.duplicated;
-    if (metrics_.duplicated != nullptr) {
-      metrics_.duplicated->Add();
-    }
     verdict.duplicate = true;
   }
 
@@ -86,9 +60,6 @@ Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::Time
   if (config_.corrupt > 0.0 && frame->bytes.size() > header_len &&
       rng_.Chance(config_.corrupt)) {
     ++stats_.corrupted;
-    if (metrics_.corrupted != nullptr) {
-      metrics_.corrupted->Add();
-    }
     const uint64_t payload_bits = (frame->bytes.size() - header_len) * 8;
     const int max_flips = config_.corrupt_max_bits > 0 ? config_.corrupt_max_bits : 1;
     const uint64_t flips = rng_.Range(1, static_cast<uint64_t>(max_flips));
@@ -107,9 +78,6 @@ Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::Time
   if (config_.truncate > 0.0 && frame->bytes.size() > header_len &&
       rng_.Chance(config_.truncate)) {
     ++stats_.truncated;
-    if (metrics_.truncated != nullptr) {
-      metrics_.truncated->Add();
-    }
     // A view shrink, not a copy: a shared block (e.g. a pristine duplicate)
     // keeps its full-length view.
     frame->bytes.Truncate(rng_.Range(header_len, frame->bytes.size() - 1));
@@ -119,9 +87,6 @@ Impairer::Verdict Impairer::Apply(Frame* frame, uint32_t header_len, pfsim::Time
   if (config_.reorder > 0.0 && config_.reorder_jitter.count() > 0 &&
       rng_.Chance(config_.reorder)) {
     ++stats_.reordered;
-    if (metrics_.reordered != nullptr) {
-      metrics_.reordered->Add();
-    }
     verdict.extra_delay =
         pfsim::Duration(1 + static_cast<int64_t>(
                                 rng_.Below(static_cast<uint64_t>(config_.reorder_jitter.count()))));

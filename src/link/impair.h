@@ -43,7 +43,6 @@
 #include <cstdint>
 
 #include "src/link/frame.h"
-#include "src/obs/metrics.h"
 #include "src/sim/sim_time.h"
 #include "src/util/rng.h"
 
@@ -124,27 +123,12 @@ class Impairer {
   const ImpairmentConfig& config() const { return config_; }
   const ImpairmentStats& stats() const { return stats_; }
 
-  // Registers "link.impair.*" counters; pointers are cached so the hot path
-  // pays a null check when no registry is attached.
-  void AttachMetrics(pfobs::MetricsRegistry* registry);
-
  private:
   ImpairmentConfig config_;
   ImpairmentStats stats_;
   pfutil::Rng rng_;
   bool in_burst_ = false;           // Gilbert–Elliott state
   pfsim::TimePoint burst_until_{};  // burst window end while in_burst_
-
-  struct Metrics {
-    pfobs::Counter* frames = nullptr;
-    pfobs::Counter* dropped_independent = nullptr;
-    pfobs::Counter* dropped_burst = nullptr;
-    pfobs::Counter* corrupted = nullptr;
-    pfobs::Counter* duplicated = nullptr;
-    pfobs::Counter* truncated = nullptr;
-    pfobs::Counter* reordered = nullptr;
-  };
-  Metrics metrics_;
 };
 
 }  // namespace pflink

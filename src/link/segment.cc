@@ -26,8 +26,13 @@ void EthernetSegment::SetLossRate(double p, uint64_t seed) {
 }
 
 void EthernetSegment::SetImpairments(const ImpairmentConfig& config) {
+  if (registry_ != nullptr && impairer_ != nullptr) {
+    registry_->Retire(impairer_->stats());
+  }
   impairer_ = std::make_unique<Impairer>(config);
-  impairer_->AttachMetrics(registry_);
+  if (registry_ != nullptr) {
+    ExposeImpairer();
+  }
 }
 
 const ImpairmentStats& EthernetSegment::impairment_stats() const {
@@ -40,17 +45,32 @@ const ImpairmentConfig* EthernetSegment::impairment_config() const {
 }
 
 void EthernetSegment::AttachMetrics(pfobs::MetricsRegistry* registry) {
-  registry_ = registry;
   if (registry_ != nullptr) {
-    carried_counter_ = registry_->counter("link.frames_carried");
-    lost_counter_ = registry_->counter("link.frames_lost");
-  } else {
-    carried_counter_ = nullptr;
-    lost_counter_ = nullptr;
+    registry_->Retire(stats_);
+    if (impairer_ != nullptr) {
+      registry_->Retire(impairer_->stats());
+    }
   }
+  registry_ = registry;
+  if (registry_ == nullptr) {
+    return;
+  }
+  registry_->Expose("link.frames_carried", &stats_.frames_carried);
+  registry_->Expose("link.frames_lost", &stats_.frames_lost);
   if (impairer_ != nullptr) {
-    impairer_->AttachMetrics(registry_);
+    ExposeImpairer();
   }
+}
+
+void EthernetSegment::ExposeImpairer() {
+  const ImpairmentStats& stats = impairer_->stats();
+  registry_->Expose("link.impair.frames", &stats.frames_seen);
+  registry_->Expose("link.impair.dropped_independent", &stats.dropped_independent);
+  registry_->Expose("link.impair.dropped_burst", &stats.dropped_burst);
+  registry_->Expose("link.impair.corrupted", &stats.corrupted);
+  registry_->Expose("link.impair.duplicated", &stats.duplicated);
+  registry_->Expose("link.impair.truncated", &stats.truncated);
+  registry_->Expose("link.impair.reordered", &stats.reordered);
 }
 
 void EthernetSegment::Transmit(const Station* from, Frame frame) {
@@ -85,9 +105,6 @@ void EthernetSegment::Transmit(const Station* from, Frame frame) {
   const Impairer::Verdict verdict = impairer_->Apply(&frame, props_.header_len, done);
   if (verdict.dropped) {
     ++stats_.frames_lost;
-    if (lost_counter_ != nullptr) {
-      lost_counter_->Add();
-    }
     return;  // the medium stays busy for the lost frame's duration
   }
   if (verdict.duplicate) {
@@ -103,9 +120,6 @@ void EthernetSegment::Transmit(const Station* from, Frame frame) {
 void EthernetSegment::Carry(Frame frame, pfsim::TimePoint at, pfsim::Duration extra_delay) {
   stats_.frames_carried++;
   stats_.bytes_carried += frame.size();
-  if (carried_counter_ != nullptr) {
-    carried_counter_->Add();
-  }
   sim_->ScheduleAt(at + kPropagationDelay + extra_delay,
                    [this, f = std::move(frame)] { Deliver(f); });
 }
@@ -116,8 +130,8 @@ void EthernetSegment::Deliver(const Frame& frame) {
     return;
   }
   // Iterate over a snapshot: a delivery callback may attach/detach stations.
-  const std::vector<Station*> snapshot = stations_;
-  for (Station* s : snapshot) {
+  delivery_snapshot_.assign(stations_.begin(), stations_.end());
+  for (Station* s : delivery_snapshot_) {
     const bool addressed = header->dst == s->link_addr() || header->dst.IsBroadcast() ||
                            header->dst.IsMulticast();
     if (addressed || s->promiscuous()) {

@@ -21,6 +21,7 @@
 
 #include "src/link/frame.h"
 #include "src/link/impair.h"
+#include "src/obs/metrics.h"
 #include "src/sim/sim_time.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -46,6 +47,7 @@ class EthernetSegment {
   EthernetSegment(pfsim::Simulator* sim, LinkType type);
   EthernetSegment(const EthernetSegment&) = delete;
   EthernetSegment& operator=(const EthernetSegment&) = delete;
+  ~EthernetSegment() { AttachMetrics(nullptr); }
 
   void Attach(Station* station);
   void Detach(Station* station);
@@ -69,9 +71,11 @@ class EthernetSegment {
   const ImpairmentStats& impairment_stats() const;
   const ImpairmentConfig* impairment_config() const;
 
-  // Registers this segment's "link.*" counters (carried/lost plus the
-  // impairment breakdown) into `registry`. One registry at a time; the
-  // impairment engine inherits it across SetImpairments calls.
+  // Exposes this segment's "link.*" counters (carried/lost plus the
+  // impairment breakdown) in `registry`. One registry at a time; null
+  // detaches, retiring them from the registry last attached (so does
+  // destruction). A replaced impairment engine's counts are retired too,
+  // so "link.impair.*" counts on across SetImpairments calls.
   void AttachMetrics(pfobs::MetricsRegistry* registry);
 
   const LinkProperties& properties() const { return props_; }
@@ -95,16 +99,19 @@ class EthernetSegment {
  private:
   void Carry(Frame frame, pfsim::TimePoint at, pfsim::Duration extra_delay);
   void Deliver(const Frame& frame);
+  // Exposes the impairment engine's counters in registry_ (both set).
+  void ExposeImpairer();
 
   pfsim::Simulator* sim_;
   LinkProperties props_;
   std::vector<Station*> stations_;
+  // Deliver's copy of stations_, reused frame to frame (Deliver only runs
+  // from a scheduled event, so it never nests).
+  std::vector<Station*> delivery_snapshot_;
   pfsim::TimePoint medium_free_at_{};
   uint64_t next_flow_id_ = 1;
   std::unique_ptr<Impairer> impairer_;
   pfobs::MetricsRegistry* registry_ = nullptr;
-  pfobs::Counter* carried_counter_ = nullptr;
-  pfobs::Counter* lost_counter_ = nullptr;
   Stats stats_;
 };
 

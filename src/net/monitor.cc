@@ -13,34 +13,20 @@ namespace pfnet {
 
 NetworkMonitor::NetworkMonitor(pfkern::Machine* machine) : machine_(machine) {
   pfobs::MetricsRegistry& registry = machine_->metrics();
-  frames_ = registry.counter("monitor.frames");
-  bytes_ = registry.counter("monitor.bytes");
-  ip_ = registry.counter("monitor.ip");
-  udp_ = registry.counter("monitor.udp");
-  tcp_ = registry.counter("monitor.tcp");
-  arp_ = registry.counter("monitor.arp");
-  rarp_ = registry.counter("monitor.rarp");
-  pup_ = registry.counter("monitor.pup");
-  vmtp_ = registry.counter("monitor.vmtp");
-  other_ = registry.counter("monitor.other");
-  dropped_ = registry.counter("monitor.dropped");
+  registry.Expose("monitor.frames", &counters_.frames);
+  registry.Expose("monitor.bytes", &counters_.bytes);
+  registry.Expose("monitor.ip", &counters_.ip);
+  registry.Expose("monitor.udp", &counters_.udp);
+  registry.Expose("monitor.tcp", &counters_.tcp);
+  registry.Expose("monitor.arp", &counters_.arp);
+  registry.Expose("monitor.rarp", &counters_.rarp);
+  registry.Expose("monitor.pup", &counters_.pup);
+  registry.Expose("monitor.vmtp", &counters_.vmtp);
+  registry.Expose("monitor.other", &counters_.other);
+  registry.Expose("monitor.dropped", &counters_.dropped);
 }
 
-NetworkMonitor::Counters NetworkMonitor::Snapshot() const {
-  Counters out;
-  out.frames = static_cast<uint64_t>(frames_->value());
-  out.bytes = static_cast<uint64_t>(bytes_->value());
-  out.ip = static_cast<uint64_t>(ip_->value());
-  out.udp = static_cast<uint64_t>(udp_->value());
-  out.tcp = static_cast<uint64_t>(tcp_->value());
-  out.arp = static_cast<uint64_t>(arp_->value());
-  out.rarp = static_cast<uint64_t>(rarp_->value());
-  out.pup = static_cast<uint64_t>(pup_->value());
-  out.vmtp = static_cast<uint64_t>(vmtp_->value());
-  out.other = static_cast<uint64_t>(other_->value());
-  out.dropped = static_cast<uint64_t>(dropped_->value());
-  return out;
-}
+NetworkMonitor::~NetworkMonitor() { machine_->metrics().Retire(counters_); }
 
 pfsim::ValueTask<std::unique_ptr<NetworkMonitor>> NetworkMonitor::Create(
     pfkern::Machine* machine, int pid) {
@@ -80,41 +66,41 @@ pfsim::ValueTask<size_t> NetworkMonitor::Poll(int pid, pfsim::Duration timeout,
                     DescribeFrame(machine_->link_properties().type, packet.bytes).c_str());
       decoded->push_back(line);
     }
-    frames_->Add();
-    bytes_->Add(packet.bytes.size());
-    dropped_->Add(packet.dropped_before);
+    ++counters_.frames;
+    counters_.bytes += packet.bytes.size();
+    counters_.dropped += packet.dropped_before;
 
     const auto header = pflink::ParseHeader(machine_->link_properties().type, packet.bytes);
     if (!header.has_value()) {
-      other_->Add();
+      ++counters_.other;
       continue;
     }
     switch (header->ether_type) {
       case pfproto::kEtherTypeIp: {
-        ip_->Add();
+        ++counters_.ip;
         const auto ip = pfproto::ParseIp(
             pflink::FramePayload(machine_->link_properties().type, packet.bytes));
         if (ip.has_value() && ip->header.protocol == pfproto::kIpProtoUdp) {
-          udp_->Add();
+          ++counters_.udp;
         } else if (ip.has_value() && ip->header.protocol == pfproto::kIpProtoTcp) {
-          tcp_->Add();
+          ++counters_.tcp;
         }
         break;
       }
       case pfproto::kEtherTypeArp:
-        arp_->Add();
+        ++counters_.arp;
         break;
       case pfproto::kEtherTypeRarp:
-        rarp_->Add();
+        ++counters_.rarp;
         break;
       case pfproto::kEtherTypePup:
-        pup_->Add();
+        ++counters_.pup;
         break;
       case pfproto::kEtherTypeVmtp:
-        vmtp_->Add();
+        ++counters_.vmtp;
         break;
       default:
-        other_->Add();
+        ++counters_.other;
         break;
     }
   }
@@ -122,7 +108,7 @@ pfsim::ValueTask<size_t> NetworkMonitor::Poll(int pid, pfsim::Duration timeout,
 }
 
 std::string NetworkMonitor::Summary() const {
-  const Counters counters = Snapshot();
+  const Counters& counters = counters_;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "captured %llu frames (%llu bytes, %llu lost): "

@@ -34,9 +34,9 @@ namespace pfnet {
 
 class NetworkMonitor {
  public:
-  // A point-in-time copy of the capture counters. The live counters are
-  // "monitor.*" entries in the machine's metrics registry (src/obs); this
-  // struct is just the read-back convenience for callers and tests.
+  // The capture counters, exposed as "monitor.*" in the machine's metrics
+  // registry (src/obs); retired from it when the monitor is destroyed, so
+  // the registry keeps reading the final counts.
   struct Counters {
     uint64_t frames = 0;
     uint64_t bytes = 0;
@@ -53,6 +53,7 @@ class NetworkMonitor {
 
   static pfsim::ValueTask<std::unique_ptr<NetworkMonitor>> Create(pfkern::Machine* machine,
                                                                   int pid);
+  ~NetworkMonitor();
 
   // Reads one batch (blocking up to `timeout`), decodes and records it.
   // Returns the number of frames captured by this call; if `decoded` is
@@ -60,7 +61,7 @@ class NetworkMonitor {
   pfsim::ValueTask<size_t> Poll(int pid, pfsim::Duration timeout,
                                 std::vector<std::string>* decoded = nullptr);
 
-  Counters Snapshot() const;
+  Counters Snapshot() const { return counters_; }
   // The capture: the monitor's tap on the machine's shared pcapng stream.
   // record_count()/size() reflect everything enqueued on the monitor port;
   // WriteCapture dumps the stream (including any other attached taps).
@@ -80,18 +81,7 @@ class NetworkMonitor {
   pfkern::Machine* machine_;
   pf::PortId port_ = pf::kInvalidPort;
   int tap_id_ = 0;
-  // Live counters in the machine registry ("monitor.frames" etc.), cached.
-  pfobs::Counter* frames_ = nullptr;
-  pfobs::Counter* bytes_ = nullptr;
-  pfobs::Counter* ip_ = nullptr;
-  pfobs::Counter* udp_ = nullptr;
-  pfobs::Counter* tcp_ = nullptr;
-  pfobs::Counter* arp_ = nullptr;
-  pfobs::Counter* rarp_ = nullptr;
-  pfobs::Counter* pup_ = nullptr;
-  pfobs::Counter* vmtp_ = nullptr;
-  pfobs::Counter* other_ = nullptr;
-  pfobs::Counter* dropped_ = nullptr;
+  Counters counters_;
 };
 
 }  // namespace pfnet

@@ -113,24 +113,29 @@ FlowTable::FlowTable(Config config)
 }
 
 void FlowTable::AttachMetrics(MetricsRegistry* registry) {
+  if (registry_ != nullptr) {
+    registry_->Retire(totals_);
+  }
+  registry_ = registry;
   if (registry == nullptr) {
-    metrics_ = Metrics{};
+    active_gauge_ = nullptr;
+    latency_hist_ = nullptr;
     return;
   }
-  metrics_.packets = registry->counter("pf.flow.packets");
-  metrics_.bytes = registry->counter("pf.flow.bytes");
-  metrics_.deliveries = registry->counter("pf.flow.deliveries");
-  metrics_.drops = registry->counter("pf.flow.drops");
-  metrics_.flows_seen = registry->counter("pf.flow.flows_seen");
-  metrics_.evictions = registry->counter("pf.flow.evictions");
-  metrics_.active = registry->gauge("pf.flow.active");
-  metrics_.latency = registry->histogram("pf.flow.latency");
+  registry->Expose("pf.flow.packets", &totals_.packets);
+  registry->Expose("pf.flow.bytes", &totals_.bytes);
+  registry->Expose("pf.flow.deliveries", &totals_.deliveries);
+  registry->Expose("pf.flow.drops", &totals_.drops);
+  registry->Expose("pf.flow.flows_seen", &totals_.flows_seen);
+  registry->Expose("pf.flow.evictions", &totals_.evictions);
+  active_gauge_ = registry->gauge("pf.flow.active");
+  latency_hist_ = registry->histogram("pf.flow.latency");
   UpdateGauges();
 }
 
 void FlowTable::UpdateGauges() {
-  if (metrics_.active != nullptr) {
-    metrics_.active->Set(static_cast<int64_t>(entries_.size()));
+  if (active_gauge_ != nullptr) {
+    active_gauge_->Set(static_cast<int64_t>(entries_.size()));
   }
 }
 
@@ -156,9 +161,6 @@ FlowTable::Entry* FlowTable::Touch(uint64_t signature, uint64_t now_ns) {
     index_.erase(victim.signature);
     entries_.pop_back();
     ++totals_.evictions;
-    if (metrics_.evictions != nullptr) {
-      metrics_.evictions->Add();
-    }
   }
   entries_.push_front(Entry{});
   Entry& entry = entries_.front();
@@ -168,9 +170,6 @@ FlowTable::Entry* FlowTable::Touch(uint64_t signature, uint64_t now_ns) {
   entry.generation = generation_;
   index_[signature] = entries_.begin();
   ++totals_.flows_seen;
-  if (metrics_.flows_seen != nullptr) {
-    metrics_.flows_seen->Add();
-  }
   UpdateGauges();
   return &entry;
 }
@@ -185,11 +184,6 @@ void FlowTable::Record(uint64_t signature, size_t bytes, uint32_t deliveries,
   totals_.bytes += bytes;
   totals_.deliveries += deliveries;
   sketch_.Add(signature);
-  if (metrics_.packets != nullptr) {
-    metrics_.packets->Add();
-    metrics_.bytes->Add(bytes);
-    metrics_.deliveries->Add(deliveries);
-  }
 }
 
 void FlowTable::RecordDrop(uint64_t signature, size_t slot, uint64_t now_ns) {
@@ -201,9 +195,6 @@ void FlowTable::RecordDrop(uint64_t signature, size_t slot, uint64_t now_ns) {
   ++entry->drops_by_slot[slot];
   ++totals_.drops;
   ++totals_.drops_by_slot[slot];
-  if (metrics_.drops != nullptr) {
-    metrics_.drops->Add();
-  }
 }
 
 void FlowTable::RecordLatency(uint64_t signature, int64_t latency_ns) {
@@ -216,8 +207,8 @@ void FlowTable::RecordLatency(uint64_t signature, int64_t latency_ns) {
   }
   ++totals_.latency_samples;
   totals_.latency_sum_ns += latency_ns;
-  if (metrics_.latency != nullptr) {
-    metrics_.latency->Record(latency_ns);
+  if (latency_hist_ != nullptr) {
+    latency_hist_->Record(latency_ns);
   }
 }
 
@@ -232,15 +223,6 @@ std::vector<FlowTable::Entry> FlowTable::Snapshot() const {
 
 std::vector<SpaceSavingSketch::Entry> FlowTable::TopK(size_t n) const {
   return sketch_.Top(n);
-}
-
-void FlowTable::Clear() {
-  entries_.clear();
-  index_.clear();
-  sketch_ = SpaceSavingSketch(config_.top_k);
-  totals_ = Totals{};
-  generation_ = 0;
-  UpdateGauges();
 }
 
 }  // namespace pfobs

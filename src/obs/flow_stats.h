@@ -145,9 +145,11 @@ class FlowTable {
 
   FlowTable();  // default Config
   explicit FlowTable(Config config);
+  ~FlowTable() { AttachMetrics(nullptr); }
 
-  // Registers "pf.flow.*" counters/gauges; null detaches. Counters are
-  // cached pointers — the hot path pays a null check when detached.
+  // Exposes totals() as "pf.flow.*" counters and registers the active
+  // gauge and latency histogram; null detaches, retiring the counters from
+  // the registry last attached (so does destruction).
   void AttachMetrics(MetricsRegistry* registry);
 
   // One call per demuxed packet with the copies enqueued for it. Drops
@@ -170,8 +172,6 @@ class FlowTable {
   // The sketch's ranking (count desc). `n` bounds the output.
   std::vector<SpaceSavingSketch::Entry> TopK(size_t n = SIZE_MAX) const;
 
-  void Clear();
-
   // Test hook: forces the touch counter so tests can pin down wraparound
   // behavior (eviction order is list order, never a generation compare, so
   // a wrapped generation only affects the post-hoc stamps).
@@ -189,17 +189,11 @@ class FlowTable {
   Totals totals_;
   uint64_t generation_ = 0;
 
-  struct Metrics {
-    Counter* packets = nullptr;
-    Counter* bytes = nullptr;
-    Counter* deliveries = nullptr;
-    Counter* drops = nullptr;
-    Counter* flows_seen = nullptr;
-    Counter* evictions = nullptr;
-    Gauge* active = nullptr;
-    Histogram* latency = nullptr;
-  };
-  Metrics metrics_;
+  // The registry attached by AttachMetrics (null = detached), and the
+  // gauge and histogram registered there.
+  MetricsRegistry* registry_ = nullptr;
+  Gauge* active_gauge_ = nullptr;
+  Histogram* latency_hist_ = nullptr;
 };
 
 }  // namespace pfobs

@@ -1,6 +1,8 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <cstdio>
 
 namespace pfobs {
@@ -59,7 +61,24 @@ void Histogram::Reset() {
   max_ = 0;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) { return &counters_[name]; }
+void MetricsRegistry::Expose(const std::string& name, const uint64_t* field) {
+  Counter& counter = counters_[name];
+  assert(counter.field_ == nullptr);
+  counter.field_ = field;
+  counter.base_ -= *field;
+}
+
+void MetricsRegistry::Retire(const void* owner, size_t size) {
+  const auto begin = reinterpret_cast<uintptr_t>(owner);
+  for (auto& [name, counter] : counters_) {
+    const auto at = reinterpret_cast<uintptr_t>(counter.field_);
+    if (counter.field_ != nullptr && at >= begin && at - begin < size) {
+      counter.base_ += *counter.field_;
+      counter.field_ = nullptr;
+    }
+  }
+}
+
 Gauge* MetricsRegistry::gauge(const std::string& name) { return &gauges_[name]; }
 
 Histogram* MetricsRegistry::histogram(const std::string& name) {
@@ -91,7 +110,7 @@ const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
 
 void MetricsRegistry::Reset() {
   for (auto& [name, c] : counters_) {
-    c.Reset();
+    c.base_ = c.field_ == nullptr ? 0 : 0 - *c.field_;
   }
   for (auto& [name, g] : gauges_) {
     g.Reset();

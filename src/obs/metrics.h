@@ -3,10 +3,21 @@
 //
 // Design constraints (mirroring what made counters cheap in the historical
 // kernels this repo reproduces):
-//   * Hot paths hold raw Counter*/Histogram* pointers obtained once at
-//     attach/registration time — recording is an increment, never a map
-//     lookup. Registry storage is node-based (std::map), so the pointers
-//     stay valid for the registry's lifetime.
+//   * One count per event. A counter has no storage of its own: its owner
+//     keeps the count in a plain uint64_t field (usually a member of the
+//     owner's Stats struct) and registers the field's address once with
+//     Expose(). The hot path increments that field and nothing else;
+//     value(), ToText/ToJson and the sampler read it in place.
+//   * Fold on retire. An owner that dies, detaches or is replaced while its
+//     registry lives on calls Retire() first: each counter keeps the value
+//     it reads at that moment, and a later Expose of the same name counts
+//     on from there — so a counter is cumulative across owners, and no
+//     registry entry points into freed memory. A registry must outlive
+//     every owner still exposed in it.
+//   * Gauges and histograms are registry-owned; hot paths hold raw
+//     Gauge*/Histogram* pointers obtained once at registration. Registry
+//     storage is node-based (std::map), so the pointers stay valid for the
+//     registry's lifetime.
 //   * Everything is keyed on *simulated* time. Histogram samples are
 //     nanoseconds of simulated duration (or any other int64 unit the
 //     registrant chooses, e.g. instructions per packet).
@@ -27,14 +38,17 @@
 
 namespace pfobs {
 
+// A named view of a count kept by its owner (see MetricsRegistry::Expose).
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
+  uint64_t value() const { return field_ == nullptr ? base_ : base_ + *field_; }
 
  private:
-  uint64_t value_ = 0;
+  friend class MetricsRegistry;
+  const uint64_t* field_ = nullptr;  // the live owner's field, if any
+  // Retired owners' final counts, less the live field's value at its
+  // Expose (or at Reset). Unsigned wraparound keeps value() exact.
+  uint64_t base_ = 0;
 };
 
 class Gauge {
@@ -104,9 +118,23 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  // Registers `name` as a view of `*field`, a count its owner keeps: from
+  // now on the counter gains whatever `*field` gains (a name registered
+  // before counts on from its current value). A name has one live owner
+  // at a time, which must Retire the field before it dies while this
+  // registry lives on.
+  void Expose(const std::string& name, const uint64_t* field);
+  // Folds every exposed field inside the `size` bytes at `owner` into its
+  // counter and stops reading it: each counter keeps the value it reads
+  // now. Retire(stats_) retires a Stats struct, Retire(*this) an object.
+  void Retire(const void* owner, size_t size);
+  template <typename T>
+  void Retire(const T& owner) {
+    Retire(&owner, sizeof(T));
+  }
+
   // Find-or-create. Returned pointers remain valid for the registry's
   // lifetime; hot paths cache them.
-  Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
   Histogram* histogram(const std::string& name, std::vector<int64_t> bounds);
@@ -123,7 +151,8 @@ class MetricsRegistry {
 
   size_t size() const { return counters_.size() + gauges_.size() + histograms_.size(); }
 
-  // Zeroes every metric (registration survives; cached pointers stay valid).
+  // Zeroes every metric (registration survives; cached pointers stay valid;
+  // counters count on from zero, their owners' fields untouched).
   void Reset();
 
   // Human-readable dump, one metric per line, sorted by name. Histograms

@@ -33,39 +33,46 @@ void ConnDB::Reconfigure(Config config) {
 }
 
 void ConnDB::AttachMetrics(pfobs::MetricsRegistry* registry, const std::string& prefix) {
+  if (registry_ != nullptr) {
+    registry_->Retire(stats_);
+  }
+  registry_ = registry;
   if (registry == nullptr) {
-    metrics_ = Metrics{};
+    live_gauge_ = capacity_gauge_ = emergency_gauge_ = nullptr;
     return;
   }
-  const auto counter = [&](const char* name) { return registry->counter(prefix + name); };
-  metrics_.lookups = counter(".lookups");
-  metrics_.hits = counter(".hits");
-  metrics_.misses = counter(".misses");
-  metrics_.stale_epoch = counter(".stale_epoch");
-  metrics_.created = counter(".created");
-  metrics_.updated = counter(".updated");
-  metrics_.refused = counter(".refused");
-  metrics_.expired_lazy = counter(".expired.lazy");
-  metrics_.expired_gc = counter(".expired.gc");
-  metrics_.evicted_capacity = counter(".evicted.capacity");
-  metrics_.evicted_emergency = counter(".evicted.emergency");
-  metrics_.evicted_stale = counter(".evicted.stale");
-  metrics_.emergency_engaged = counter(".emergency.engaged");
-  metrics_.emergency_disengaged = counter(".emergency.disengaged");
-  metrics_.gc_sweeps = counter(".gc.sweeps");
-  metrics_.gc_scanned = counter(".gc.scanned");
-  metrics_.gc_reclaimed = counter(".gc.reclaimed");
-  metrics_.live = registry->gauge(prefix + ".live");
-  metrics_.capacity = registry->gauge(prefix + ".capacity");
-  metrics_.emergency = registry->gauge(prefix + ".emergency");
+  const auto expose = [&](const char* name, const uint64_t* field) {
+    registry->Expose(prefix + name, field);
+  };
+  expose(".lookups", &stats_.lookups);
+  expose(".hits", &stats_.hits);
+  expose(".misses", &stats_.misses);
+  expose(".stale_epoch", &stats_.stale_epoch);
+  expose(".created", &stats_.created);
+  expose(".updated", &stats_.updated);
+  expose(".refused", &stats_.refused);
+  expose(".expired.lazy", &stats_.expired_lazy);
+  expose(".expired.gc", &stats_.expired_gc);
+  expose(".evicted.capacity", &stats_.evicted_capacity);
+  expose(".evicted.emergency", &stats_.evicted_emergency);
+  expose(".evicted.stale", &stats_.evicted_stale);
+  expose(".emergency.engaged", &stats_.emergency_engaged);
+  expose(".emergency.disengaged", &stats_.emergency_disengaged);
+  expose(".gc.sweeps", &stats_.gc_sweeps);
+  expose(".gc.scanned", &stats_.gc_scanned);
+  // A GC reclamation is the event expired.gc counts: one field, two names.
+  expose(".gc.reclaimed", &stats_.expired_gc);
+  live_gauge_ = registry->gauge(prefix + ".live");
+  capacity_gauge_ = registry->gauge(prefix + ".capacity");
+  emergency_gauge_ = registry->gauge(prefix + ".emergency");
   UpdateGauges();
 }
 
 void ConnDB::UpdateGauges() {
-  if (metrics_.live != nullptr) {
-    metrics_.live->Set(static_cast<int64_t>(live_));
-    metrics_.capacity->Set(static_cast<int64_t>(config_.capacity));
-    metrics_.emergency->Set(emergency_ ? 1 : 0);
+  if (live_gauge_ != nullptr) {
+    live_gauge_->Set(static_cast<int64_t>(live_));
+    capacity_gauge_->Set(static_cast<int64_t>(config_.capacity));
+    emergency_gauge_->Set(emergency_ ? 1 : 0);
   }
 }
 
@@ -110,25 +117,18 @@ void ConnDB::Remove(uint32_t i, RemoveCause cause) {
   switch (cause) {
     case RemoveCause::kExpiredLazy:
       ++stats_.expired_lazy;
-      if (metrics_.expired_lazy != nullptr) metrics_.expired_lazy->Add();
       break;
     case RemoveCause::kExpiredGc:
       ++stats_.expired_gc;
-      if (metrics_.expired_gc != nullptr) metrics_.expired_gc->Add();
       break;
     case RemoveCause::kEvictedCapacity:
       ++stats_.evicted_capacity;
-      if (metrics_.evicted_capacity != nullptr) metrics_.evicted_capacity->Add();
       break;
     case RemoveCause::kEvictedEmergency:
       ++stats_.evicted_emergency;
-      if (metrics_.evicted_emergency != nullptr) {
-        metrics_.evicted_emergency->Add();
-      }
       break;
     case RemoveCause::kEvictedStale:
       ++stats_.evicted_stale;
-      if (metrics_.evicted_stale != nullptr) metrics_.evicted_stale->Add();
       break;
   }
 }
@@ -137,26 +137,18 @@ void ConnDB::UpdateWatermark() {
   if (!emergency_ && live_ >= high_count_) {
     emergency_ = true;
     ++stats_.emergency_engaged;
-    if (metrics_.emergency_engaged != nullptr) {
-      metrics_.emergency_engaged->Add();
-    }
   } else if (emergency_ && live_ <= low_count_) {
     emergency_ = false;
     ++stats_.emergency_disengaged;
-    if (metrics_.emergency_disengaged != nullptr) {
-      metrics_.emergency_disengaged->Add();
-    }
   }
 }
 
 const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
                                     uint64_t epoch, size_t bytes) {
   ++stats_.lookups;
-  if (metrics_.lookups != nullptr) metrics_.lookups->Add();
   const auto it = index_.find(signature);
   if (it == index_.end()) {
     ++stats_.misses;
-    if (metrics_.misses != nullptr) metrics_.misses->Add();
     return nullptr;
   }
   const uint32_t i = it->second;
@@ -166,7 +158,6 @@ const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
     UpdateWatermark();
     UpdateGauges();
     ++stats_.misses;
-    if (metrics_.misses != nullptr) metrics_.misses->Add();
     return nullptr;
   }
   if (entry.epoch != epoch) {
@@ -175,8 +166,6 @@ const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
     // caller's full walk will Establish() over it (kUpdated) and restamp.
     ++stats_.stale_epoch;
     ++stats_.misses;
-    if (metrics_.stale_epoch != nullptr) metrics_.stale_epoch->Add();
-    if (metrics_.misses != nullptr) metrics_.misses->Add();
     return nullptr;
   }
   ++generation_;
@@ -187,7 +176,6 @@ const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
   ++entry.packets;
   entry.bytes += bytes;
   ++stats_.hits;
-  if (metrics_.hits != nullptr) metrics_.hits->Add();
   return &entry;
 }
 
@@ -210,7 +198,6 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
     ++entry.packets;
     entry.bytes += bytes;
     ++stats_.updated;
-    if (metrics_.updated != nullptr) metrics_.updated->Add();
     return EstablishOutcome::kUpdated;
   }
 
@@ -218,7 +205,6 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
   // including ones refused below — so the partition identity
   // created == live + expired + evicted + refused holds at all times.
   ++stats_.created;
-  if (metrics_.created != nullptr) metrics_.created->Add();
 
   if (emergency_) {
     // Shed the oldest-generation (LRU-tail) entries, bounded per attempt so
@@ -231,7 +217,6 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
   }
   if (config_.capacity == 0 || (emergency_ && config_.refuse_new_in_emergency)) {
     ++stats_.refused;
-    if (metrics_.refused != nullptr) metrics_.refused->Add();
     UpdateGauges();
     return EstablishOutcome::kRefused;
   }
@@ -279,7 +264,6 @@ void ConnDB::Invalidate(uint64_t signature) {
 
 size_t ConnDB::GcSweep(uint64_t now_ns) {
   ++stats_.gc_sweeps;
-  if (metrics_.gc_sweeps != nullptr) metrics_.gc_sweeps->Add();
   size_t reclaimed = 0;
   const size_t span = std::min(config_.gc_batch, slots_.size());
   for (size_t n = 0; n < span; ++n) {
@@ -292,10 +276,6 @@ size_t ConnDB::GcSweep(uint64_t now_ns) {
       Remove(i, RemoveCause::kExpiredGc);
       ++reclaimed;
     }
-  }
-  if (metrics_.gc_scanned != nullptr) metrics_.gc_scanned->Add(span);
-  if (metrics_.gc_reclaimed != nullptr && reclaimed > 0) {
-    metrics_.gc_reclaimed->Add(reclaimed);
   }
   if (reclaimed > 0) {
     UpdateWatermark();

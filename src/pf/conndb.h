@@ -127,6 +127,7 @@ class ConnDB {
 
   ConnDB() : ConnDB(Config{}) {}
   explicit ConnDB(Config config) { Reconfigure(config); }
+  ~ConnDB() { AttachMetrics(nullptr); }
 
   // Applies `config` in place. Entries and counters carry over; entries
   // beyond the new capacity are shed from the LRU tail (evicted_capacity),
@@ -175,8 +176,9 @@ class ConnDB {
   // Live entries, most-recently-touched first (pfstat --conn).
   std::vector<Entry> Snapshot() const;
 
-  // Registers "<prefix>.*" counters/gauges ("pf.conn.lookups", ...); null
-  // detaches. Pointers are cached — detached, every hook is a null check.
+  // Exposes stats() as "<prefix>.*" counters ("pf.conn.lookups", ...) and
+  // registers the live/capacity/emergency gauges; null detaches, retiring
+  // the counters from the registry last attached (so does destruction).
   void AttachMetrics(pfobs::MetricsRegistry* registry, const std::string& prefix = "pf.conn");
 
  private:
@@ -221,29 +223,12 @@ class ConnDB {
   uint64_t generation_ = 0;
   Stats stats_;
 
-  struct Metrics {
-    pfobs::Counter* lookups = nullptr;
-    pfobs::Counter* hits = nullptr;
-    pfobs::Counter* misses = nullptr;
-    pfobs::Counter* stale_epoch = nullptr;
-    pfobs::Counter* created = nullptr;
-    pfobs::Counter* updated = nullptr;
-    pfobs::Counter* refused = nullptr;
-    pfobs::Counter* expired_lazy = nullptr;
-    pfobs::Counter* expired_gc = nullptr;
-    pfobs::Counter* evicted_capacity = nullptr;
-    pfobs::Counter* evicted_emergency = nullptr;
-    pfobs::Counter* evicted_stale = nullptr;
-    pfobs::Counter* emergency_engaged = nullptr;
-    pfobs::Counter* emergency_disengaged = nullptr;
-    pfobs::Counter* gc_sweeps = nullptr;
-    pfobs::Counter* gc_scanned = nullptr;
-    pfobs::Counter* gc_reclaimed = nullptr;
-    pfobs::Gauge* live = nullptr;
-    pfobs::Gauge* capacity = nullptr;
-    pfobs::Gauge* emergency = nullptr;
-  };
-  Metrics metrics_;
+  // The registry attached by AttachMetrics (null = detached), and the
+  // gauges registered there.
+  pfobs::MetricsRegistry* registry_ = nullptr;
+  pfobs::Gauge* live_gauge_ = nullptr;
+  pfobs::Gauge* capacity_gauge_ = nullptr;
+  pfobs::Gauge* emergency_gauge_ = nullptr;
 };
 
 }  // namespace pf

@@ -223,22 +223,23 @@ const PortExtension* PacketFilter::Extension(PortId id) const {
 }
 
 void PacketFilter::AttachMetrics(pfobs::MetricsRegistry* registry) {
+  if (registry_ != nullptr) {
+    registry_->Retire(global_stats_);
+  }
   registry_ = registry;
   if (flow_table_ != nullptr) {
     flow_table_->AttachMetrics(registry);
   }
-  if (registry == nullptr) {
-    metrics_ = DemuxMetrics{};
-  } else {
-    metrics_.packets_in = registry->counter("pf.demux.packets_in");
-    metrics_.accepted = registry->counter("pf.demux.accepted");
-    metrics_.unclaimed = registry->counter("pf.demux.unclaimed");
-    metrics_.deliveries = registry->counter("pf.demux.deliveries");
-    metrics_.drops = registry->counter("pf.demux.drops");
-    metrics_.filter_errors = registry->counter("pf.demux.filter_errors");
+  if (registry != nullptr) {
+    registry->Expose("pf.demux.packets_in", &global_stats_.packets_in);
+    registry->Expose("pf.demux.accepted", &global_stats_.packets_accepted);
+    registry->Expose("pf.demux.unclaimed", &global_stats_.packets_unclaimed);
+    registry->Expose("pf.demux.deliveries", &global_stats_.deliveries);
+    registry->Expose("pf.demux.drops", &global_stats_.drops);
+    registry->Expose("pf.demux.filter_errors", &global_stats_.filter_errors);
     for (size_t i = 0; i < kDropReasonCount; ++i) {
-      metrics_.drop_reasons[i] =
-          registry->counter("pf.drop." + ToSlug(static_cast<DropReason>(i)));
+      registry->Expose("pf.drop." + ToSlug(static_cast<DropReason>(i)),
+                       &global_stats_.drops_by_reason[i]);
     }
   }
   flows_.AttachMetrics(tracking_ ? registry : nullptr);
@@ -277,9 +278,6 @@ void PacketFilter::CountDrop(PortState* port, DropReason reason, std::span<const
     ++port->stats.drops_by_reason[index];
   }
   ++global_stats_.drops_by_reason[index];
-  if (metrics_.drop_reasons[index] != nullptr) {
-    metrics_.drop_reasons[index]->Add();
-  }
   // The flow signature is the cross-reference between the flight recorder,
   // the per-flow accounting, and any drop-path capture tap — compute it
   // once if any of them is listening.
@@ -403,7 +401,6 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     }
   }
 
-  uint32_t filter_errors = 0;
   // Drop classification inputs: what went wrong while testing filters, and
   // where the first erroring filter stopped (the flight recorder's pc).
   bool saw_short = false;
@@ -414,7 +411,7 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
       return;
     }
     ++port->stats.filter_errors;
-    ++filter_errors;
+    ++global_stats_.filter_errors;
     (verdict.status == ExecStatus::kOutOfPacket ? saw_short : saw_other_error) = true;
     if (error_pc < 0 && verdict.insns_executed > 0) {
       error_pc = static_cast<int32_t>(verdict.insns_executed) - 1;
@@ -515,13 +512,8 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
                global_stats_.drops_by_reason[static_cast<size_t>(DropReason::kShortPacket)] +
                global_stats_.drops_by_reason[static_cast<size_t>(DropReason::kFilterError)]);
   }
-  if (metrics_.packets_in != nullptr) {
-    metrics_.packets_in->Add();
-    (result.accepted ? metrics_.accepted : metrics_.unclaimed)->Add();
-    metrics_.deliveries->Add(result.deliveries);
-    metrics_.drops->Add(result.drops);
-    metrics_.filter_errors->Add(filter_errors);
-  }
+  global_stats_.deliveries += result.deliveries;
+  global_stats_.drops += result.drops;
   // Per-flow accounting: exactly one Record per demuxed packet, so
   // pf.flow.packets == pf.demux.packets_in and pf.flow.deliveries ==
   // pf.demux.deliveries bit-exactly (drops were folded in by CountDrop).

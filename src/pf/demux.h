@@ -103,6 +103,9 @@ struct FilterGlobalStats {
   uint64_t packets_in = 0;
   uint64_t packets_accepted = 0;
   uint64_t packets_unclaimed = 0;  // rejected by every filter (fig. 4-1 Drop)
+  uint64_t deliveries = 0;         // copies enqueued
+  uint64_t drops = 0;              // accepted copies lost (overflow or veto)
+  uint64_t filter_errors = 0;      // interpreter errors while testing packets
   ExecTelemetry exec;              // accumulated engine telemetry
   // Every non-delivered packet (and every non-delivered copy) accounted to
   // exactly one reason: the whole-packet reasons decompose
@@ -116,6 +119,7 @@ struct FilterGlobalStats {
 class PacketFilter {
  public:
   explicit PacketFilter(DeviceInfo info = {});
+  ~PacketFilter() { AttachMetrics(nullptr); }
 
   // --- Port lifecycle ---
   PortId OpenPort();
@@ -192,10 +196,12 @@ class PacketFilter {
   void SetBusyReordering(bool enabled);
 
   // --- Observability (src/obs) ---
-  // Registers the demultiplexer's counters ("pf.demux.*") and the engine's
-  // per-strategy metrics into `registry`. Counter pointers are cached, so
-  // with no registry attached (the default — e.g. the wall-clock
-  // microbenchmarks) each hook is a null check.
+  // Exposes global_stats() as the demultiplexer's counters ("pf.demux.*",
+  // "pf.drop.<reason>") in `registry`, with the engine's per-strategy
+  // metrics and, when on, the flow table and the connection table. Null
+  // detaches, retiring them all from the registry last attached (so does
+  // destruction). With no registry attached (the default — e.g. the
+  // wall-clock microbenchmarks) the engine's hook is a null check.
   void AttachMetrics(pfobs::MetricsRegistry* registry);
 
   // --- Per-flow accounting (src/obs/flow_stats.h, DESIGN.md §16) ---
@@ -339,18 +345,6 @@ class PacketFilter {
   uint64_t cur_sig_ = 0;  // see SigOf()
   // See enqueued(); cleared per Demux, its capacity reused.
   std::vector<PortId> enqueued_;
-
-  struct DemuxMetrics {
-    pfobs::Counter* packets_in = nullptr;
-    pfobs::Counter* accepted = nullptr;
-    pfobs::Counter* unclaimed = nullptr;
-    pfobs::Counter* deliveries = nullptr;
-    pfobs::Counter* drops = nullptr;
-    pfobs::Counter* filter_errors = nullptr;
-    // "pf.drop.<reason>", indexed by DropReason.
-    pfobs::Counter* drop_reasons[kDropReasonCount] = {};
-  };
-  DemuxMetrics metrics_;
 
   // The flow-state fast path's table, consulted only while tracking_. After
   // the per-packet fields above, so that they share as few cache lines as

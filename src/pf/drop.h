@@ -17,7 +17,7 @@
 //     system lands in one vocabulary.
 //
 // PacketFilter keeps per-port and global per-reason counters (demux.h) and
-// mirrors them into "pf.drop.<reason>" registry counters; the recorder is
+// exposes the global ones as "pf.drop.<reason>" registry counters; the recorder is
 // off by default (a null check on the drop path) and enabled by
 // PacketFilter::SetFlightRecorder.
 #ifndef SRC_PF_DROP_H_

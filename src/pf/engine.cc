@@ -190,11 +190,11 @@ std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
 }
 
 void Engine::AttachMetrics(pfobs::MetricsRegistry* registry) {
+  if (metrics_registry_ != nullptr) {
+    metrics_registry_->Retire(strategy_counts_);
+  }
   metrics_registry_ = registry;
   if (registry == nullptr) {
-    for (StrategyMetrics& metrics : strategy_metrics_) {
-      metrics = StrategyMetrics{};
-    }
     return;
   }
   // Work histograms are instruction counts, not latencies: small linear-ish
@@ -202,11 +202,11 @@ void Engine::AttachMetrics(pfobs::MetricsRegistry* registry) {
   const std::vector<int64_t> insn_bounds = {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
   for (const Strategy strategy : kAllStrategies) {
     const std::string prefix = "engine." + ToString(strategy);
-    StrategyMetrics& metrics = strategy_metrics_[static_cast<size_t>(strategy)];
-    metrics.passes = registry->counter(prefix + ".passes");
-    metrics.filters_run = registry->counter(prefix + ".filters_run");
-    metrics.insns = registry->counter(prefix + ".insns");
-    metrics.insns_per_pass = registry->histogram(prefix + ".insns_per_pass", insn_bounds);
+    StrategyCounts& counts = strategy_counts_[static_cast<size_t>(strategy)];
+    registry->Expose(prefix + ".passes", &counts.passes);
+    registry->Expose(prefix + ".filters_run", &counts.filters_run);
+    registry->Expose(prefix + ".insns", &counts.insns);
+    counts.insns_per_pass = registry->histogram(prefix + ".insns_per_pass", insn_bounds);
   }
 }
 
@@ -214,12 +214,12 @@ void Engine::RecordPass(const ExecTelemetry& telemetry) {
   if (metrics_registry_ == nullptr) {
     return;
   }
-  StrategyMetrics& metrics = strategy_metrics_[static_cast<size_t>(strategy_)];
-  metrics.passes->Add();
-  metrics.filters_run->Add(telemetry.filters_run);
+  StrategyCounts& counts = strategy_counts_[static_cast<size_t>(strategy_)];
+  ++counts.passes;
+  counts.filters_run += telemetry.filters_run;
   const uint64_t work = telemetry.insns_executed + telemetry.index_probes;
-  metrics.insns->Add(work);
-  metrics.insns_per_pass->Record(static_cast<int64_t>(work));
+  counts.insns += work;
+  counts.insns_per_pass->Record(static_cast<int64_t>(work));
 }
 
 void Engine::set_strategy(Strategy strategy) {

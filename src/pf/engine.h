@@ -152,10 +152,11 @@ class Engine {
   Strategy strategy() const { return strategy_; }
 
   // --- Observability (src/obs) ---
-  // Registers per-strategy counters ("engine.<strategy>.passes" /
-  // ".filters_run" / ".insns") and a work histogram
-  // ("engine.<strategy>.insns_per_pass"). Metric pointers are cached here,
-  // so with no registry attached instrumentation is a null check.
+  // Exposes per-strategy counts ("engine.<strategy>.passes" /
+  // ".filters_run" / ".insns") and registers a work histogram
+  // ("engine.<strategy>.insns_per_pass"); with no registry attached,
+  // RecordPass is a null check. Null detaches, retiring the counts from
+  // the registry last attached; the host detaches before the engine dies.
   void AttachMetrics(pfobs::MetricsRegistry* registry);
   // Folds one finished pass's telemetry into the attached registry under
   // the *current* strategy; no-op when none is attached. Hosts that own the
@@ -301,10 +302,11 @@ class Engine {
   // uncovered_ranks_.
   void RemapIndexRanks(uint32_t lo, uint32_t hi);
 
-  struct StrategyMetrics {
-    pfobs::Counter* passes = nullptr;
-    pfobs::Counter* filters_run = nullptr;
-    pfobs::Counter* insns = nullptr;
+  // What RecordPass counts per strategy while a registry is attached.
+  struct StrategyCounts {
+    uint64_t passes = 0;
+    uint64_t filters_run = 0;
+    uint64_t insns = 0;
     pfobs::Histogram* insns_per_pass = nullptr;
   };
 
@@ -314,7 +316,7 @@ class Engine {
   // per-binding instruction counts live in Binding::profile.
   uint64_t profiled_index_probes_ = 0;
   pfobs::MetricsRegistry* metrics_registry_ = nullptr;
-  StrategyMetrics strategy_metrics_[kStrategyCount];
+  StrategyCounts strategy_counts_[kStrategyCount];
   std::unordered_map<Key, Binding> filters_;
   bool dirty_ = false;        // Refresh() pending
   // A new-key Bind or an Unbind since the last SetOrder; implies dirty_,

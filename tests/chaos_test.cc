@@ -156,9 +156,9 @@ class ChaosNet {
     EXPECT_EQ(link.frames_offered + link.frames_duplicated,
               link.frames_carried + link.frames_lost);
     EXPECT_EQ(link.frames_carried,
-              static_cast<uint64_t>(wire_metrics_.counter("link.frames_carried")->value()));
+              static_cast<uint64_t>(wire_metrics_.FindCounter("link.frames_carried")->value()));
     EXPECT_EQ(link.frames_lost,
-              static_cast<uint64_t>(wire_metrics_.counter("link.frames_lost")->value()));
+              static_cast<uint64_t>(wire_metrics_.FindCounter("link.frames_lost")->value()));
     const pflink::ImpairmentStats& impair = segment_.impairment_stats();
     EXPECT_EQ(impair.dropped(), link.frames_lost);
 
@@ -175,12 +175,12 @@ class ChaosNet {
           << machine->name();
       EXPECT_EQ(nic.ring_overflow,
                 static_cast<uint64_t>(
-                    machine->metrics().counter("nic.rx.ring_overflow")->value()))
+                    machine->metrics().FindCounter("nic.rx.ring_overflow")->value()))
           << machine->name();
       // One wakeup per enqueued copy: every frame wakes exactly the ports
       // its demux reached, whatever the cell did to the frames' timing.
-      EXPECT_EQ(machine->metrics().counter("pfdev.wakeups")->value(),
-                machine->metrics().counter("pf.demux.deliveries")->value())
+      EXPECT_EQ(machine->metrics().FindCounter("pfdev.wakeups")->value(),
+                machine->metrics().FindCounter("pf.demux.deliveries")->value())
           << machine->name();
     }
     EXPECT_GE(heard, link.frames_carried);
@@ -568,16 +568,16 @@ TEST(ChaosTest, ConnDbFloodChurnHoldsIdentityAndReconcilesLedger) {
 
     // Metrics reconcile bit-exactly with the DB's own counters.
     pfobs::MetricsRegistry& metrics = receiver.metrics();
-    EXPECT_EQ(metrics.counter("pf.conn.lookups")->value(), st.lookups);
-    EXPECT_EQ(metrics.counter("pf.conn.hits")->value(), st.hits);
-    EXPECT_EQ(metrics.counter("pf.conn.created")->value(), st.created);
-    EXPECT_EQ(metrics.counter("pf.conn.refused")->value(), st.refused);
-    EXPECT_EQ(metrics.counter("pf.conn.expired.gc")->value(), st.expired_gc);
-    EXPECT_EQ(metrics.counter("pf.conn.evicted.emergency")->value(),
+    EXPECT_EQ(metrics.FindCounter("pf.conn.lookups")->value(), st.lookups);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.hits")->value(), st.hits);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.created")->value(), st.created);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.refused")->value(), st.refused);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.expired.gc")->value(), st.expired_gc);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.evicted.emergency")->value(),
               st.evicted_emergency);
-    EXPECT_EQ(metrics.counter("pf.conn.emergency.engaged")->value(),
+    EXPECT_EQ(metrics.FindCounter("pf.conn.emergency.engaged")->value(),
               st.emergency_engaged);
-    EXPECT_EQ(metrics.counter("pf.conn.gc.sweeps")->value(), st.gc_sweeps);
+    EXPECT_EQ(metrics.FindCounter("pf.conn.gc.sweeps")->value(), st.gc_sweeps);
 
     // Ledger reconciliation: one kConnDb charge per packet that consulted
     // the DB, one kConnGc charge per sweep the worker ran.

@@ -315,7 +315,9 @@ TEST(FlowTableTest, MetricsExportMatchesTotals) {
 // Satellite: MetricsSampler prefix selectors pick up the pf.flow.* family.
 TEST(FlowTableTest, SamplerPrefixSelectsFlowMetrics) {
   pfobs::MetricsRegistry registry;
-  registry.counter("unrelated.count")->Add(3);
+  uint64_t unrelated = 0;
+  registry.Expose("unrelated.count", &unrelated);
+  unrelated = 3;
   FlowTable table;
   table.AttachMetrics(&registry);
   table.Record(11, 64, 1, 1000);
@@ -341,8 +343,8 @@ pf::Program SocketFilter(uint32_t socket, uint8_t priority) {
 // core's own counters bit-exactly, whatever mix of accepts, rejects, and
 // queue overflows the traffic produced — the tentpole acceptance identity.
 TEST(FlowReconciliationTest, FlowTotalsMatchDemuxCounters) {
+  pfobs::MetricsRegistry registry;  // outlives the filter attached to it
   pf::PacketFilter filter;
-  pfobs::MetricsRegistry registry;
   filter.AttachMetrics(&registry);
   filter.EnableFlowStats({.capacity = 3, .top_k = 8});  // force eviction churn
   const pf::PortId p35 = filter.OpenPort();
@@ -408,6 +410,46 @@ TEST(FlowReconciliationTest, FlowTotalsMatchDemuxCounters) {
     EXPECT_LE(entry77->drops,
               global.drops_by_reason[static_cast<size_t>(pf::DropReason::kQueueOverflow)]);
   }
+}
+
+// "pf.flow.*" spans the filter's flow tables: disabling flow accounting
+// keeps what the table counted, packets demuxed while it is off are not
+// counted, and a re-enabled (fresh) table counts on from there.
+TEST(FlowReconciliationTest, FlowCountersCountOnAcrossDisableAndReEnable) {
+  pfobs::MetricsRegistry registry;  // outlives the filter attached to it
+  pf::PacketFilter filter;
+  filter.AttachMetrics(&registry);
+  filter.EnableFlowStats();
+  const pf::PortId p35 = filter.OpenPort();
+  ASSERT_TRUE(filter.SetFilter(p35, SocketFilter(35, 10)).ok);
+  const auto demux = [&filter, p35](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      filter.Demux(pftest::MakePupFrame(8, 35));
+      filter.Pop(p35);
+    }
+  };
+  const pfobs::Counter* packets = nullptr;
+  const pfobs::Counter* flows_seen = nullptr;
+  demux(5);
+  packets = registry.FindCounter("pf.flow.packets");
+  flows_seen = registry.FindCounter("pf.flow.flows_seen");
+  ASSERT_NE(packets, nullptr);
+  ASSERT_NE(flows_seen, nullptr);
+  EXPECT_EQ(packets->value(), 5u);
+  EXPECT_EQ(flows_seen->value(), 1u);
+
+  filter.DisableFlowStats();
+  EXPECT_EQ(packets->value(), 5u);
+  demux(3);  // not accounted: the table is gone
+  EXPECT_EQ(packets->value(), 5u);
+
+  filter.EnableFlowStats();
+  demux(2);
+  ASSERT_NE(filter.flow_stats(), nullptr);
+  EXPECT_EQ(filter.flow_stats()->totals().packets, 2u);
+  EXPECT_EQ(packets->value(), 7u);
+  EXPECT_EQ(flows_seen->value(), 2u);  // the fresh table inserted the flow again
+  EXPECT_EQ(registry.FindCounter("pf.demux.packets_in")->value(), 10u);
 }
 
 // Reconciliation at the machine layer: flow accounting enabled through the

@@ -6,6 +6,7 @@
 #include "src/link/frame.h"
 #include "src/link/impair.h"
 #include "src/link/segment.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/util/byte_order.h"
 #include "src/util/rng.h"
@@ -342,6 +343,50 @@ TEST(SegmentTest, LossConservationIdentityUnderSeededLoss) {
   // Every carried frame reached its (single) addressee.
   EXPECT_EQ(b.frames.size(), stats.frames_carried);
   EXPECT_EQ(segment.impairment_stats().dropped(), stats.frames_lost);
+}
+
+// "link.impair.*" is cumulative over the segment's impairment engines: a
+// second SetImpairments keeps what the first engine counted and counts on,
+// while impairment_stats() reports only the engine in place.
+TEST(SegmentTest, ReplacedImpairmentsKeepTheirRegistryCounts) {
+  pfsim::Simulator sim;
+  pfobs::MetricsRegistry registry;  // outlives the segment attached to it
+  EthernetSegment segment(&sim, LinkType::kExperimental3Mb);
+  TestStation a(MacAddr::Experimental(1));
+  TestStation b(MacAddr::Experimental(2));
+  segment.Attach(&a);
+  segment.Attach(&b);
+  segment.AttachMetrics(&registry);
+  segment.SetLossRate(0.3, 1234);
+  for (int i = 0; i < 100; ++i) {
+    segment.Transmit(&a, MakeFrame(2, 1, 4));
+  }
+  sim.Run();
+  const uint64_t first_dropped = segment.impairment_stats().dropped_independent;
+  ASSERT_GT(first_dropped, 0u);
+  const auto value = [&registry](const char* name) {
+    const pfobs::Counter* counter = registry.FindCounter(name);
+    return counter == nullptr ? ~uint64_t{0} : counter->value();
+  };
+  EXPECT_EQ(value("link.impair.frames"), 100u);
+  EXPECT_EQ(value("link.impair.dropped_independent"), first_dropped);
+
+  pflink::ImpairmentConfig config;
+  config.seed = 7;
+  config.duplicate = 0.5;
+  segment.SetImpairments(config);
+  EXPECT_EQ(segment.impairment_stats().frames_seen, 0u);
+  EXPECT_EQ(value("link.impair.frames"), 100u);  // the first engine's count stays
+  EXPECT_EQ(value("link.impair.dropped_independent"), first_dropped);
+  for (int i = 0; i < 40; ++i) {
+    segment.Transmit(&a, MakeFrame(2, 1, 4));
+  }
+  sim.Run();
+  EXPECT_EQ(value("link.impair.frames"), 140u);
+  EXPECT_EQ(value("link.impair.dropped_independent"), first_dropped);
+  EXPECT_EQ(value("link.impair.duplicated"), segment.impairment_stats().duplicated);
+  EXPECT_EQ(value("link.frames_lost"), segment.stats().frames_lost);
+  EXPECT_EQ(value("link.frames_carried"), segment.stats().frames_carried);
 }
 
 TEST(SegmentTest, ImpairmentsAreSeedReplayable) {

@@ -35,13 +35,13 @@ using pfsim::Task;
 
 TEST(MetricsTest, CounterAndGauge) {
   pfobs::MetricsRegistry registry;
-  pfobs::Counter* c = registry.counter("a.b");
-  c->Add();
-  c->Add(4);
-  EXPECT_EQ(c->value(), 5u);
-  // Find-or-create returns the same object.
-  EXPECT_EQ(registry.counter("a.b"), c);
-  EXPECT_EQ(registry.FindCounter("a.b"), c);
+  uint64_t field = 2;  // counts before the Expose are not the counter's
+  registry.Expose("a.b", &field);
+  const pfobs::Counter* c = registry.FindCounter("a.b");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value(), 0u);
+  field += 5;
+  EXPECT_EQ(c->value(), 5u);  // read in place: no second count
   EXPECT_EQ(registry.FindCounter("missing"), nullptr);
 
   pfobs::Gauge* g = registry.gauge("g");
@@ -51,7 +51,44 @@ TEST(MetricsTest, CounterAndGauge) {
 
   registry.Reset();
   EXPECT_EQ(c->value(), 0u);  // cached pointer survives Reset
+  EXPECT_EQ(field, 7u);       // the owner's field is untouched
+  ++field;
+  EXPECT_EQ(c->value(), 1u);
   EXPECT_EQ(g->value(), 0);
+  registry.Retire(field);
+}
+
+// An owner that goes away first folds its count into the registry, and a
+// later owner of the same name counts on from there.
+TEST(MetricsTest, RetiredOwnerFoldsAndALaterOwnerCountsOn) {
+  pfobs::MetricsRegistry registry;
+  const pfobs::Counter* c = nullptr;
+  {
+    struct Stats {
+      uint64_t hits = 0;
+      uint64_t misses = 0;
+    } first;
+    registry.Expose("t.hits", &first.hits);
+    registry.Expose("t.misses", &first.misses);
+    c = registry.FindCounter("t.hits");
+    first.hits = 4;
+    first.misses = 9;
+    registry.Retire(first);
+    first.hits = 100;  // no longer read
+    EXPECT_EQ(c->value(), 4u);
+  }
+  EXPECT_EQ(c->value(), 4u);  // the folded value outlives the owner
+  EXPECT_EQ(registry.FindCounter("t.misses")->value(), 9u);
+
+  uint64_t second = 50;
+  registry.Expose("t.hits", &second);
+  EXPECT_EQ(c->value(), 4u);
+  second += 3;
+  EXPECT_EQ(c->value(), 7u);
+  registry.Retire(second);
+  ++second;
+  EXPECT_EQ(c->value(), 7u);
+  EXPECT_NE(registry.ToJson().find("\"t.hits\":7"), std::string::npos);
 }
 
 TEST(MetricsTest, HistogramBucketsAndPercentiles) {
@@ -93,7 +130,9 @@ TEST(MetricsTest, DefaultLatencyBounds) {
 
 TEST(MetricsTest, DumpFormats) {
   pfobs::MetricsRegistry registry;
-  registry.counter("pf.demux.packets_in")->Add(3);
+  uint64_t packets_in = 0;
+  registry.Expose("pf.demux.packets_in", &packets_in);
+  packets_in = 3;
   registry.gauge("queue.depth")->Set(-2);
   registry.histogram("lat")->Record(2000);
 
@@ -145,14 +184,20 @@ TEST(MetricsTest, PercentileEdgeCases) {
 
 TEST(SamplerTest, SelectorsColumnsAndCsv) {
   pfobs::MetricsRegistry registry;
-  registry.counter("pf.drop.no_match")->Add(3);
-  registry.counter("pf.demux.packets_in")->Add(10);
-  registry.counter("nic.frames_out")->Add(99);  // not selected
+  uint64_t no_match = 0;
+  uint64_t packets_in = 0;
+  uint64_t frames_out = 0;
+  registry.Expose("pf.drop.no_match", &no_match);
+  registry.Expose("pf.demux.packets_in", &packets_in);
+  registry.Expose("nic.frames_out", &frames_out);  // not selected
+  no_match = 3;
+  packets_in = 10;
+  frames_out = 99;
   registry.histogram("pf.demux.latency")->Record(2000);
 
   pfobs::MetricsSampler sampler(&registry, {"pf.*"});
   sampler.Sample(1000);
-  registry.counter("pf.drop.no_match")->Add(2);
+  no_match += 2;
   sampler.Sample(2000);
 
   EXPECT_EQ(sampler.row_count(), 2u);
@@ -177,10 +222,14 @@ TEST(SamplerTest, SelectorsColumnsAndCsv) {
 
 TEST(SamplerTest, LateRegisteredColumnsBackfillAsZero) {
   pfobs::MetricsRegistry registry;
-  registry.counter("pf.a")->Add(1);
+  uint64_t a = 0;
+  uint64_t b = 0;
+  registry.Expose("pf.a", &a);
+  a = 1;
   pfobs::MetricsSampler sampler(&registry, {"pf.*"});
   sampler.Sample(10);
-  registry.counter("pf.b")->Add(5);  // appears after the first row
+  registry.Expose("pf.b", &b);  // appears after the first row
+  b = 5;
   sampler.Sample(20);
 
   ASSERT_EQ(sampler.columns().size(), 2u);  // pf.a, pf.b (time_ns is implicit)
@@ -192,7 +241,9 @@ TEST(SamplerTest, LateRegisteredColumnsBackfillAsZero) {
 
 TEST(SamplerTest, JsonExportIsWellFormed) {
   pfobs::MetricsRegistry registry;
-  registry.counter("pf.x")->Add(2);
+  uint64_t x = 0;
+  registry.Expose("pf.x", &x);
+  x = 2;
   registry.gauge("pf.depth")->Set(-4);
   pfobs::MetricsSampler sampler(&registry, {});  // empty selector: everything
   sampler.Sample(100);
@@ -363,7 +414,9 @@ TEST(JsonCheckerTest, SanityOnKnownInputs) {
 
 TEST(SamplerTest, JsonExportValidates) {
   pfobs::MetricsRegistry registry;
-  registry.counter("pf.x")->Add(2);
+  uint64_t x = 0;
+  registry.Expose("pf.x", &x);
+  x = 2;
   registry.histogram("pf.lat")->Record(1500);
   pfobs::MetricsSampler sampler(&registry, {"pf.*"});
   sampler.Sample(100);

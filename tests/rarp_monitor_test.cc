@@ -215,6 +215,13 @@ TEST(MonitorTest, CapturesCoexistingTrafficWithoutStealing) {
   const pfobs::Counter* nic_in = watcher.metrics().FindCounter("nic.frames_in");
   ASSERT_NE(nic_in, nullptr);
   EXPECT_GE(nic_in->value(), frames->value());
+
+  // Destroying the monitor leaves its final counts readable in the
+  // registry, which outlives it.
+  monitor.reset();
+  EXPECT_EQ(frames->value(), 5u);
+  EXPECT_EQ(udp->value(), 3u);
+  EXPECT_NE(watcher.SnapshotText().find("monitor.frames"), std::string::npos);
 }
 
 TEST(MonitorTest, DescribeFrameFormats) {

@@ -318,25 +318,20 @@ TEST(MsgQueueTest, PopWithTimeoutDeliversValueBeforeExpiry) {
   EXPECT_EQ(sim.events_executed(), 2u);  // the pusher's delay, the waiter's resume
 }
 
-TEST(MsgQueueTest, ValueArrivingExactlyAtDeadlineWins) {
-  // Push and timeout land at the same instant: the push was scheduled via
-  // TryPush's immediate hand-off which settles the waiter synchronously, so
-  // the value must not be lost.
+TEST(MsgQueueTest, TimerScheduledBeforeASameInstantPushTimesOut) {
+  // The pop's timer and the push land at the same instant. Events at one
+  // time run in (time, seq) order and the timer was scheduled first (the
+  // waiter runs before PushLater is spawned), so the timer fires first: the
+  // pop times out and the pushed value stays queued for the next reader.
   Simulator sim;
   MsgQueue<int> queue(&sim);
-  std::optional<int> result;
+  std::optional<int> result = std::make_optional(0);
   auto waiter = [&]() -> Task { result = co_await queue.PopWithTimeout(Milliseconds(5)); };
   sim.Spawn(waiter());
   sim.Spawn(PushLater(&sim, &queue, Milliseconds(5), 1));
   sim.Run();
-  // Timer event was scheduled before the push event at the same timestamp,
-  // so the timer fires first and the pop times out; the value stays queued.
-  if (result.has_value()) {
-    EXPECT_EQ(*result, 1);
-    EXPECT_EQ(queue.size(), 0u);
-  } else {
-    EXPECT_EQ(queue.size(), 1u);
-  }
+  EXPECT_EQ(result, std::nullopt);
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(MsgQueueTest, ZeroTimeoutPolls) {
