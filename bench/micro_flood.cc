@@ -21,7 +21,9 @@
 // single-packet flows, per-packet demux work within 2x of the steady-state
 // (conn-hit) value, emergency mode engaging and disengaging with every
 // transition counted, and the identity + metrics reconciliation exact in
-// every cell.
+// every cell. A kIndexed cell at 256 ports gates that a conn hit costs
+// less modeled work than a walk: it runs the stored filter, not the index
+// probe.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -272,6 +274,51 @@ bool RunCheckCell(std::vector<std::string>& failures) {
   return failures.size() == before_failures;
 }
 
+// The conn fast path under §7's decision table: 256 Pup-socket ports under
+// kIndexed with tracking on, one flow per port, each sent four times. A
+// flow's first packet walks (one index probe, then the bucket's filter);
+// the repeats are conn hits, which run the stored port's filter alone, so
+// a hit must cost less modeled work than a walk (ROADMAP item 5).
+struct HitWalkSample {
+  double hit_work_per_packet = 0;   // insns+probes per conn hit
+  double walk_work_per_packet = 0;  // insns+probes per walked packet
+};
+
+HitWalkSample RunIndexedHitCell(std::vector<std::string>& failures) {
+  constexpr uint32_t kPorts = 256;
+  pf::PacketFilter filter;
+  filter.SetStrategy(pf::Strategy::kIndexed);
+  filter.EnableConnTracking();
+  for (uint32_t socket = 1; socket <= kPorts; ++socket) {
+    filter.SetFilter(filter.OpenPort(), pfnet::MakePupSocketFilter(socket, 10));
+  }
+  uint64_t now_ns = 0;
+  uint64_t hits = 0;
+  uint64_t walks = 0;
+  double hit_work = 0;
+  double walk_work = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (uint32_t socket = 1; socket <= kPorts; ++socket) {
+      now_ns += 10'000;
+      const pf::DemuxResult r = filter.Demux(pftest::MakePupFrame(8, socket, 2, 1, 40), now_ns);
+      const double work =
+          static_cast<double>(r.exec.insns_executed) + static_cast<double>(r.exec.index_probes);
+      (r.conn_hit ? hit_work : walk_work) += work;
+      ++(r.conn_hit ? hits : walks);
+    }
+  }
+  if (hits == 0 || walks == 0) {
+    failures.push_back("indexed cell: no conn hit or no walk");
+    return {};
+  }
+  const HitWalkSample sample{hit_work / static_cast<double>(hits),
+                             walk_work / static_cast<double>(walks)};
+  if (!(sample.hit_work_per_packet < sample.walk_work_per_packet)) {
+    failures.push_back("indexed cell: a conn hit costs no less work than a walk");
+  }
+  return sample;
+}
+
 // Machine-based cell: the same flood through the simulated kernel, so the
 // cost ledger is in the loop. Reconciles kConnDb charges against conndb
 // lookups and kConnGc charges against worker sweeps, bit-exactly.
@@ -410,6 +457,14 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
 
   const bool flood_ok = RunCheckCell(failures);
   pfbench::ReportCheck("micro_flood.flood_2x_and_drain", flood_ok);
+
+  const HitWalkSample indexed = RunIndexedHitCell(failures);
+  pfbench::PrintTable("Conn hit vs walk under kIndexed (256 Pup-socket ports)",
+                      "ROADMAP item 5; DESIGN.md §17", "insns+probes/packet",
+                      {{"per conn hit", nan, indexed.hit_work_per_packet},
+                       {"per walked packet", nan, indexed.walk_work_per_packet}});
+  pfbench::ReportCheck("micro_flood.indexed_hit_below_walk",
+                       indexed.hit_work_per_packet < indexed.walk_work_per_packet);
 
   const size_t before_ledger = failures.size();
   std::vector<pfbench::Row> ledger_rows;

@@ -430,9 +430,9 @@ DemuxResult PacketFilter::DemuxImpl(std::span<const uint8_t> packet, const Packe
     if (entry != nullptr) {
       PortState* port = Find(entry->port);
       if (port != nullptr && port->has_filter && !port->deliver_to_lower) {
-        Engine::MatchPass pass = engine_.Match(packet);
-        const Verdict verdict = pass.Test(port->id, port->binding);
-        result.exec += pass.telemetry();
+        // Only the stored port's filter runs: no engine pass, so no index
+        // probe. Every accept still comes from a filter run.
+        const Verdict verdict = engine_.Confirm(*port->binding, packet, &result.exec);
         note_status(port, verdict);
         if (verdict.accept) {
           DeliverTo(*port, packet, buf, timestamp_ns, flow_id, &result);

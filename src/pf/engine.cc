@@ -56,6 +56,22 @@ size_t WordReach(const std::vector<FieldTest>& tests) {
   return bytes;
 }
 
+// One filter run on the execution path `strategy` selects: the body of
+// Engine::Confirm() and of every filter a MatchPass runs. Kept inline so
+// the candidate walk pays no extra call per filter.
+inline Verdict RunBinding(Strategy strategy, bool profiling, const Engine::Binding& binding,
+                          std::span<const uint8_t> packet, ExecTelemetry& telemetry) {
+  ++telemetry.filters_run;
+  const ExecResult exec = strategy == Strategy::kChecked
+                              ? InterpretChecked(binding.program.program(), packet)
+                              : InterpretPredecoded(binding.decoded, packet);
+  telemetry.insns_executed += exec.insns_executed;
+  if (profiling && binding.profile != nullptr) {
+    binding.profile->RecordExec(exec, /*charged=*/true);
+  }
+  return Verdict{exec.accept, exec.status, exec.short_circuited, exec.insns_executed};
+}
+
 }  // namespace
 
 std::vector<PredecodedInsn> Predecode(const ValidatedProgram& program) {
@@ -595,15 +611,14 @@ Verdict Engine::MatchPass::Evaluate(const Binding& binding, bool live) {
     }
     return Verdict{};
   }
-  ++telemetry_.filters_run;
-  const ExecResult exec = engine_->strategy_ == Strategy::kChecked
-                              ? InterpretChecked(binding.program.program(), packet_)
-                              : InterpretPredecoded(binding.decoded, packet_);
-  telemetry_.insns_executed += exec.insns_executed;
-  if (engine_->profiling_ && binding.profile != nullptr) {
-    binding.profile->RecordExec(exec, /*charged=*/true);
-  }
-  return Verdict{exec.accept, exec.status, exec.short_circuited, exec.insns_executed};
+  return RunBinding(engine_->strategy_, engine_->profiling_, binding, packet_, telemetry_);
+}
+
+Verdict Engine::Confirm(const Binding& binding, std::span<const uint8_t> packet,
+                        ExecTelemetry* telemetry) const {
+  ExecTelemetry unused;
+  return RunBinding(strategy_, profiling_, binding, packet,
+                    telemetry != nullptr ? *telemetry : unused);
 }
 
 Verdict Engine::RunOne(Key key, std::span<const uint8_t> packet, ExecTelemetry* telemetry) {

@@ -132,17 +132,17 @@ class Engine {
   // One bound filter and everything Bind() precomputed for it. Exposed so
   // hosts can cache a `const Binding*` handle (PacketFilter keeps one per
   // port, refreshed when it rebuilds its priority order) and hand it back
-  // to MatchPass::Test(), skipping the per-(packet, key) hash lookup. A
-  // handle stays valid until its key is Unbind()ed or Clear() runs;
-  // re-Bind()ing the same key updates it in place and keeps its rank.
+  // to Confirm() or MatchPass::Test(), skipping the per-(packet, key) hash
+  // lookup. A handle stays valid until its key is Unbind()ed or Clear()
+  // runs; re-Bind()ing the same key updates it in place and keeps its rank.
   struct Binding {
     ValidatedProgram program;
     std::vector<PredecodedInsn> decoded;
     std::optional<std::vector<FieldTest>> conjunction;
     uint32_t rank = 0;     // position in the priority order (SetOrder)
     // Allocated by SetProfiling(true) / Bind() while profiling; updated by
-    // the (const) MatchPass, hence mutable. Null whenever profiling has
-    // never been on for this binding.
+    // the const run paths (MatchPass, Confirm), hence mutable. Null
+    // whenever profiling has never been on for this binding.
     mutable std::unique_ptr<ProgramProfile> profile;
   };
 
@@ -241,7 +241,8 @@ class Engine {
     // any order — a pruned filter rejects.
     Verdict Test(Key key);
     // Same, with the binding handle supplied by the caller (must be the
-    // engine's binding for `key`, or nullptr) — skips the map lookup.
+    // engine's binding for `key`, or nullptr) — skips the map lookup. A
+    // caller that needs one known filter and no pass calls Confirm().
     Verdict Test(Key key, const Binding* binding);
     const ExecTelemetry& telemetry() const { return telemetry_; }
 
@@ -264,6 +265,16 @@ class Engine {
   };
 
   MatchPass Match(std::span<const uint8_t> packet);
+
+  // Runs one bound filter — `binding`, a handle from this engine — on
+  // `packet`, with the execution path the strategy selects, and nothing
+  // else: no pass, no index refresh, no hash and no probe. The one way to
+  // run one known binding (the connection table's hit path and a capture
+  // tap's predicate); it is the same run a MatchPass does for each filter
+  // it tests. Adds one filters_run and the filter's instructions to
+  // *telemetry if non-null; a profiled binding records a charged run.
+  Verdict Confirm(const Binding& binding, std::span<const uint8_t> packet,
+                  ExecTelemetry* telemetry = nullptr) const;
 
   // Convenience for single-program callers (examples, tests): one packet
   // against one bound filter, telemetry accumulated into *telemetry if

@@ -68,12 +68,8 @@ bool CaptureTap::Offer(std::span<const uint8_t> packet, const TapPacketMeta& met
   if (!ok_) {
     return false;
   }
-  if (!match_all_) {
-    Engine::MatchPass pass = engine_.Match(packet);
-    const Verdict verdict = pass.Test(kPredicateKey, binding_);
-    if (!verdict.accept) {
-      return false;
-    }
+  if (!match_all_ && !engine_.Confirm(*binding_, packet).accept) {
+    return false;
   }
   ++stats_.matched;
   // 1-in-N sampling on *matched* packets, so the stride means "every Nth

@@ -503,6 +503,45 @@ TEST(DemuxTest, NoFastPathWithoutConnTracking) {
   }
 }
 
+// A connection-table hit runs the stored port's filter and nothing else:
+// no index probe under kIndexed, and the same telemetry under kFast, whose
+// walk never probes.
+TEST(DemuxTest, ConnHitRunsOnlyTheStoredFilter) {
+  for (const pf::Strategy strategy : {pf::Strategy::kFast, pf::Strategy::kIndexed}) {
+    SCOPED_TRACE(pf::ToString(strategy));
+    PacketFilter filter;
+    filter.SetStrategy(strategy);
+    filter.EnableConnTracking();
+    // Fig. 3-8's range test is no conjunction, so the index leaves it
+    // uncovered: a candidate on every packet, below the socket ports.
+    const PortId uncovered = filter.OpenPort();
+    ASSERT_TRUE(filter.SetFilter(uncovered, pf::PaperFig38Filter(5)).ok);
+    PortId p35 = 0;
+    for (uint32_t socket = 33; socket <= 38; ++socket) {
+      const PortId port = filter.OpenPort();
+      ASSERT_TRUE(filter.SetFilter(port, SocketFilter(socket, 10)).ok);
+      p35 = socket == 35 ? port : p35;
+    }
+
+    const auto frame = pftest::MakePupFrame(8, 35);
+    const pf::DemuxResult miss = filter.Demux(frame);
+    EXPECT_TRUE(miss.conn_lookup);
+    EXPECT_FALSE(miss.conn_hit);
+    EXPECT_EQ(miss.exec.index_probes > 0, strategy == pf::Strategy::kIndexed);
+
+    const pf::ExecResult own =
+        pf::InterpretPredecoded(filter.engine().FindBinding(p35)->decoded, frame);
+    ASSERT_TRUE(own.accept);
+    const pf::DemuxResult hit = filter.Demux(frame);
+    EXPECT_TRUE(hit.conn_hit);
+    EXPECT_EQ(hit.exec.index_probes, 0u);
+    EXPECT_EQ(hit.exec.filters_run, 1u);
+    EXPECT_EQ(hit.exec.insns_executed, own.insns_executed);
+    EXPECT_EQ(filter.QueueLength(p35), 2u);
+    EXPECT_EQ(filter.QueueLength(uncovered), 0u);
+  }
+}
+
 // The suite below is the fast path's invalidation and bypass rules, all
 // under EnableConnTracking (flow_cache_stats() is the tracking table's).
 

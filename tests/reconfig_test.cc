@@ -8,9 +8,12 @@
 //   strategies, toggles busy reordering, and turns connection tracking on
 //   (with a random table configuration) and off between packet bursts (runts and unmatched frames included). After every
 //   packet: identical per-port accept/enqueue/drop counters (so identical
-//   delivered-port sets) and identical drop-reason counts. After every
-//   step: accepts == enqueued + dropped on every port, the fast-path table's
-//   partition identity, and monotonic fast-path hit counters.
+//   delivered-port sets) and identical drop-reason counts. A third twin,
+//   always kIndexed with tracking always on, must match the walk the same
+//   way, and every connection-table hit of either tracked filter must run
+//   one filter and probe no index. After every step: accepts == enqueued +
+//   dropped on every port, the fast-path tables' partition identity, and
+//   monotonic fast-path hit counters.
 //
 // * The candidate walk: a kIndexed demux, which tests only the ports its
 //   index bucket lets through, and a kChecked twin that tests every port
@@ -142,7 +145,15 @@ ConnDB::Config RandomConnConfig(pfutil::Rng& rng) {
 
 class Twins {
  public:
+  // Conn hits served under kIndexed, summed over the seeds of one test, so
+  // the per-hit checks in Traffic() cannot pass vacuously. A seed whose
+  // filter set is never conn-servable serves none; seed 1, where every
+  // unreplayed run starts, serves some in both mixes.
+  static inline uint64_t indexed_hits = 0;
+
   Twins(uint64_t seed, Mix mix) : rng_(seed), mix_(mix) {
+    indexed_.SetStrategy(pf::Strategy::kIndexed);
+    indexed_.EnableConnTracking();
     // Seeds differ in how often they reconfigure: stale-verdict bugs need
     // quiet stretches for entries to outlive a change that missed them.
     static constexpr uint64_t kOpRanges[] = {16, 64, 256};
@@ -152,6 +163,7 @@ class Twins {
     if (rng_.Chance(0.5)) {
       subject_.SetBusyReordering(true);
       walk_.SetBusyReordering(true);
+      indexed_.SetBusyReordering(true);
     }
     if (rng_.Chance(0.5) || mix_ == Mix::kLarge) {
       subject_.EnableConnTracking(RandomConnConfig(rng_));
@@ -160,9 +172,11 @@ class Twins {
       for (size_t i = 0; i < kLargePorts; ++i) {
         const PortId port = subject_.OpenPort();
         EXPECT_EQ(walk_.OpenPort(), port);
+        EXPECT_EQ(indexed_.OpenPort(), port);
         const Program program = RandomFilter(rng_, /*rare_unservable=*/true);
         subject_.SetFilter(port, program);
         walk_.SetFilter(port, program);
+        indexed_.SetFilter(port, program);
       }
     }
   }
@@ -184,6 +198,7 @@ class Twins {
                    std::to_string(port));
       subject_.SetFilter(port, program);
       walk_.SetFilter(port, program);
+      indexed_.SetFilter(port, program);
       Traffic(port);
       return;
     }
@@ -199,23 +214,28 @@ class Twins {
           const Program program = RandomFilter(rng_, mix_ == Mix::kLarge);
           subject_.SetFilter(port, program);
           walk_.SetFilter(port, program);
+          indexed_.SetFilter(port, program);
         }
         break;
       case 3:
         if (port != 0) {
           subject_.ClearFilter(port);
           walk_.ClearFilter(port);
+          indexed_.ClearFilter(port);
         }
         break;
       case 4:
         if (ports.size() < MaxPorts()) {
-          ASSERT_EQ(subject_.OpenPort(), walk_.OpenPort());
+          const PortId opened = subject_.OpenPort();
+          ASSERT_EQ(walk_.OpenPort(), opened);
+          ASSERT_EQ(indexed_.OpenPort(), opened);
         }
         break;
       case 5:
         if (port != 0) {
           subject_.ClosePort(port);
           walk_.ClosePort(port);
+          indexed_.ClosePort(port);
         }
         break;
       case 6:
@@ -223,6 +243,7 @@ class Twins {
           const bool enabled = rng_.Chance(0.3);
           subject_.SetDeliverToLower(port, enabled);
           walk_.SetDeliverToLower(port, enabled);
+          indexed_.SetDeliverToLower(port, enabled);
         }
         break;
       case 7: {
@@ -235,6 +256,7 @@ class Twins {
         const bool enabled = rng_.Chance(0.5);
         subject_.SetBusyReordering(enabled);
         walk_.SetBusyReordering(enabled);
+        indexed_.SetBusyReordering(enabled);
         break;
       }
       case 9:
@@ -249,12 +271,14 @@ class Twins {
           const size_t limit = rng_.Range(1, 4);
           subject_.SetQueueLimit(port, limit);
           walk_.SetQueueLimit(port, limit);
+          indexed_.SetQueueLimit(port, limit);
         }
         break;
       case 11:
         if (ConnDB* db = subject_.conndb()) {
           db->GcSweep(now_ns_);
         }
+        indexed_.conndb()->GcSweep(now_ns_);
         break;
       default:
         break;  // traffic only
@@ -272,32 +296,43 @@ class Twins {
     for (uint64_t i = 0; i < burst && !::testing::Test::HasFatalFailure(); ++i) {
       now_ns_ += rng_.Below(300'000);
       const std::vector<uint8_t> packet = RandomPacket(rng_);
-      const pf::DemuxResult got = subject_.Demux(packet, now_ns_);
       const pf::DemuxResult want = walk_.Demux(packet, now_ns_);
-      ASSERT_EQ(got.accepted, want.accepted) << "packet " << i;
-      ASSERT_EQ(got.deliveries, want.deliveries) << "packet " << i;
-      ASSERT_EQ(got.drops, want.drops) << "packet " << i;
-      CompareCounters();
+      for (PacketFilter* tracked : {&subject_, &indexed_}) {
+        SCOPED_TRACE(tracked == &subject_ ? "subject" : "kIndexed twin");
+        const pf::DemuxResult got = tracked->Demux(packet, now_ns_);
+        ASSERT_EQ(got.accepted, want.accepted) << "packet " << i;
+        ASSERT_EQ(got.deliveries, want.deliveries) << "packet " << i;
+        ASSERT_EQ(got.drops, want.drops) << "packet " << i;
+        if (got.conn_hit) {
+          // A hit runs the stored port's filter alone: no index probe.
+          ASSERT_EQ(got.exec.index_probes, 0u) << "packet " << i;
+          ASSERT_EQ(got.exec.filters_run, 1u) << "packet " << i;
+          indexed_hits += tracked->strategy() == pf::Strategy::kIndexed ? 1 : 0;
+        }
+        CompareCounters(*tracked);
+      }
       if (rng_.Chance(0.3) && port != 0) {  // readers drain at random
         const size_t n = rng_.Range(1, 4);
-        ASSERT_EQ(subject_.PopBatch(port, n).size(), walk_.PopBatch(port, n).size());
+        const size_t popped = walk_.PopBatch(port, n).size();
+        ASSERT_EQ(subject_.PopBatch(port, n).size(), popped);
+        ASSERT_EQ(indexed_.PopBatch(port, n).size(), popped);
       }
     }
     CheckInvariants();
   }
 
-  void CompareCounters() {
-    const std::vector<PortId> ports = subject_.Ports();
+  void CompareCounters(const PacketFilter& tracked) {
+    const std::vector<PortId> ports = tracked.Ports();
     ASSERT_EQ(ports, walk_.Ports());
     for (const PortId id : ports) {
-      const pf::PortStats& got = *subject_.Stats(id);
+      const pf::PortStats& got = *tracked.Stats(id);
       const pf::PortStats& want = *walk_.Stats(id);
       ASSERT_EQ(got.accepts, want.accepts) << "port " << id;
       ASSERT_EQ(got.enqueued, want.enqueued) << "port " << id;
       ASSERT_EQ(got.dropped, want.dropped) << "port " << id;
       ASSERT_EQ(got.drops_by_reason, want.drops_by_reason) << "port " << id;
     }
-    const pf::FilterGlobalStats& got = subject_.global_stats();
+    const pf::FilterGlobalStats& got = tracked.global_stats();
     const pf::FilterGlobalStats& want = walk_.global_stats();
     ASSERT_EQ(got.packets_accepted, want.packets_accepted);
     ASSERT_EQ(got.packets_unclaimed, want.packets_unclaimed);
@@ -305,7 +340,7 @@ class Twins {
   }
 
   void CheckInvariants() {
-    for (const PacketFilter* filter : {&subject_, &walk_}) {
+    for (const PacketFilter* filter : {&subject_, &walk_, &indexed_}) {
       for (const PortId id : filter->Ports()) {
         const pf::PortStats& st = *filter->Stats(id);
         ASSERT_EQ(st.accepts, st.enqueued + st.dropped) << "port " << id;
@@ -315,6 +350,7 @@ class Twins {
     if (const ConnDB* db = subject_.conndb()) {
       ASSERT_TRUE(db->IdentityHolds());
     }
+    ASSERT_TRUE(indexed_.conndb()->IdentityHolds());
     ASSERT_GE(table.hits, last_hits_);
     last_hits_ = table.hits;
   }
@@ -324,6 +360,9 @@ class Twins {
   uint64_t op_range_ = 0;
   PacketFilter subject_;
   PacketFilter walk_;
+  // Always kIndexed with tracking on (a default table), whatever the
+  // subject's strategy and tracking are doing.
+  PacketFilter indexed_;
   uint64_t now_ns_ = 1000;
   uint64_t last_hits_ = 0;
 };
@@ -360,11 +399,15 @@ void RunSeeds(Mix mix) {
 }
 
 TEST(ReconfigDifferentialTest, FastPathMatchesTheWalkUnderRandomReconfiguration) {
+  Twins::indexed_hits = 0;
   RunSeeds<Twins>(Mix::kSmall);
+  EXPECT_GT(Twins::indexed_hits, 0u);
 }
 
 TEST(ReconfigDifferentialTest, FastPathMatchesTheWalkUnderRebindsAt48PortsWithTracking) {
+  Twins::indexed_hits = 0;
   RunSeeds<Twins>(Mix::kLarge);
+  EXPECT_GT(Twins::indexed_hits, 0u);
 }
 
 // --- The candidate walk against the full fig. 4-1 walk ---
