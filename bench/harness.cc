@@ -1,9 +1,11 @@
 #include "bench/harness.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 
 #include "src/proto/ip.h"
 
@@ -17,6 +19,36 @@
 #endif
 #ifndef PF_SANITIZERS
 #define PF_SANITIZERS ""
+#endif
+#ifndef PF_ALLOC_COUNTER
+#define PF_ALLOC_COUNTER 0
+#endif
+
+namespace {
+std::atomic<uint64_t> allocation_count{0};
+}  // namespace
+
+#if PF_ALLOC_COUNTER
+// The counting global allocator. The array and nothrow forms of new and the
+// array forms of delete default to calling these, so they are counted too;
+// over-aligned allocations keep the library's own (uncounted) functions.
+void* operator new(std::size_t size) {
+  allocation_count.fetch_add(1, std::memory_order_relaxed);
+  for (;;) {
+    if (void* p = std::malloc(size == 0 ? 1 : size)) {
+      return p;
+    }
+    std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) {
+      throw std::bad_alloc();
+    }
+    handler();
+  }
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 #endif
 
 namespace pfbench {
@@ -54,6 +86,10 @@ std::string BuildGitSha() {
 std::string BuildTypeName() { return PF_BUILD_TYPE; }
 
 std::string SanitizerFlags() { return PF_SANITIZERS; }
+
+bool AllocationCounterInstalled() { return PF_ALLOC_COUNTER != 0; }
+
+uint64_t AllocationCount() { return allocation_count.load(std::memory_order_relaxed); }
 
 bool HostGatesEnforced(const std::string& build_type, const std::string& sanitizers) {
   const bool release_family =

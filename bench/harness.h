@@ -65,6 +65,16 @@ std::string SanitizerFlags();
 // such gates only inform there.
 bool HostGatesEnforced(const std::string& build_type, const std::string& sanitizers);
 
+// --- Heap allocation counter ---
+//
+// harness.cc replaces the global operator new with one that counts its
+// calls, so a bench can gate heap allocations per packet (micro_zerocopy).
+// Sanitized builds keep the sanitizer's allocator: there the counter is not
+// installed and AllocationCount() stays 0.
+bool AllocationCounterInstalled();
+// Global operator new calls (array and nothrow forms included) so far.
+uint64_t AllocationCount();
+
 // --- Output formatting ---
 
 struct Row {

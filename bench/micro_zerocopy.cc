@@ -24,7 +24,16 @@
 //      must agree with a bytewise table CRC written here and cost at most
 //      1/3 of its ns/byte, fastest of 21 interleaved runs per side. The
 //      ratio is enforced on sanitizer-free Release-family builds only
-//      (informational elsewhere, where it measures the sanitizer or -O0).
+//      (informational elsewhere, where it measures the sanitizer or -O0);
+//   6. heap allocations per delivered packet, counted by the bench
+//      harness's operator new over the bulk loop's steady state (segment
+//      reads kWarmupSegments..kBulkSegments, deliveries summed over both
+//      machines), must stay at or below kMaxAllocsPerPacket in both modes.
+//      The bound sits above the count measured with pooled coroutine
+//      frames and the segment's in-flight slab, and below the count
+//      without either (EXPERIMENTS.md); the count depends on the standard
+//      library, so it is a gate value, not a baseline row. Sanitized builds
+//      keep the sanitizer's allocator, so there it is informational.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -32,6 +41,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/vmtp_common.h"
@@ -40,6 +50,10 @@
 #include "src/util/rng.h"
 
 namespace {
+
+constexpr int kBulkSegments = 64;
+constexpr int kWarmupSegments = 16;
+constexpr double kMaxAllocsPerPacket = 5.5;
 
 struct ModeSnapshot {
   double bulk_kbps = 0;
@@ -54,7 +68,15 @@ struct ModeSnapshot {
   int64_t ledger_ring_post_ns = 0;
   int64_t ledger_ring_reap_ns = 0;
   bool metrics_match_ledger = true;
+  // Check 6's window: heap allocations and pf deliveries (both machines).
+  uint64_t window_allocs = 0;
+  uint64_t window_packets = 0;
 };
+
+uint64_t Deliveries(pfbench::Duo& duo) {
+  return duo.client().pf().core().global_stats().deliveries +
+         duo.server().pf().core().global_stats().deliveries;
+}
 
 uint64_t CounterValue(const pfkern::Machine& machine, const char* name) {
   const pfobs::Counter* counter = machine.metrics().FindCounter(name);
@@ -89,9 +111,18 @@ ModeSnapshot RunBulk(size_t ring_slots) {
       snap.ledger_ring_reap_ns += ledger.total(pfkern::Cost::kRingReap).count();
     }
   };
+  config.on_bulk_segment = [&](pfbench::Duo& duo, int segment) {
+    if (segment == kWarmupSegments) {
+      snap.window_packets = Deliveries(duo);
+      snap.window_allocs = pfbench::AllocationCount();
+    } else if (segment == kBulkSegments) {
+      snap.window_allocs = pfbench::AllocationCount() - snap.window_allocs;
+      snap.window_packets = Deliveries(duo) - snap.window_packets;
+    }
+  };
   // Bulk only: a couple of warm-up RTTs, then the ~1 MB segment-read loop.
   snap.bulk_kbps = pfbench::MeasureVmtp(config, /*rtt_transactions=*/2,
-                                        /*bulk_segments=*/64).bulk_kbps;
+                                        kBulkSegments).bulk_kbps;
   return snap;
 }
 
@@ -229,8 +260,44 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   }
   pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok, ratio);
 
-  if (failures.empty() && fcs_ok) {
-    std::printf("    all zero-copy, reconciliation and FCS gates hold\n");
+  // Check 6: heap allocations per delivered packet in the steady state.
+  const bool counted = pfbench::AllocationCounterInstalled();
+  double worst_allocs = counted ? 0 : nan;
+  bool allocs_ok = true;
+  for (const auto& [mode, snap] : {std::pair{"legacy", &legacy}, std::pair{"ring", &ring}}) {
+    const double per_packet = snap->window_packets > 0
+                                  ? static_cast<double>(snap->window_allocs) /
+                                        static_cast<double>(snap->window_packets)
+                                  : nan;
+    if (counted) {
+      std::printf("    %s: %llu heap allocations over %llu delivered packets, %.2f per "
+                  "packet (need <= %.2f)\n",
+                  mode, (unsigned long long)snap->window_allocs,
+                  (unsigned long long)snap->window_packets, per_packet, kMaxAllocsPerPacket);
+    } else {
+      std::printf("    %s: %llu delivered packets, heap allocations not counted "
+                  "[informational: sanitized build, counter not installed]\n",
+                  mode, (unsigned long long)snap->window_packets);
+    }
+    if (snap->window_packets == 0) {
+      std::fprintf(stderr, "micro_zerocopy FAILED: %s: no packets delivered in the "
+                           "allocation window\n",
+                   mode);
+      allocs_ok = false;
+    } else if (counted && !(per_packet <= kMaxAllocsPerPacket)) {
+      std::fprintf(stderr, "micro_zerocopy FAILED: %s: %.2f heap allocations per "
+                           "delivered packet (bound %.2f)\n",
+                   mode, per_packet, kMaxAllocsPerPacket);
+      allocs_ok = false;
+    }
+    if (counted) {
+      worst_allocs = std::max(worst_allocs, per_packet);
+    }
+  }
+  pfbench::ReportCheck("micro_zerocopy.allocs_per_packet", allocs_ok, worst_allocs);
+
+  if (failures.empty() && allocs_ok && fcs_ok) {
+    std::printf("    all zero-copy, reconciliation, allocation and FCS gates hold\n");
     return 0;
   }
   return 1;

@@ -33,6 +33,10 @@ struct VmtpConfig {
   // Called after the run with both machines still alive — snapshot ledgers
   // and metrics here (micro_zerocopy's reconciliation gate).
   std::function<void(Duo&)> inspect;
+  // Called before bulk segment read i (0-based) and once more, with i ==
+  // bulk_segments, after the last: a window over the bulk loop's steady
+  // state (micro_zerocopy's allocation gate). It schedules nothing.
+  std::function<void(Duo&, int)> on_bulk_segment;
 };
 
 struct VmtpResult {
@@ -146,7 +150,13 @@ inline VmtpResult MeasureVmtp(const VmtpConfig& config, int rtt_transactions = 2
     // Bulk: repeated 16 KB reads.
     start = duo.sim().Now();
     for (int i = 0; i < bulk_segments; ++i) {
+      if (config.on_bulk_segment) {
+        config.on_bulk_segment(duo, i);
+      }
       co_await transact('R');
+    }
+    if (config.on_bulk_segment) {
+      config.on_bulk_segment(duo, bulk_segments);
     }
     result.bulk_kbps =
         RateKBps(static_cast<size_t>(bulk_segments) * kSegmentBytes, start, duo.sim().Now());

@@ -1,5 +1,6 @@
 #include "src/kernel/pf_device.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/kernel/machine.h"
@@ -379,8 +380,18 @@ pfsim::ValueTask<void> PacketFilterDevice::HandlePacket(const pf::PacketBuf& pac
   // frame's block, not a byte copy.
   const pf::DemuxResult result = filter_.Demux(packet, timestamp_ns, flow_id);
   // The ports to wake, copied before the first suspension: the next frame's
-  // Demux reuses the core's list while this frame's charges run.
-  const std::vector<pf::PortId> reached(filter_.enqueued().begin(), filter_.enqueued().end());
+  // Demux reuses the core's list while this frame's charges run. A few fit
+  // in this frame; only a copy-all demux reaching more spills to the heap.
+  std::array<pf::PortId, 4> inline_ports;
+  std::vector<pf::PortId> spilled_ports;
+  std::span<const pf::PortId> reached = filter_.enqueued();
+  if (reached.size() <= inline_ports.size()) {
+    reached = {inline_ports.begin(),
+               std::copy(reached.begin(), reached.end(), inline_ports.begin())};
+  } else {
+    spilled_ports.assign(reached.begin(), reached.end());
+    reached = spilled_ports;
+  }
 
   // Charge the interpretation + bookkeeping before waking any reader.
   std::array<Machine::Charge, 6> charges;  // at most one per category below

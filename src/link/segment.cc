@@ -120,8 +120,21 @@ void EthernetSegment::Transmit(const Station* from, Frame frame) {
 void EthernetSegment::Carry(Frame frame, pfsim::TimePoint at, pfsim::Duration extra_delay) {
   stats_.frames_carried++;
   stats_.bytes_carried += frame.size();
-  sim_->ScheduleAt(at + kPropagationDelay + extra_delay,
-                   [this, f = std::move(frame)] { Deliver(f); });
+  uint32_t slot = static_cast<uint32_t>(in_flight_.size());
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(frame));
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    in_flight_[slot] = std::move(frame);
+  }
+  sim_->ScheduleAt(at + kPropagationDelay + extra_delay, [this, slot] {
+    // Take the frame out and free its slot first: a station may transmit
+    // from Deliver, and that Carry may reuse the slot or grow the slab.
+    const Frame frame = std::move(in_flight_[slot]);
+    free_in_flight_.push_back(slot);
+    Deliver(frame);
+  });
 }
 
 void EthernetSegment::Deliver(const Frame& frame) {

@@ -108,6 +108,13 @@ class EthernetSegment {
   // Deliver's copy of stations_, reused frame to frame (Deliver only runs
   // from a scheduled event, so it never nests).
   std::vector<Station*> delivery_snapshot_;
+  // Frames on the wire, parked until their delivery event runs: the event
+  // carries only the slot index, which fits std::function's in-place
+  // buffer, so carrying a frame allocates nothing once the slab has grown
+  // to the number of frames in flight. Freed slots are reused through
+  // free_in_flight_.
+  std::vector<Frame> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
   pfsim::TimePoint medium_free_at_{};
   uint64_t next_flow_id_ = 1;
   std::unique_ptr<Impairer> impairer_;

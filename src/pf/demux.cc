@@ -540,6 +540,7 @@ std::vector<ReceivedPacket> PacketFilter::PopBatch(PortId id, size_t max) {
   if (port == nullptr) {
     return out;
   }
+  out.reserve(std::min(max, port->queue.size()));
   while (!port->queue.empty() && out.size() < max) {
     out.push_back(std::move(port->queue.front()));
     port->queue.pop_front();

@@ -45,17 +45,6 @@ EventId Simulator::Push(TimePoint at) {
   return id;
 }
 
-EventId Simulator::Schedule(Duration delay, Callback fn) {
-  assert(delay.count() >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::ScheduleAt(TimePoint at, Callback fn) {
-  const EventId id = Push(at);
-  slots_[id.slot].fn = std::move(fn);
-  return id;
-}
-
 EventId Simulator::ScheduleResume(Duration delay, std::coroutine_handle<> h) {
   assert(delay.count() >= 0);
   const EventId id = Push(now_ + delay);

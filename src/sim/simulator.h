@@ -14,9 +14,11 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/sim_time.h"
@@ -46,9 +48,19 @@ class Simulator {
   int64_t NowNanos() const { return now_.time_since_epoch().count(); }
 
   // Schedules `fn` to run `delay` from now (delay may be zero; never
-  // negative).
-  EventId Schedule(Duration delay, Callback fn);
-  EventId ScheduleAt(TimePoint at, Callback fn);
+  // negative). Templates, so a lambda becomes its slot's std::function
+  // directly instead of being moved through by-value Callback parameters.
+  template <typename F>
+  EventId Schedule(Duration delay, F&& fn) {
+    assert(delay.count() >= 0);
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  }
+  template <typename F>
+  EventId ScheduleAt(TimePoint at, F&& fn) {
+    const EventId id = Push(at);
+    slots_[id.slot].fn = std::forward<F>(fn);
+    return id;
+  }
 
   // Schedules a coroutine resumption `delay` from now.
   EventId ScheduleResume(Duration delay, std::coroutine_handle<> h);

@@ -15,11 +15,19 @@
 #include <exception>
 #include <utility>
 
+#include "src/sim/frame_pool.h"
+
 namespace pfsim {
 
 class [[nodiscard]] Task {
  public:
   struct promise_type {
+    // Frames come from the per-thread frame pool (frame_pool.h).
+    static void* operator new(size_t size) { return internal::AllocateFrame(size); }
+    static void operator delete(void* p, size_t size) noexcept {
+      internal::ReleaseFrame(p, size);
+    }
+
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }

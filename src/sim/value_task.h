@@ -23,11 +23,17 @@
 #include <optional>
 #include <utility>
 
+#include "src/sim/frame_pool.h"
+
 namespace pfsim {
 
 namespace internal {
 
 struct PromiseBase {
+  // Frames come from the per-thread frame pool (frame_pool.h).
+  static void* operator new(size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* p, size_t size) noexcept { ReleaseFrame(p, size); }
+
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }

@@ -1,7 +1,11 @@
 // Link-layer tests: framing for both Ethernets, segment delivery rules,
 // bandwidth serialization, loss injection, the transmit-time FCS, and the
-// seeded impairment engine.
+// seeded impairment engine, and the frames parked on the wire.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "src/link/frame.h"
 #include "src/link/impair.h"
@@ -539,6 +543,146 @@ TEST(SegmentTest, ReorderJitterLetsLaterFramesOvertake) {
   }
   EXPECT_TRUE(out_of_order);
   EXPECT_GT(segment.impairment_stats().reordered, 0u);
+}
+
+// Forwards two copies of every frame it hears to `to` on the same segment,
+// so deliveries carry new frames while the segment is still delivering, and
+// the frames in flight outgrow the slab's first allocation.
+class RelayStation : public TestStation {
+ public:
+  RelayStation(MacAddr addr, EthernetSegment* segment, uint8_t from, uint8_t to)
+      : TestStation(addr), segment_(segment), from_(from), to_(to) {}
+  void OnFrameDelivered(const Frame& frame, pfsim::TimePoint at) override {
+    TestStation::OnFrameDelivered(frame, at);
+    for (int i = 0; i < kFanOut; ++i) {
+      Frame copy = MakeFrame(to_, from_, frame.size() - 4);
+      std::copy(frame.bytes.begin() + 4, frame.bytes.end(),
+                copy.bytes.MutableSpan().begin() + 4);
+      segment_->Transmit(this, std::move(copy));
+    }
+  }
+  static constexpr int kFanOut = 2;
+
+ private:
+  EthernetSegment* segment_;
+  uint8_t from_;
+  uint8_t to_;
+};
+
+TEST(SegmentTest, InFlightFramesArriveByteExactOutOfOrder) {
+  // Extra delay and duplicates keep many frames parked at once and deliver
+  // them out of scheduling order. The relay transmits from inside Deliver,
+  // and the monitor, attached after it, hears each frame after that
+  // transmission, so a delivery that read its frame from the slab after
+  // the relay's Carry reused or grew it would show here.
+  pfsim::Simulator sim;
+  EthernetSegment segment(&sim, LinkType::kExperimental3Mb);
+  TestStation a(MacAddr::Experimental(1));
+  RelayStation b(MacAddr::Experimental(2), &segment, 2, 3);
+  TestStation c(MacAddr::Experimental(3));
+  TestStation monitor(MacAddr::Experimental(9), /*promiscuous=*/true);
+  segment.Attach(&a);
+  segment.Attach(&b);
+  segment.Attach(&c);
+  segment.Attach(&monitor);
+  pflink::ImpairmentConfig config;
+  config.seed = 26;
+  config.reorder = 0.5;
+  config.reorder_jitter = pfsim::Milliseconds(20);
+  config.duplicate = 0.3;
+  segment.SetImpairments(config);
+
+  constexpr int kFrames = 300;
+  pfutil::Rng rng(26);
+  std::vector<std::vector<uint8_t>> sent;
+  for (int i = 0; i < kFrames; ++i) {
+    Frame frame = MakeFrame(2, 1, 2 + rng.Below(200));
+    std::span<uint8_t> bytes = frame.bytes.MutableSpan();
+    pfutil::StoreBe16(&bytes[4], static_cast<uint16_t>(i));  // sequence tag
+    for (size_t k = 6; k < bytes.size(); ++k) {
+      bytes[k] = rng.NextU8();
+    }
+    sent.push_back(frame.bytes.ToVector());
+    segment.Transmit(&a, std::move(frame));
+  }
+  sim.Run();
+
+  // b heard every frame a sent, once or (duplicated) twice, out of order.
+  std::vector<int> copies(kFrames, 0);
+  bool out_of_order = false;
+  for (size_t i = 0; i < b.frames.size(); ++i) {
+    const uint16_t tag = pfutil::LoadBe16(&b.frames[i][4]);
+    ASSERT_LT(tag, kFrames);
+    out_of_order = out_of_order || (i > 0 && tag < pfutil::LoadBe16(&b.frames[i - 1][4]));
+    ++copies[tag];
+  }
+  uint64_t duplicated = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_GE(copies[i], 1) << "frame " << i << " never arrived";
+    EXPECT_LE(copies[i], 2) << "frame " << i;
+    duplicated += copies[i] == 2 ? 1 : 0;
+  }
+  EXPECT_TRUE(out_of_order);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(c.raw.size(), RelayStation::kFanOut * b.raw.size() +
+                              segment.stats().frames_duplicated - duplicated);
+
+  // The monitor heard every carried frame after the relay ran: each is byte
+  // for byte what was sent (a's) or relayed (b's), with its FCS intact.
+  ASSERT_EQ(monitor.raw.size(), segment.stats().frames_carried);
+  size_t to_b = 0;
+  size_t to_c = 0;
+  for (const Frame& frame : monitor.raw) {
+    EXPECT_TRUE(frame.FcsIntact());
+    EXPECT_FALSE(frame.Truncated());
+    const uint16_t tag = pfutil::LoadBe16(frame.bytes.data() + 4);
+    ASSERT_LT(tag, kFrames);
+    const std::vector<uint8_t>& original = sent[tag];
+    if (frame.bytes[0] == 2) {
+      ++to_b;
+      EXPECT_EQ(frame.bytes.ToVector(), original) << "frame " << tag;
+    } else {
+      ++to_c;
+      EXPECT_EQ(frame.bytes[0], 3);
+      EXPECT_TRUE(std::equal(frame.bytes.begin() + 4, frame.bytes.end(), original.begin() + 4,
+                             original.end()))
+          << "relayed frame " << tag;
+    }
+  }
+  EXPECT_EQ(to_b, b.raw.size());
+  EXPECT_EQ(to_c, c.raw.size());
+  EXPECT_TRUE(a.raw.empty());
+  EXPECT_EQ(segment.stats().frames_offered + segment.stats().frames_duplicated,
+            segment.stats().frames_carried + segment.stats().frames_lost);
+}
+
+TEST(SegmentTest, TeardownWithFramesInFlightReleasesThem) {
+  // The segment owns the frames on its wire: destroying it with deliveries
+  // pending frees them (ASan sees any leak), and the simulator then drops
+  // the pending events without running them.
+  const Frame sent = MakeFrame(2, 1, 64);
+  pfsim::Simulator sim;
+  {
+    EthernetSegment segment(&sim, LinkType::kExperimental3Mb);
+    TestStation a(MacAddr::Experimental(1));
+    TestStation b(MacAddr::Experimental(2));
+    segment.Attach(&a);
+    segment.Attach(&b);
+    pflink::ImpairmentConfig config;
+    config.reorder = 0.5;
+    config.duplicate = 0.5;
+    segment.SetImpairments(config);
+    for (int i = 0; i < 50; ++i) {
+      segment.Transmit(&a, sent);
+    }
+    sim.RunFor(pfsim::Milliseconds(3));
+    ASSERT_GT(b.raw.size(), 0u);          // some delivered,
+    ASSERT_GT(sim.pending_events(), 0u);  // some still on the wire
+    // Every carried copy shares the block: parked on the wire or kept by b.
+    EXPECT_EQ(sent.bytes.refcount(), 1 + segment.stats().frames_carried);
+  }
+  EXPECT_EQ(sent.bytes.refcount(), 1u);
+  EXPECT_GT(sim.pending_events(), 0u);
 }
 
 TEST(SegmentTest, DetachStopsDelivery) {

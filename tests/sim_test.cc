@@ -1,6 +1,6 @@
 // Tests for the discrete-event simulator core: event ordering and
-// cancellation, coroutine tasks, timers, queues with timeout, and wait
-// queues.
+// cancellation, coroutine tasks and their frame pool, timers, queues with
+// timeout, and wait queues.
 //
 // The ordering-parity test is generated and time-boxed: seeds run while
 // the budget lasts (PF_SIM_ORDER_SECONDS, default 1; raise it for a soak).
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <coroutine>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/frame_pool.h"
 #include "src/sim/sim_time.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -438,6 +440,116 @@ TEST(ValueTaskTest, VoidTaskCompletesSynchronously) {
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.Now().time_since_epoch().count(), 0);
+}
+
+// --- Frame pool (frame_pool.h) ----------------------------------------------
+
+constexpr const char* kPassthroughReason =
+    "AddressSanitizer build: the frame pool passes every frame straight through to "
+    "::operator new/delete, so frames are never reused";
+
+// Hands the awaiting coroutine its own frame address without suspending.
+struct FrameAddress {
+  void* address = nullptr;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    address = h.address();
+    return false;
+  }
+  void* await_resume() const noexcept { return address; }
+};
+
+pfsim::ValueTask<void*> ValueFrame() { co_return co_await FrameAddress{}; }
+
+Task SmallFrame() { co_return; }
+
+// `bytes` live across a suspension, so they sit in the frame.
+template <size_t kBytes>
+Task FrameHolding(Simulator* sim, size_t* sum) {
+  std::array<uint8_t, kBytes> bytes;
+  bytes.fill(1);
+  co_await sim->Delay(Nanoseconds(1));
+  for (const uint8_t b : bytes) {
+    *sum += b;
+  }
+}
+
+TEST(FramePoolTest, FreedFrameIsReusedByTheNextOfItsClass) {
+  if (pfsim::kFramePoolPassthrough) {
+    GTEST_SKIP() << kPassthroughReason;
+  }
+  // A Task frame.
+  auto first = SmallFrame().Release();
+  void* const task_frame = first.address();
+  first.destroy();
+  auto second = SmallFrame().Release();
+  EXPECT_EQ(second.address(), task_frame);  // the pool never frees a frame
+  second.destroy();
+
+  // A ValueTask frame: the second call's frame is the first call's.
+  Simulator sim;
+  std::vector<void*> frames;
+  auto caller = [&]() -> Task {
+    frames.push_back(co_await ValueFrame());
+    frames.push_back(co_await ValueFrame());
+  };
+  sim.Spawn(caller());
+  sim.Run();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], frames[1]);
+}
+
+TEST(FramePoolTest, ClassesNeverShareStorage) {
+  using pfsim::internal::AllocateFrame;
+  using pfsim::internal::ReleaseFrame;
+  // One freed block per class, each of its class's largest size.
+  std::vector<void*> freed;
+  for (size_t cls = 0; cls < pfsim::kFrameClasses; ++cls) {
+    const size_t size = (cls + 1) * pfsim::kFrameClassBytes;
+    void* block = AllocateFrame(size);
+    std::fill_n(static_cast<uint8_t*>(block), size, 0xa5);  // the whole class is usable
+    freed.push_back(block);
+  }
+  for (size_t cls = 0; cls < freed.size(); ++cls) {
+    ReleaseFrame(freed[cls], (cls + 1) * pfsim::kFrameClassBytes);
+  }
+  // Each class's smallest size gets that class's block back (or a fresh one
+  // under passthrough), never another class's.
+  for (size_t cls = 0; cls < pfsim::kFrameClasses; ++cls) {
+    const size_t size = cls * pfsim::kFrameClassBytes + 1;
+    void* block = AllocateFrame(size);
+    for (size_t other = 0; other < freed.size(); ++other) {
+      if (other != cls) {
+        EXPECT_NE(block, freed[other]) << "class " << cls << " got class " << other;
+      }
+    }
+    if (!pfsim::kFramePoolPassthrough) {
+      EXPECT_EQ(block, freed[cls]) << "class " << cls;
+    }
+    ReleaseFrame(block, size);
+  }
+
+  // Coroutines: a small frame, once freed, is not handed to a larger one.
+  Simulator sim;
+  size_t sum = 0;
+  auto small = SmallFrame().Release();
+  void* const small_frame = small.address();
+  small.destroy();
+  auto large = FrameHolding<512>(&sim, &sum).Release();
+  EXPECT_NE(large.address(), small_frame);
+  large.destroy();
+}
+
+TEST(FramePoolTest, FrameAboveTheTopClassRoundTripsThroughOperatorNew) {
+  const uint64_t oversize = pfsim::oversize_frames();
+  Simulator sim;
+  size_t sum = 0;
+  sim.Spawn(FrameHolding<2 * pfsim::kMaxPooledFrameBytes>(&sim, &sum));
+  sim.Run();
+  EXPECT_EQ(sum, 2 * pfsim::kMaxPooledFrameBytes);  // every byte of the frame was usable
+  if (!pfsim::kFramePoolPassthrough) {
+    EXPECT_EQ(pfsim::oversize_frames(), oversize + 1);
+  }
 }
 
 // --- Ordering parity against a reference model ------------------------------
