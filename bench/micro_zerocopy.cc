@@ -20,11 +20,18 @@
 //   4. the clean path takes no copy-on-write clones (PacketBuf stats): COW
 //      exists for impaired duplicates, not for normal traffic;
 //   5. the frame check sequence every bulk frame pays twice (stamped at
-//      transmit, verified at receive): pfutil::Crc32 on a 1514-byte frame
-//      must agree with a bytewise table CRC written here and cost at most
-//      1/3 of its ns/byte, fastest of 21 interleaved runs per side. The
-//      ratio is enforced on sanitizer-free Release-family builds only
+//      transmit, verified at receive): pfutil::Crc32 and the portable
+//      pfutil::internal::Crc32Sliced on a 1514-byte frame must agree with a
+//      bytewise table CRC written here, and Crc32 must cost at most 1/3 of
+//      its ns/byte, fastest of 21 interleaved runs per side. The ratio is
+//      enforced on sanitizer-free Release-family builds only
 //      (informational elsewhere, where it measures the sanitizer or -O0);
+//   5b. on those builds, when the CPU reports PCLMULQDQ and SSE4.1, Crc32's
+//      carry-less fold must also cost at most 1/3 of Crc32Sliced per byte
+//      on the same frame (micro_zerocopy.fcs_fold_third_of_sliced), so the
+//      fast kernel cannot be lost silently; informational on other CPUs,
+//      where Crc32 is the sliced loop. A table of both per frame at lengths
+//      from kCrc32FoldMinBytes up shows where the fold starts to pay;
 //   6. heap allocations per delivered packet, counted by the bench
 //      harness's operator new over the bulk loop's steady state (segment
 //      reads kWarmupSegments..kBulkSegments, deliveries summed over both
@@ -53,7 +60,7 @@ namespace {
 
 constexpr int kBulkSegments = 64;
 constexpr int kWarmupSegments = 16;
-constexpr double kMaxAllocsPerPacket = 5.5;
+constexpr double kMaxAllocsPerPacket = 4.4;
 
 struct ModeSnapshot {
   double bulk_kbps = 0;
@@ -147,39 +154,38 @@ uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
   return crc ^ 0xffffffffu;
 }
 
-struct FcsCost {
-  double sliced_ns_per_byte = 1e300;
-  double bytewise_ns_per_byte = 1e300;
-  bool agree = true;
-};
+using Crc32Fn = uint32_t (*)(std::span<const uint8_t>);
 
-// Host ns/byte of both CRCs over a full Ethernet frame: the fastest of
-// interleaved runs, so host noise hits both sides alike. Each CRC is fed
-// back into the frame, so no call can be hoisted out of the loop.
-FcsCost MeasureFcs() {
+// Host ns/byte of each CRC in `impls` over a seeded random `len`-byte frame:
+// the fastest of kReps interleaved runs, so host noise hits every side
+// alike. Each CRC is fed back into the frame, so no call can be hoisted out
+// of the loop. Clears `*agree` if any result differs from BytewiseCrc32.
+template <size_t N>
+std::array<double, N> MeasureCrcs(size_t len, const std::array<Crc32Fn, N>& impls, bool* agree) {
   constexpr int kReps = 21;
-  constexpr int kFramesPerRun = 64;
-  std::vector<uint8_t> frame(1514);
-  pfutil::Rng rng(1514);
+  constexpr size_t kBytesPerRun = 64 * 1514;
+  const size_t frames_per_run = std::max<size_t>(64, kBytesPerRun / len);
+  std::vector<uint8_t> frame(len);
+  pfutil::Rng rng(len);
   for (uint8_t& byte : frame) {
     byte = rng.NextU8();
   }
-  FcsCost cost;
-  const auto run = [&](uint32_t (*crc32)(std::span<const uint8_t>)) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kFramesPerRun; ++i) {
-      frame[0] = static_cast<uint8_t>(crc32(frame));
-    }
-    const std::chrono::duration<double, std::nano> elapsed =
-        std::chrono::steady_clock::now() - start;
-    cost.agree = cost.agree && pfutil::Crc32(frame) == BytewiseCrc32(frame);
-    return elapsed.count() / (kFramesPerRun * static_cast<double>(frame.size()));
-  };
+  std::array<double, N> ns_per_byte;
+  ns_per_byte.fill(1e300);
   for (int rep = 0; rep < kReps; ++rep) {
-    cost.sliced_ns_per_byte = std::min(cost.sliced_ns_per_byte, run(pfutil::Crc32));
-    cost.bytewise_ns_per_byte = std::min(cost.bytewise_ns_per_byte, run(BytewiseCrc32));
+    for (size_t i = 0; i < N; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      for (size_t f = 0; f < frames_per_run; ++f) {
+        frame[0] = static_cast<uint8_t>(impls[i](frame));
+      }
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - start;
+      *agree = *agree && impls[i](frame) == BytewiseCrc32(frame);
+      ns_per_byte[i] = std::min(
+          ns_per_byte[i], elapsed.count() / (static_cast<double>(frames_per_run) * len));
+    }
   }
-  return cost;
+  return ns_per_byte;
 }
 
 }  // namespace
@@ -239,19 +245,38 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   }
   pfbench::ReportCheck("micro_zerocopy.zero_copy_gates", failures.empty());
 
-  // Check 5: the FCS host cost, a wall-clock ratio.
+  // Check 5: the FCS host cost, wall-clock ratios.
   const bool enforce =
       pfbench::HostGatesEnforced(pfbench::BuildTypeName(), pfbench::SanitizerFlags());
-  const FcsCost fcs = MeasureFcs();
-  const double ratio = fcs.sliced_ns_per_byte / fcs.bytewise_ns_per_byte;
+  const bool fold = pfutil::internal::Crc32FoldAvailable();
+  bool agree = true;
+  const auto [crc32_ns, sliced_ns, bytewise_ns] = MeasureCrcs<3>(
+      1514, {pfutil::Crc32, pfutil::internal::Crc32Sliced, BytewiseCrc32}, &agree);
+  const double ratio = crc32_ns / bytewise_ns;
+  const double fold_ratio = crc32_ns / sliced_ns;
+  const char* const not_release = " [informational: non-Release or sanitized build]";
   std::printf("    FCS on a 1514-byte frame: Crc32 %.3f ns/byte, bytewise reference %.3f "
               "ns/byte, ratio %.2f (need <= 1/3)%s\n",
-              fcs.sliced_ns_per_byte, fcs.bytewise_ns_per_byte, ratio,
-              enforce ? "" : " [informational: non-Release or sanitized build]");
-  bool fcs_ok = fcs.agree;
-  if (!fcs.agree) {
-    std::fprintf(stderr, "micro_zerocopy FAILED: Crc32 disagrees with the bytewise "
-                         "reference\n");
+              crc32_ns, bytewise_ns, ratio, enforce ? "" : not_release);
+  std::printf("    FCS fold on a 1514-byte frame: Crc32 %.3f ns/byte, Crc32Sliced %.3f "
+              "ns/byte, ratio %.2f (need <= 1/3)%s\n",
+              crc32_ns, sliced_ns, fold_ratio,
+              !enforce ? not_release
+              : !fold  ? " [informational: the CPU lacks PCLMULQDQ or SSE4.1, so Crc32 "
+                         "is the sliced loop]"
+                       : "");
+  std::printf("    FCS per frame, Crc32 vs Crc32Sliced (the fold runs from %zu bytes%s):",
+              pfutil::kCrc32FoldMinBytes, fold ? "" : "; not on this CPU");
+  for (const size_t len : {size_t{64}, size_t{96}, size_t{128}, size_t{256}, size_t{512}}) {
+    const auto [short_crc32_ns, short_sliced_ns] =
+        MeasureCrcs<2>(len, {pfutil::Crc32, pfutil::internal::Crc32Sliced}, &agree);
+    std::printf(" %zu B %.1f vs %.1f ns;", len, short_crc32_ns * len, short_sliced_ns * len);
+  }
+  std::printf("\n");
+  bool fcs_ok = agree;
+  if (!agree) {
+    std::fprintf(stderr, "micro_zerocopy FAILED: Crc32 or Crc32Sliced disagrees with the "
+                         "bytewise reference\n");
   }
   if (enforce && !(ratio <= 1.0 / 3.0)) {
     std::fprintf(stderr, "micro_zerocopy FAILED: Crc32 costs more than 1/3 of the "
@@ -259,6 +284,13 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
     fcs_ok = false;
   }
   pfbench::ReportCheck("micro_zerocopy.fcs_third_of_bytewise", fcs_ok, ratio);
+  bool fold_ok = agree;
+  if (enforce && fold && !(fold_ratio <= 1.0 / 3.0)) {
+    std::fprintf(stderr, "micro_zerocopy FAILED: Crc32's carry-less fold costs more than "
+                         "1/3 of Crc32Sliced per byte\n");
+    fold_ok = false;
+  }
+  pfbench::ReportCheck("micro_zerocopy.fcs_fold_third_of_sliced", fold_ok, fold_ratio);
 
   // Check 6: heap allocations per delivered packet in the steady state.
   const bool counted = pfbench::AllocationCounterInstalled();
@@ -296,7 +328,7 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   }
   pfbench::ReportCheck("micro_zerocopy.allocs_per_packet", allocs_ok, worst_allocs);
 
-  if (failures.empty() && allocs_ok && fcs_ok) {
+  if (failures.empty() && allocs_ok && fcs_ok && fold_ok) {
     std::printf("    all zero-copy, reconciliation, allocation and FCS gates hold\n");
     return 0;
   }

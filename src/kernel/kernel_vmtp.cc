@@ -7,7 +7,12 @@
 namespace pfkern {
 
 std::vector<uint8_t> KernelVmtp::Assembly::Join() const {
+  size_t total = 0;
+  for (const auto& [index, part] : parts) {
+    total += part.size();
+  }
   std::vector<uint8_t> out;
+  out.reserve(total);
   for (const auto& [index, part] : parts) {
     out.insert(out.end(), part.begin(), part.end());
   }

@@ -1,5 +1,6 @@
 #include "src/link/frame.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/util/byte_order.h"
@@ -48,22 +49,20 @@ std::optional<Frame> BuildFrame(LinkType type, const LinkHeader& header,
   if (payload.size() > props.mtu) {
     return std::nullopt;
   }
-  std::vector<uint8_t> bytes;
-  bytes.reserve(props.header_len + payload.size());
-  if (type == LinkType::kEthernet10Mb) {
-    bytes.insert(bytes.end(), header.dst.bytes.begin(), header.dst.bytes.begin() + 6);
-    bytes.insert(bytes.end(), header.src.bytes.begin(), header.src.bytes.begin() + 6);
-    bytes.push_back(static_cast<uint8_t>(header.ether_type >> 8));
-    bytes.push_back(static_cast<uint8_t>(header.ether_type & 0xff));
-  } else {
-    bytes.push_back(header.dst.bytes[0]);
-    bytes.push_back(header.src.bytes[0]);
-    bytes.push_back(static_cast<uint8_t>(header.ether_type >> 8));
-    bytes.push_back(static_cast<uint8_t>(header.ether_type & 0xff));
-  }
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  // Written in place into an arena block, so a recycled block's storage
+  // carries the frame and building it allocates nothing.
   Frame frame;
-  frame.bytes = pf::PacketBuf(std::move(bytes));
+  frame.bytes = pf::PacketBuf::Allocate(props.header_len + payload.size());
+  uint8_t* out = frame.bytes.MutableSpan().data();
+  if (type == LinkType::kEthernet10Mb) {
+    out = std::copy_n(header.dst.bytes.begin(), 6, out);
+    out = std::copy_n(header.src.bytes.begin(), 6, out);
+  } else {
+    *out++ = header.dst.bytes[0];
+    *out++ = header.src.bytes[0];
+  }
+  pfutil::StoreBe16(out, header.ether_type);
+  std::copy(payload.begin(), payload.end(), out + 2);
   return frame;
 }
 

@@ -77,7 +77,12 @@ pfsim::ValueTask<void> WriteGroupPackets(pfkern::Machine* machine, int pid, pf::
 }
 
 std::vector<uint8_t> JoinParts(const std::map<uint16_t, std::vector<uint8_t>>& parts) {
+  size_t total = 0;
+  for (const auto& [index, part] : parts) {
+    total += part.size();
+  }
   std::vector<uint8_t> out;
+  out.reserve(total);
   for (const auto& [index, part] : parts) {
     out.insert(out.end(), part.begin(), part.end());
   }

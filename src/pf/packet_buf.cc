@@ -19,7 +19,7 @@ std::vector<PacketBuf::Control*>& PacketBuf::Pool() {
   return *pool;
 }
 
-PacketBuf::Control* PacketBuf::Acquire(std::vector<uint8_t> bytes) {
+PacketBuf::Control* PacketBuf::Acquire() {
   std::vector<Control*>& pool = Pool();
   Control* ctrl;
   if (!pool.empty()) {
@@ -31,7 +31,6 @@ PacketBuf::Control* PacketBuf::Acquire(std::vector<uint8_t> bytes) {
     ++g_stats.blocks_allocated;
   }
   ctrl->refs = 1;
-  ctrl->bytes = std::move(bytes);
   return ctrl;
 }
 
@@ -49,13 +48,26 @@ void PacketBuf::Release(Control* ctrl) {
 
 PacketBuf::PacketBuf(std::vector<uint8_t> bytes) {
   if (!bytes.empty()) {
-    ctrl_ = Acquire(std::move(bytes));
+    ctrl_ = Acquire();
+    ctrl_->bytes = std::move(bytes);
     len_ = ctrl_->bytes.size();
   }
 }
 
 PacketBuf PacketBuf::CopyOf(std::span<const uint8_t> bytes) {
-  return PacketBuf(std::vector<uint8_t>(bytes.begin(), bytes.end()));
+  PacketBuf out = Allocate(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), out.MutableSpan().begin());
+  return out;
+}
+
+PacketBuf PacketBuf::Allocate(size_t n) {
+  PacketBuf out;
+  if (n > 0) {
+    out.ctrl_ = Acquire();
+    out.ctrl_->bytes.resize(n);
+    out.len_ = n;
+  }
+  return out;
 }
 
 PacketBuf::PacketBuf(const PacketBuf& other)
@@ -121,10 +133,10 @@ std::span<uint8_t> PacketBuf::MutableSpan() {
     // viewed bytes so their view stays pristine.
     ++g_stats.cow_copies;
     g_stats.cow_bytes += len_;
-    Control* clone = Acquire(std::vector<uint8_t>(begin(), end()));
-    Unref();
-    ctrl_ = clone;
-    offset_ = 0;
+    *this = CopyOf(span());
+    if (ctrl_ == nullptr) {
+      return {};  // an empty view clones to no block
+    }
   }
   return std::span<uint8_t>(ctrl_->bytes.data() + offset_, len_);
 }

@@ -15,11 +15,13 @@
 //     someone else still references (e.g. a pristine duplicate in flight).
 //   * Truncate() — shrinks the view, never the block: free.
 //
-// Blocks come from a process-wide arena (a bounded freelist) so steady-state
-// traffic allocates nothing; SetPoolCapacity(0) disables recycling, which
-// the ASan lifetime tests use so a use-after-free would touch genuinely
-// freed memory. The simulator is single-threaded, so refcounts are plain
-// integers.
+// Blocks come from a process-wide arena (a bounded freelist). A retired
+// block keeps its storage, so a frame built with Allocate() into a recycled
+// block allocates nothing; adopting a caller's vector keeps only the control
+// block and replaces the retained storage with the vector's.
+// SetPoolCapacity(0) disables recycling, which the ASan lifetime tests use
+// so a use-after-free would touch genuinely freed memory. The simulator is
+// single-threaded, so refcounts are plain integers.
 #ifndef SRC_PF_PACKET_BUF_H_
 #define SRC_PF_PACKET_BUF_H_
 
@@ -50,6 +52,9 @@ class PacketBuf {
   // A true copy of `bytes` into a fresh block (used by span-only callers
   // whose storage does not outlive the call).
   static PacketBuf CopyOf(std::span<const uint8_t> bytes);
+  // A unique block of `n` zeroed bytes, reusing a pooled block's storage
+  // when it is large enough; the caller writes it through MutableSpan().
+  static PacketBuf Allocate(size_t n);
 
   PacketBuf(const PacketBuf& other);
   PacketBuf& operator=(const PacketBuf& other);
@@ -108,7 +113,9 @@ class PacketBuf {
     std::vector<uint8_t> bytes;
   };
 
-  static Control* Acquire(std::vector<uint8_t> bytes);
+  // A pooled or fresh control block holding one reference; its bytes are
+  // empty but may keep a retired block's capacity.
+  static Control* Acquire();
   static void Release(Control* ctrl);
   static std::vector<Control*>& Pool();
 

@@ -5,6 +5,7 @@
 #ifndef SRC_UTIL_CHECKSUM_H_
 #define SRC_UTIL_CHECKSUM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -22,8 +23,26 @@ uint16_t PupChecksum(std::span<const uint8_t> data);
 inline constexpr uint16_t kPupNoChecksum = 0xffff;
 
 // IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320, init/final 0xFFFFFFFF)
-// — the Ethernet frame check sequence.
+// — the Ethernet frame check sequence. On x86-64 hosts whose CPU has
+// PCLMULQDQ and SSE4.1, inputs of at least kCrc32FoldMinBytes are folded
+// with carry-less multiplies; everything else takes the portable
+// slicing-by-16 loop. Both compute the same value.
 uint32_t Crc32(std::span<const uint8_t> data);
+
+// The shortest input the carry-less fold takes: it starts from four
+// 16-byte blocks.
+inline constexpr size_t kCrc32FoldMinBytes = 64;
+
+namespace internal {
+
+// The portable slicing-by-16 CRC-32, whatever the CPU: the reference the
+// tests and micro_zerocopy compare Crc32 against.
+uint32_t Crc32Sliced(std::span<const uint8_t> data);
+
+// True if this process's Crc32 folds inputs of kCrc32FoldMinBytes or more.
+bool Crc32FoldAvailable();
+
+}  // namespace internal
 
 }  // namespace pfutil
 

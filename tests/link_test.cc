@@ -253,7 +253,8 @@ Frame RandomFrame(pfutil::Rng& rng, size_t len) {
 
 TEST(FrameTest, FcsDetectsEverySingleBitError) {
   // A CRC-32 catches every single-bit error, so any flip the check misses
-  // is a bug in the 16-byte blocks or the bytewise tail.
+  // is a bug in the carry-less fold (1514 bytes, where the CPU has it), the
+  // 16-byte slicing blocks or the bytewise tail.
   pfutil::Rng rng(1514);
   for (const size_t len : {size_t{60}, size_t{1514}}) {
     Frame frame = RandomFrame(rng, len);
@@ -274,6 +275,35 @@ TEST(FrameTest, FcsDetectsEverySingleBitError) {
       shortened.bytes.Truncate(len - cut);
       EXPECT_TRUE(shortened.Truncated()) << len << "-byte frame cut by " << cut;
     }
+  }
+}
+
+TEST(FrameTest, FcsDetectsEvery32BitBurst) {
+  // A degree-32 CRC catches every burst error no longer than 32 bits. Each
+  // burst spans all 32: the first byte's first wire bit (bit 0, the CRC is
+  // reflected) and the fourth byte's last are always flipped.
+  pfutil::Rng rng(32);
+  for (const size_t len : {size_t{60}, size_t{1514}}) {
+    Frame frame = RandomFrame(rng, len);
+    frame.StampFcs();
+    const std::span<uint8_t> bytes = frame.bytes.MutableSpan();
+    for (size_t offset = 0; offset + 4 <= len; ++offset) {
+      const uint8_t burst[4] = {static_cast<uint8_t>(rng.NextU8() | 0x01), rng.NextU8(),
+                                rng.NextU8(), static_cast<uint8_t>(rng.NextU8() | 0x80)};
+      const auto flip = [&] {
+        for (size_t i = 0; i < 4; ++i) {
+          bytes[offset + i] ^= burst[i];
+        }
+      };
+      flip();
+      if (frame.FcsIntact()) {
+        ADD_FAILURE() << len << "-byte frame: a 32-bit burst at byte " << offset
+                      << " went undetected";
+        return;
+      }
+      flip();
+    }
+    EXPECT_TRUE(frame.FcsIntact());
   }
 }
 
