@@ -23,7 +23,10 @@
 // transition counted, and the identity + metrics reconciliation exact in
 // every cell. A kIndexed cell at 256 ports gates that a conn hit costs
 // less modeled work than a walk: it runs the stored filter, not the index
-// probe.
+// probe. A second capacity-64k cell gates heap allocations: once the table
+// is full, a flood of new flows must not allocate at all (counted by the
+// harness's operator new; sanitized builds keep their own allocator, so
+// there the gate only reports).
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -274,6 +277,54 @@ bool RunCheckCell(std::vector<std::string>& failures) {
   return failures.size() == before_failures;
 }
 
+// The allocation gate: capacity 64k with the watermarks out of reach, so
+// the flood fills the table to capacity and every later flow evicts the LRU
+// tail. The slab and the index have grown to their peak by then, and the
+// free list to its first slot after a short warm-up past the fill, so over
+// the window that follows the conn path (signature, lookup, walk, eviction,
+// insertion) must allocate nothing.
+struct AllocSample {
+  uint64_t packets = 0;
+  uint64_t allocs = 0;
+};
+
+AllocSample RunAllocCell(std::vector<std::string>& failures) {
+  pf::ConnDB::Config cfg;
+  cfg.capacity = 65536;
+  cfg.ttl_ns = 1'000'000'000;
+  cfg.high_water_pct = 101;  // never reached: the capacity bound sheds
+  cfg.gc_batch = 1024;
+  FloodRig rig(cfg);
+  uint32_t flow = 1'000'000;
+  for (size_t i = 0; i < cfg.capacity; ++i) {
+    rig.Send(flow++);
+  }
+  if (rig.db()->live() != cfg.capacity) {
+    failures.push_back("alloc cell: the fill did not reach capacity");
+  }
+  for (int i = 0; i < 4096; ++i) {  // warm-up: the free list's first push
+    rig.Send(flow++);
+  }
+  constexpr uint64_t kWindow = 262'144;
+  AllocSample sample;
+  const uint64_t evicted_before = rig.db()->stats().evicted_capacity;
+  const uint64_t allocs_before = pfbench::AllocationCount();
+  for (uint64_t i = 0; i < kWindow; ++i) {
+    rig.Send(flow++);
+  }
+  sample.allocs = pfbench::AllocationCount() - allocs_before;
+  sample.packets = kWindow;
+  if (rig.db()->stats().evicted_capacity - evicted_before != kWindow) {
+    failures.push_back("alloc cell: a window flow did not evict the LRU tail");
+  }
+  rig.Drain();
+  if (!rig.db()->IdentityHolds() || rig.db()->live() != 0) {
+    failures.push_back("alloc cell: identity broken or table not drained");
+  }
+  CheckMetricsExact("alloc cell", rig, failures);
+  return sample;
+}
+
 // The conn fast path under §7's decision table: 256 Pup-socket ports under
 // kIndexed with tracking on, one flow per port, each sent four times. A
 // flow's first packet walks (one index probe, then the bucket's filter);
@@ -458,6 +509,28 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
   const bool flood_ok = RunCheckCell(failures);
   pfbench::ReportCheck("micro_flood.flood_2x_and_drain", flood_ok);
 
+  const AllocSample alloc = RunAllocCell(failures);
+  const bool counted = pfbench::AllocationCounterInstalled();
+  const double allocs_per_packet =
+      counted ? static_cast<double>(alloc.allocs) / static_cast<double>(alloc.packets) : nan;
+  if (counted) {
+    std::printf("alloc cell: %llu heap allocations over %llu flood packets at capacity "
+                "65536, %.3f per packet (need 0)\n",
+                (unsigned long long)alloc.allocs, (unsigned long long)alloc.packets,
+                allocs_per_packet);
+  } else {
+    std::printf("alloc cell: %llu flood packets at capacity 65536, heap allocations not "
+                "counted [informational: sanitized build, counter not installed]\n",
+                (unsigned long long)alloc.packets);
+  }
+  const bool allocs_ok = !counted || alloc.allocs == 0;
+  if (!allocs_ok) {
+    std::fprintf(stderr, "micro_flood FAILED: %.3f heap allocations per flood packet at "
+                         "capacity (need 0)\n",
+                 allocs_per_packet);
+  }
+  pfbench::ReportCheck("micro_flood.flood_allocs_zero", allocs_ok, allocs_per_packet);
+
   const HitWalkSample indexed = RunIndexedHitCell(failures);
   pfbench::PrintTable("Conn hit vs walk under kIndexed (256 Pup-socket ports)",
                       "ROADMAP item 5; DESIGN.md §17", "insns+probes/packet",
@@ -486,7 +559,7 @@ static int BenchMain(int /*argc*/, char** /*argv*/) {
                       ledger_rows);
   pfbench::ReportCheck("micro_flood.ledger_reconciles", failures.size() == before_ledger);
   pfbench::ReportCheck("micro_flood.identity_and_metrics_exact", failures.empty());
-  if (!failures.empty()) {
+  if (!failures.empty() || !allocs_ok) {
     for (const std::string& f : failures) {
       std::fprintf(stderr, "micro_flood: %s\n", f.c_str());
     }

@@ -1,18 +1,94 @@
 #include "src/obs/flow_stats.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace pfobs {
 
-uint64_t FlowSignature::Of(std::span<const uint8_t> frame) {
-  // FNV-1a 64-bit over the header prefix.
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const size_t n = frame.size() < kFlowSignaturePrefix ? frame.size() : kFlowSignaturePrefix;
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= frame[i];
-    hash *= 0x100000001b3ull;
+namespace {
+
+constexpr size_t kLanes = kFlowSignaturePrefix / 8;  // one per prefix word
+
+// One key per lane plus one for the length: splitmix64 outputs, so each
+// lane folds its word against a different random-looking value.
+constexpr std::array<uint64_t, kLanes + 1> MakeLaneKeys() {
+  std::array<uint64_t, kLanes + 1> keys{};
+  uint64_t x = 0;
+  for (uint64_t& key : keys) {
+    x += 0x9e3779b97f4a7c15ull;
+    uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    key = z ^ (z >> 31);
   }
+  return keys;
+}
+constexpr auto kLaneKeys = MakeLaneKeys();
+constexpr uint64_t kFoldMultiplier = 0x9e3779b97f4a7c15ull;  // odd
+
+// The 64x64 -> 128 product of the keyed word and an odd constant, folded
+// back to 64 bits (high half xor low half). Distinct words give distinct
+// products, and the high half, which every bit of the word reaches, is
+// folded into the low one.
+constexpr uint64_t Fold(uint64_t word, uint64_t key) {
+  const unsigned __int128 product =
+      static_cast<unsigned __int128>(word ^ key) * kFoldMultiplier;
+  return static_cast<uint64_t>(product) ^ static_cast<uint64_t>(product >> 64);
+}
+
+// kZeroLanes[w]: the folds of lanes w.. when they hold zero padding, summed
+// ahead of time, so a short frame folds only the words it has.
+constexpr std::array<uint64_t, kLanes + 1> MakeZeroLanes() {
+  std::array<uint64_t, kLanes + 1> sums{};
+  for (size_t w = kLanes; w-- > 0;) {
+    sums[w] = sums[w + 1] + Fold(0, kLaneKeys[w]);
+  }
+  return sums;
+}
+constexpr auto kZeroLanes = MakeZeroLanes();
+
+// Little-endian on every host, so the signature is too.
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+}  // namespace
+
+uint64_t FlowSignature::Of(std::span<const uint8_t> frame) {
+  // The prefix, zero-padded to 64 bytes, as eight little-endian words, each
+  // folded in its own lane; the lanes are independent, so the multiplies
+  // overlap. The length is a lane of its own: frames that differ only by
+  // trailing zero bytes inside the prefix are different flows.
+  const size_t n = frame.size() < kFlowSignaturePrefix ? frame.size() : kFlowSignaturePrefix;
+  const uint8_t* p = frame.data();
+  uint64_t hash = Fold(n, kLaneKeys[kLanes]);
+  size_t w = 0;
+  for (; 8 * w + 8 <= n; ++w) {
+    hash += Fold(LoadLe64(p + 8 * w), kLaneKeys[w]);
+  }
+  if (const size_t rest = n - 8 * w; rest > 0) {
+    // The last partial word, zero-padded: the frame's final `rest` bytes
+    // shifted down out of the last eight, or assembled bytewise in a frame
+    // shorter than one word.
+    uint64_t word = 0;
+    if (n >= 8) {
+      word = LoadLe64(p + n - 8) >> (8 * (8 - rest));
+    } else {
+      for (size_t i = 0; i < rest; ++i) {
+        word |= static_cast<uint64_t>(p[i]) << (8 * i);
+      }
+    }
+    hash += Fold(word, kLaneKeys[w++]);
+  }
+  hash += kZeroLanes[w];
   return hash == 0 ? 1 : hash;  // reserve 0 for "no signature"
 }
 

@@ -41,7 +41,7 @@
 
 namespace pfobs {
 
-// Default flow identity: FNV-1a over the frame's first kFlowSignaturePrefix
+// Default flow identity: a hash of the frame's first kFlowSignaturePrefix
 // bytes (enough to cover link + network + transport headers; tails differ
 // only in payload). Never returns 0, so 0 can mean "no signature computed".
 inline constexpr size_t kFlowSignaturePrefix = 64;
@@ -49,9 +49,15 @@ inline constexpr size_t kFlowSignaturePrefix = 64;
 // The one home of the flow-signature computation (ROADMAP item 4): the
 // demux, the drop recorder, the capture taps, the FlowTable, and the
 // connection database all key on FlowSignature::Of(frame), so a flow's
-// identity cross-references across every plane. The hash values are pinned
-// by unit test (flow_stats_test) — changing the function invalidates
-// recorded pcapng/flight-recorder cross-references.
+// identity cross-references across every plane.
+//
+// The hash reads the prefix, zero-padded to 64 bytes, as eight
+// little-endian 64-bit words. Each word, and the prefix length, is xored
+// with its own key and folded by a 64x64 -> 128-bit multiply (high half
+// xor low half); the nine folds are independent and summed. The value is
+// the same on every host. Its low bits index the ConnDB table directly.
+// The values are pinned by unit test (flow_stats_test): changing the
+// function invalidates recorded pcapng/flight-recorder cross-references.
 struct FlowSignature {
   static uint64_t Of(std::span<const uint8_t> frame);
 };

@@ -1,6 +1,7 @@
 #include "src/pf/conndb.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace pf {
@@ -28,6 +29,7 @@ void ConnDB::Reconfigure(Config config) {
   while (live_ > config_.capacity) {
     Remove(lru_tail_, RemoveCause::kEvictedCapacity);
   }
+  IndexRebuild(IndexCellsFor(live_));
   UpdateWatermark();
   UpdateGauges();
 }
@@ -76,6 +78,75 @@ void ConnDB::UpdateGauges() {
   }
 }
 
+size_t ConnDB::IndexCellsFor(size_t entries) {
+  constexpr size_t kMinCells = 16;
+  return entries == 0 ? 0 : std::max(kMinCells, std::bit_ceil(2 * entries));
+}
+
+uint32_t ConnDB::IndexFind(uint64_t signature) const {
+  if (index_.empty()) {
+    return kNil;
+  }
+  const size_t mask = index_.size() - 1;
+  for (size_t i = signature & mask;; i = (i + 1) & mask) {
+    const IndexCell& cell = index_[i];
+    if (cell.signature == 0) {
+      return kNil;
+    }
+    if (cell.signature == signature) {
+      return cell.slot;
+    }
+  }
+}
+
+void ConnDB::IndexInsert(uint64_t signature, uint32_t slot) {
+  if (2 * (live_ + 1) > index_.size()) {
+    IndexRebuild(IndexCellsFor(live_ + 1));
+  }
+  IndexPlace({signature, slot});
+}
+
+void ConnDB::IndexPlace(IndexCell cell) {
+  const size_t mask = index_.size() - 1;
+  size_t i = cell.signature & mask;
+  while (index_[i].signature != 0) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = cell;
+}
+
+void ConnDB::IndexErase(uint64_t signature) {
+  if (signature == 0) {  // never placed: see Establish
+    return;
+  }
+  const size_t mask = index_.size() - 1;
+  size_t hole = signature & mask;
+  while (index_[hole].signature != signature) {  // present: Remove erases live entries
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: pull each later cell of the probe run into the hole
+  // unless the hole lies before its home cell, so every remaining entry
+  // stays reachable from its home without tombstones.
+  for (size_t next = (hole + 1) & mask; index_[next].signature != 0; next = (next + 1) & mask) {
+    const size_t home = index_[next].signature & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = IndexCell{};
+}
+
+void ConnDB::IndexRebuild(size_t cells) {
+  std::vector<IndexCell> old(cells);
+  old.swap(index_);
+  for (const IndexCell& cell : old) {
+    if (cell.signature != 0) {
+      IndexPlace(cell);
+    }
+  }
+}
+
 void ConnDB::LruDetach(uint32_t i) {
   Slot& slot = slots_[i];
   if (slot.lru_prev != kNil) {
@@ -108,7 +179,7 @@ void ConnDB::LruPushFront(uint32_t i) {
 void ConnDB::Remove(uint32_t i, RemoveCause cause) {
   Slot& slot = slots_[i];
   assert(slot.in_use);
-  index_.erase(slot.entry.signature);
+  IndexErase(slot.entry.signature);
   LruDetach(i);
   slot.in_use = false;
   slot.entry = Entry{};
@@ -146,12 +217,11 @@ void ConnDB::UpdateWatermark() {
 const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
                                     uint64_t epoch, size_t bytes) {
   ++stats_.lookups;
-  const auto it = index_.find(signature);
-  if (it == index_.end()) {
+  const uint32_t i = IndexFind(signature);
+  if (i == kNil) {
     ++stats_.misses;
     return nullptr;
   }
-  const uint32_t i = it->second;
   Entry& entry = slots_[i].entry;
   if (Expired(entry, now_ns)) {
     Remove(i, RemoveCause::kExpiredLazy);
@@ -182,11 +252,10 @@ const ConnDB::Entry* ConnDB::Lookup(uint64_t signature, uint64_t now_ns,
 ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
                                            uint64_t now_ns, uint64_t epoch,
                                            size_t bytes) {
-  const auto it = index_.find(signature);
-  if (it != index_.end()) {
+  assert(signature != 0);
+  if (const uint32_t i = IndexFind(signature); i != kNil) {
     // Present (e.g. the epoch moved, or a collision was re-walked): refresh
     // the verdict and restamp rather than churning create/evict counters.
-    const uint32_t i = it->second;
     Entry& entry = slots_[i].entry;
     ++generation_;
     LruDetach(i);
@@ -244,7 +313,7 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
   slot.entry.created_ns = now_ns;
   slot.entry.last_seen_ns = now_ns;
   slot.entry.generation = generation_;
-  index_[signature] = i;
+  IndexInsert(signature, i);
   LruPushFront(i);
   ++live_;
   UpdateWatermark();
@@ -253,11 +322,11 @@ ConnDB::EstablishOutcome ConnDB::Establish(uint64_t signature, uint32_t port,
 }
 
 void ConnDB::Invalidate(uint64_t signature) {
-  const auto it = index_.find(signature);
-  if (it == index_.end()) {
+  const uint32_t i = IndexFind(signature);
+  if (i == kNil) {
     return;
   }
-  Remove(it->second, RemoveCause::kEvictedStale);
+  Remove(i, RemoveCause::kEvictedStale);
   UpdateWatermark();
   UpdateGauges();
 }
@@ -285,8 +354,8 @@ size_t ConnDB::GcSweep(uint64_t now_ns) {
 }
 
 const ConnDB::Entry* ConnDB::Find(uint64_t signature) const {
-  const auto it = index_.find(signature);
-  return it == index_.end() ? nullptr : &slots_[it->second].entry;
+  const uint32_t i = IndexFind(signature);
+  return i == kNil ? nullptr : &slots_[i].entry;
 }
 
 std::vector<ConnDB::Entry> ConnDB::Snapshot() const {

@@ -33,9 +33,20 @@
 //
 // Determinism: eviction order, GC order, and every counter must be
 // bit-identical across toolchains (the observatory's exact-class baselines
-// depend on it), so the DB never iterates its unordered_map. Entries live
-// in a slab vector; the LRU list is index-linked through the slab; the GC
-// cursor walks slab slots in index order; freed slots are reused LIFO.
+// depend on it), so no order the DB exhibits comes from its index. Entries
+// live in a slab vector; the LRU list is index-linked through the slab; the
+// GC cursor walks slab slots in index order; freed slots are reused LIFO.
+//
+// The index maps signature -> slab slot in a flat open-addressed table:
+// a power-of-two cell count, home cell = the signature's low bits (the
+// signature is already a mixed hash), linear probing, and backward-shift
+// deletion, so no tombstones build up under churn. Signature 0 marks an
+// empty cell; FlowSignature::Of never returns it. The table is sized to the
+// live entries: it starts empty (a PacketFilter with tracking off allocates
+// nothing) and doubles before live entries would fill more than half of it,
+// so it never exceeds the power of two at or above 2x capacity. Reconfigure
+// rebuilds it to fit the entries that survive. Once the table and the slab
+// have grown to the peak live count, no operation allocates.
 //
 // Soundness of serving verdicts from state is the *caller's* contract, not
 // the DB's: PacketFilter only consults the DB when the key determines every
@@ -52,7 +63,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -144,7 +154,9 @@ class ConnDB {
 
   // Record the outcome of a full priority walk: the flow `signature` was
   // claimed by `port` under filter-configuration `epoch`. Creates, updates,
-  // or — in emergency with refuse_new_in_emergency — refuses.
+  // or — in emergency with refuse_new_in_emergency — refuses. `signature`
+  // must not be 0 (the empty-cell mark): an entry stored under 0 is never
+  // found, only aged out or evicted.
   EstablishOutcome Establish(uint64_t signature, uint32_t port, uint64_t now_ns,
                              uint64_t epoch, size_t bytes);
 
@@ -199,6 +211,24 @@ class ConnDB {
     kEvictedStale,
   };
 
+  // One index cell: signature 0 = empty.
+  struct IndexCell {
+    uint64_t signature = 0;
+    uint32_t slot = 0;
+  };
+
+  // The slab slot holding `signature`, or kNil.
+  uint32_t IndexFind(uint64_t signature) const;
+  // Adds an absent signature; grows the table first if `live_ + 1` entries
+  // would fill more than half of it.
+  void IndexInsert(uint64_t signature, uint32_t slot);
+  // Stores `cell` in the first empty cell of its probe run.
+  void IndexPlace(IndexCell cell);
+  void IndexErase(uint64_t signature);
+  // Moves every entry into a fresh table of `cells` cells (0 or 2^k).
+  void IndexRebuild(size_t cells);
+  static size_t IndexCellsFor(size_t entries);
+
   void LruDetach(uint32_t i);
   void LruPushFront(uint32_t i);
   void Remove(uint32_t i, RemoveCause cause);
@@ -214,7 +244,7 @@ class ConnDB {
 
   std::vector<Slot> slots_;          // slab; grows lazily up to capacity
   std::vector<uint32_t> free_;       // reusable slot indices (LIFO)
-  std::unordered_map<uint64_t, uint32_t> index_;  // signature -> slot
+  std::vector<IndexCell> index_;     // signature -> slot; empty or 2^k cells
   uint32_t lru_head_ = kNil;  // most recently touched
   uint32_t lru_tail_ = kNil;  // eviction victim
   size_t live_ = 0;

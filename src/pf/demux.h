@@ -220,8 +220,9 @@ class PacketFilter {
   // remembers "this flow was claimed by this port" in one ConnDB table
   // configured by `config` (verdict + accounting + TTL expiry + overload
   // watermarks), keyed by the strategy-independent pfobs::FlowSignature
-  // (FNV over the first 64 bytes) and charged to Cost::kConnDb, so repeated
-  // packets of an established flow skip the priority walk. Soundness: state
+  // (a word-wide multiply-fold hash of the first 64 bytes) and charged to
+  // Cost::kConnDb, so repeated packets of an established flow skip the
+  // priority walk. Soundness: state
   // is only consulted when every bound filter's verdict is determined by
   // that prefix — `conn_servable()`: every filter has uses_indirect == false
   // and max_word_index within the prefix; the stored port's own filter

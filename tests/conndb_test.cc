@@ -7,6 +7,10 @@
 // every non-delivered packet and copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
 #include <vector>
 
 #include "src/obs/flow_stats.h"
@@ -297,6 +301,279 @@ TEST(ConnDBTest, IdentityHoldsUnderRandomizedChurn) {
     EXPECT_GT(st.evicted_emergency, 0u);
     EXPECT_EQ(st.refused > 0, refuse);
   }
+}
+
+// A reference ConnDB: a map plus an LRU list of signatures, following the
+// contract in conndb.h with no slab and no index. Its GC reclaims every
+// expired entry, which is what the DB does when gc_batch covers the slab.
+class ReferenceConnDB {
+ public:
+  explicit ReferenceConnDB(const ConnDB::Config& config) { Reconfigure(config); }
+
+  void Reconfigure(ConnDB::Config config) {
+    config.emergency_evict_batch = std::max<size_t>(config.emergency_evict_batch, 1);
+    config.gc_batch = std::max<size_t>(config.gc_batch, 1);
+    if (config.low_water_pct >= config.high_water_pct) {
+      config.low_water_pct = config.high_water_pct == 0 ? 0 : config.high_water_pct - 1;
+    }
+    config_ = config;
+    high_ = config.high_water_pct > 100
+                ? SIZE_MAX
+                : std::max<size_t>(1, config.capacity * config.high_water_pct / 100);
+    low_ = config.capacity * config.low_water_pct / 100;
+    while (lru_.size() > config.capacity) {
+      Remove(lru_.back());
+      ++stats_.evicted_capacity;
+    }
+    UpdateWatermark();
+  }
+
+  bool Lookup(uint64_t sig, uint64_t now, uint64_t epoch, size_t bytes) {
+    ++stats_.lookups;
+    const auto it = entries_.find(sig);
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    if (now - it->second.last_seen_ns > config_.ttl_ns) {
+      Remove(sig);
+      ++stats_.expired_lazy;
+      UpdateWatermark();
+      ++stats_.misses;
+      return false;
+    }
+    if (it->second.epoch != epoch) {
+      ++stats_.stale_epoch;
+      ++stats_.misses;
+      return false;
+    }
+    Touch(it->second, now, bytes);
+    ++stats_.hits;
+    return true;
+  }
+
+  ConnDB::EstablishOutcome Establish(uint64_t sig, uint32_t port, uint64_t now,
+                                     uint64_t epoch, size_t bytes) {
+    if (const auto it = entries_.find(sig); it != entries_.end()) {
+      it->second.port = port;
+      it->second.epoch = epoch;
+      Touch(it->second, now, bytes);
+      ++stats_.updated;
+      return ConnDB::EstablishOutcome::kUpdated;
+    }
+    ++stats_.created;
+    if (emergency_) {
+      for (size_t n = std::min(config_.emergency_evict_batch, lru_.size()); n > 0; --n) {
+        Remove(lru_.back());
+        ++stats_.evicted_emergency;
+      }
+      UpdateWatermark();
+    }
+    if (config_.capacity == 0 || (emergency_ && config_.refuse_new_in_emergency)) {
+      ++stats_.refused;
+      return ConnDB::EstablishOutcome::kRefused;
+    }
+    if (lru_.size() >= config_.capacity) {
+      Remove(lru_.back());
+      ++stats_.evicted_capacity;
+    }
+    ConnDB::Entry& entry = entries_[sig];
+    entry.signature = sig;
+    entry.port = port;
+    entry.epoch = epoch;
+    entry.packets = 1;
+    entry.bytes = bytes;
+    entry.created_ns = now;
+    entry.last_seen_ns = now;
+    entry.generation = ++generation_;
+    lru_.push_front(sig);
+    UpdateWatermark();
+    return ConnDB::EstablishOutcome::kCreated;
+  }
+
+  void Invalidate(uint64_t sig) {
+    if (entries_.count(sig) != 0) {
+      Remove(sig);
+      ++stats_.evicted_stale;
+      UpdateWatermark();
+    }
+  }
+
+  size_t GcSweep(uint64_t now) {
+    ++stats_.gc_sweeps;
+    std::vector<uint64_t> expired;
+    for (const auto& [sig, entry] : entries_) {
+      if (now - entry.last_seen_ns > config_.ttl_ns) {
+        expired.push_back(sig);
+      }
+    }
+    for (const uint64_t sig : expired) {
+      Remove(sig);
+      ++stats_.expired_gc;
+    }
+    if (!expired.empty()) {
+      UpdateWatermark();
+    }
+    return expired.size();
+  }
+
+  const ConnDB::Entry* Find(uint64_t sig) const {
+    const auto it = entries_.find(sig);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  const std::list<uint64_t>& lru() const { return lru_; }
+  const ConnDB::Stats& stats() const { return stats_; }
+  bool emergency() const { return emergency_; }
+
+ private:
+  void Touch(ConnDB::Entry& entry, uint64_t now, size_t bytes) {
+    lru_.remove(entry.signature);
+    lru_.push_front(entry.signature);
+    entry.last_seen_ns = now;
+    entry.generation = ++generation_;
+    ++entry.packets;
+    entry.bytes += bytes;
+  }
+  void Remove(uint64_t sig) {
+    entries_.erase(sig);
+    lru_.remove(sig);
+  }
+  void UpdateWatermark() {
+    if (!emergency_ && lru_.size() >= high_) {
+      emergency_ = true;
+      ++stats_.emergency_engaged;
+    } else if (emergency_ && lru_.size() <= low_) {
+      emergency_ = false;
+      ++stats_.emergency_disengaged;
+    }
+  }
+
+  ConnDB::Config config_;
+  size_t high_ = 0;
+  size_t low_ = 0;
+  std::map<uint64_t, ConnDB::Entry> entries_;
+  std::list<uint64_t> lru_;  // most recently touched first
+  bool emergency_ = false;
+  uint64_t generation_ = 0;
+  ConnDB::Stats stats_;
+};
+
+void ExpectSameEntry(const ConnDB::Entry& got, const ConnDB::Entry& want) {
+  EXPECT_EQ(got.signature, want.signature);
+  EXPECT_EQ(got.port, want.port);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.created_ns, want.created_ns);
+  EXPECT_EQ(got.last_seen_ns, want.last_seen_ns);
+  EXPECT_EQ(got.generation, want.generation);
+}
+
+void ExpectSameStats(const ConnDB::Stats& got, const ConnDB::Stats& want) {
+  EXPECT_EQ(got.lookups, want.lookups);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.stale_epoch, want.stale_epoch);
+  EXPECT_EQ(got.created, want.created);
+  EXPECT_EQ(got.updated, want.updated);
+  EXPECT_EQ(got.refused, want.refused);
+  EXPECT_EQ(got.expired_lazy, want.expired_lazy);
+  EXPECT_EQ(got.expired_gc, want.expired_gc);
+  EXPECT_EQ(got.evicted_capacity, want.evicted_capacity);
+  EXPECT_EQ(got.evicted_emergency, want.evicted_emergency);
+  EXPECT_EQ(got.evicted_stale, want.evicted_stale);
+  EXPECT_EQ(got.emergency_engaged, want.emergency_engaged);
+  EXPECT_EQ(got.emergency_disengaged, want.emergency_disengaged);
+  EXPECT_EQ(got.gc_sweeps, want.gc_sweeps);
+}
+
+TEST(ConnDBTest, MatchesReferenceModelUnderRandomOperations) {
+  // Most signatures share the last home cell (low 20 bits all ones) or the
+  // first (low 20 bits zero) of any table up to 2^20 cells, so their probe
+  // runs wrap from the end of the table to its start and every deletion
+  // shifts cells back across the wraparound. A few random ones fill in.
+  pfutil::Rng rng(0xD1FF);
+  std::vector<uint64_t> pool;
+  for (uint64_t k = 1; k <= 20; ++k) {
+    pool.push_back((k << 20) | 0xfffff);
+    pool.push_back(k << 20);
+  }
+  for (int k = 0; k < 8; ++k) {
+    pool.push_back(rng.Next() | 1);
+  }
+  const auto random_config = [&] {
+    ConnDB::Config cfg;
+    constexpr size_t kCapacities[] = {0, 1, 2, 3, 7, 8, 16, 24, 40};
+    cfg.capacity = kCapacities[rng.Below(std::size(kCapacities))];
+    cfg.ttl_ns = 1'000 + rng.Below(4'000);
+    cfg.high_water_pct = static_cast<uint32_t>(rng.Below(2) == 0 ? 101 : 40 + rng.Below(61));
+    cfg.low_water_pct = static_cast<uint32_t>(rng.Below(100));
+    cfg.emergency_evict_batch = rng.Below(4);
+    cfg.refuse_new_in_emergency = rng.Below(3) == 0;
+    cfg.gc_batch = 1 << 20;  // covers the slab: a sweep reclaims every expired entry
+    return cfg;
+  };
+  ConnDB::Config cfg = random_config();
+  cfg.capacity = 40;
+  ConnDB db(cfg);
+  ReferenceConnDB model(cfg);
+  uint64_t now = 0;
+  uint64_t epoch = 1;
+  for (int op = 0; op < 30'000; ++op) {
+    now += rng.Below(200);
+    if (rng.Below(64) == 0) {
+      ++epoch;
+    }
+    const uint64_t sig = pool[rng.Below(pool.size())];
+    const uint64_t roll = rng.Below(100);
+    if (roll < 35) {
+      const size_t bytes = 60 + rng.Below(1000);
+      const bool hit = db.Lookup(sig, now, epoch, bytes) != nullptr;
+      ASSERT_EQ(hit, model.Lookup(sig, now, epoch, bytes)) << "op " << op;
+    } else if (roll < 75) {
+      const auto port = static_cast<uint32_t>(1 + rng.Below(8));
+      const size_t bytes = 60 + rng.Below(1000);
+      ASSERT_EQ(db.Establish(sig, port, now, epoch, bytes),
+                model.Establish(sig, port, now, epoch, bytes))
+          << "op " << op;
+    } else if (roll < 88) {
+      db.Invalidate(sig);
+      model.Invalidate(sig);
+    } else if (roll < 98) {
+      ASSERT_EQ(db.GcSweep(now), model.GcSweep(now)) << "op " << op;
+    } else {
+      cfg = random_config();  // shrinks, grows, capacity 0
+      db.Reconfigure(cfg);
+      model.Reconfigure(cfg);
+    }
+
+    for (const uint64_t s : pool) {
+      const ConnDB::Entry* got = db.Find(s);
+      const ConnDB::Entry* want = model.Find(s);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op << " sig " << std::hex << s;
+      if (got != nullptr) {
+        ExpectSameEntry(*got, *want);
+      }
+    }
+    const std::vector<ConnDB::Entry> snapshot = db.Snapshot();
+    ASSERT_EQ(snapshot.size(), model.lru().size()) << "op " << op;
+    size_t rank = 0;
+    for (const uint64_t s : model.lru()) {
+      ASSERT_EQ(snapshot[rank].signature, s) << "op " << op << " rank " << rank;
+      ExpectSameEntry(snapshot[rank++], *model.Find(s));
+    }
+    ExpectSameStats(db.stats(), model.stats());
+    ASSERT_EQ(db.emergency(), model.emergency()) << "op " << op;
+    ASSERT_TRUE(db.IdentityHolds()) << "op " << op;
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "op " << op;
+  }
+  EXPECT_GT(db.stats().evicted_capacity, 0u);
+  EXPECT_GT(db.stats().evicted_emergency, 0u);
+  EXPECT_GT(db.stats().evicted_stale, 0u);
+  EXPECT_GT(db.stats().expired_lazy, 0u);
+  EXPECT_GT(db.stats().expired_gc, 0u);
+  EXPECT_GT(db.stats().refused, 0u);
+  EXPECT_GT(db.stats().hits, 0u);
 }
 
 TEST(ConnDBTest, MetricsMatchStatsBitExactly) {

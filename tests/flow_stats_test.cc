@@ -5,6 +5,7 @@
 // against the demux counters and the machine's cost ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -50,20 +51,121 @@ TEST(FlowSignatureTest, PinnedValues) {
   // The signature is the cross-reference key between the flight recorder,
   // the flow table, the conndb, and the pcapng comments — recorded
   // artifacts outlive processes, so the hash itself is part of the wire
-  // contract. These are FNV-1a 64-bit reference values; if this test
-  // breaks, existing captures stop cross-referencing.
-  EXPECT_EQ(FlowSignature::Of({}), 0xcbf29ce484222325ull);  // offset basis
+  // contract. These are the multiply-fold values (eight little-endian lanes
+  // plus the length lane; checked against an independent reference); if
+  // this test breaks, existing captures stop cross-referencing.
+  EXPECT_EQ(FlowSignature::Of({}), 0x5964a6c87ef0c17cull);
   const std::vector<uint8_t> one = {0x01};
-  EXPECT_EQ(FlowSignature::Of(one), 0xaf63bc4c8601b62cull);
+  EXPECT_EQ(FlowSignature::Of(one), 0x55e583b57e2db976ull);
   const std::vector<uint8_t> beef = {0xde, 0xad, 0xbe, 0xef};
-  EXPECT_EQ(FlowSignature::Of(beef), 0x277045760cdd0993ull);
+  EXPECT_EQ(FlowSignature::Of(beef), 0xa60c00a3074bd116ull);
   std::vector<uint8_t> ramp(80);
   for (size_t i = 0; i < ramp.size(); ++i) {
     ramp[i] = static_cast<uint8_t>(i);
   }
-  EXPECT_EQ(FlowSignature::Of(ramp), 0x8368214f77995ee5ull);
+  EXPECT_EQ(FlowSignature::Of(ramp), 0xd9d0b3c743cebe8eull);
   ramp.resize(pfobs::kFlowSignaturePrefix);  // bytes past the prefix never hashed
-  EXPECT_EQ(FlowSignature::Of(ramp), 0x8368214f77995ee5ull);
+  EXPECT_EQ(FlowSignature::Of(ramp), 0xd9d0b3c743cebe8eull);
+  ramp.resize(13);  // a partial last word
+  EXPECT_EQ(FlowSignature::Of(ramp), 0xdc32da70ccc81848ull);
+}
+
+TEST(FlowSignatureTest, EverySingleBitFlipInThePrefixChangesIt) {
+  // Each base frame, and each of its one-bit variants, is a distinct flow:
+  // no two of them share a signature.
+  std::vector<uint8_t> ramp(pfobs::kFlowSignaturePrefix);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<uint8_t>(0x11 * i + 3);
+  }
+  const std::vector<std::vector<uint8_t>> bases = {
+      std::vector<uint8_t>(pfobs::kFlowSignaturePrefix, 0x00),
+      std::vector<uint8_t>(pfobs::kFlowSignaturePrefix, 0xff),
+      ramp,
+      pftest::MakePupFrame(8, 35, 2, 1, 40),  // past the prefix
+      pftest::MakePupFrame(8, 35),            // shorter than the prefix
+  };
+  for (const std::vector<uint8_t>& base : bases) {
+    const size_t n = std::min(base.size(), pfobs::kFlowSignaturePrefix);
+    std::vector<uint64_t> sigs = {FlowSignature::Of(base)};
+    for (size_t bit = 0; bit < 8 * n; ++bit) {
+      std::vector<uint8_t> flipped = base;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      sigs.push_back(FlowSignature::Of(flipped));
+    }
+    std::sort(sigs.begin(), sigs.end());
+    EXPECT_EQ(std::adjacent_find(sigs.begin(), sigs.end()), sigs.end())
+        << "a one-bit flip collided in a " << base.size() << "-byte frame";
+  }
+}
+
+TEST(FlowSignatureTest, TrailingZeroByteInsideThePrefixChangesIt) {
+  // Zero padding alone would make n and n+1 zero bytes the same words; the
+  // length lane tells them apart, up to the prefix and not beyond it.
+  std::vector<uint64_t> sigs;
+  for (size_t n = 0; n <= pfobs::kFlowSignaturePrefix; ++n) {
+    sigs.push_back(FlowSignature::Of(std::vector<uint8_t>(n, 0)));
+    std::vector<uint8_t> frame = pftest::MakePupFrame(8, 35, 2, 1, 40);
+    frame.resize(n);
+    const uint64_t shorter = FlowSignature::Of(frame);
+    frame.push_back(0);
+    if (n < pfobs::kFlowSignaturePrefix) {
+      EXPECT_NE(FlowSignature::Of(frame), shorter) << "length " << n;
+    } else {
+      EXPECT_EQ(FlowSignature::Of(frame), shorter) << "length " << n;
+    }
+  }
+  std::sort(sigs.begin(), sigs.end());
+  EXPECT_EQ(std::adjacent_find(sigs.begin(), sigs.end()), sigs.end());
+}
+
+TEST(FlowSignatureTest, BytesPastThePrefixNeverChangeIt) {
+  pfutil::Rng rng(0x5161);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::vector<uint8_t> frame(pfobs::kFlowSignaturePrefix);
+    for (uint8_t& byte : frame) {
+      byte = static_cast<uint8_t>(rng.Below(256));
+    }
+    const uint64_t sig = FlowSignature::Of(frame);
+    const size_t tail = 1 + rng.Below(1500);
+    for (size_t i = 0; i < tail; ++i) {
+      frame.push_back(static_cast<uint8_t>(rng.Below(256)));
+    }
+    EXPECT_EQ(FlowSignature::Of(frame), sig) << "tail of " << tail << " bytes";
+  }
+}
+
+TEST(FlowSignatureTest, NoCollisionAcrossMillionsOfPupFlows) {
+  // The flood shapes the benches drive: micro_flood writes a 32-bit flow id
+  // into the Pup data area (frame offset 24) of a 66-byte frame, and
+  // conn_churn's one-shot flows carry theirs in the first data bytes of a
+  // frame shorter than the prefix. Vary the Pup identifier field (offset 8)
+  // as well. 2^20 of each, 3 * 2^20 in all: any collision is structural
+  // (a 64-bit hash collides by chance with probability ~2^-22 here).
+  constexpr uint32_t kFlows = 1u << 20;
+  const auto stamp = [](std::vector<uint8_t>& frame, size_t offset, uint32_t id) {
+    frame[offset + 0] = static_cast<uint8_t>(id >> 24);
+    frame[offset + 1] = static_cast<uint8_t>(id >> 16);
+    frame[offset + 2] = static_cast<uint8_t>(id >> 8);
+    frame[offset + 3] = static_cast<uint8_t>(id);
+  };
+  std::vector<uint8_t> flood = pftest::MakePupFrame(8, 35, 2, 1, 40);
+  std::vector<uint8_t> churn = pftest::MakePupFrame(8, 0x205);
+  std::vector<uint8_t> ident = pftest::MakePupFrame(8, 0x205);
+  ASSERT_GT(flood.size(), pfobs::kFlowSignaturePrefix);
+  ASSERT_LT(churn.size(), pfobs::kFlowSignaturePrefix);
+  std::vector<uint64_t> sigs;
+  sigs.reserve(3 * kFlows);
+  for (uint32_t id = 0; id < kFlows; ++id) {
+    stamp(flood, 24, 1'000'000 + id);
+    stamp(churn, 24, 0x01000000 + id);
+    stamp(ident, 8, id);
+    sigs.push_back(FlowSignature::Of(flood));
+    sigs.push_back(FlowSignature::Of(churn));
+    sigs.push_back(FlowSignature::Of(ident));
+  }
+  std::sort(sigs.begin(), sigs.end());
+  const auto dup = std::adjacent_find(sigs.begin(), sigs.end());
+  EXPECT_EQ(dup, sigs.end()) << "collision on " << std::hex << *dup;
 }
 
 TEST(FlowTableTest, GenerationWraparoundKeepsLruOrder) {
